@@ -138,6 +138,30 @@ impl FlowTable {
         v.into_iter().map(|(_, f)| f).collect()
     }
 
+    /// The table's one fold: adds one packet to its session's flow, opening
+    /// the flow at `time` on first sight. Sessionless traffic (server-browser
+    /// probes, session `u32::MAX`) belongs to no flow and is skipped.
+    fn add(&mut self, session: u32, time: SimTime, direction: Direction, app_len: u32) {
+        if session == u32::MAX {
+            return;
+        }
+        let dir = match direction {
+            Direction::Inbound => 0,
+            Direction::Outbound => 1,
+        };
+        let flow = self.flows.entry(session).or_insert(FlowStats {
+            first: time,
+            last: time,
+            packets: [0; 2],
+            wire_bytes: [0; 2],
+            app_bytes: [0; 2],
+        });
+        flow.last = time;
+        flow.packets[dir] += 1;
+        flow.app_bytes[dir] += u64::from(app_len);
+        flow.wire_bytes[dir] += u64::from(app_len) + u64::from(WIRE_OVERHEAD_BYTES);
+    }
+
     /// Builds the Figure 11 histogram: mean per-flow bandwidth (bps) of
     /// flows lasting at least `min_duration`, binned at `bin_bps` over
     /// `[0, max_bps)`.
@@ -157,102 +181,13 @@ impl FlowTable {
 
 impl TraceSink for FlowTable {
     fn on_packet(&mut self, rec: &TraceRecord) {
-        if rec.session == u32::MAX {
-            return; // sessionless traffic (server-browser probes)
-        }
-        let dir = match rec.direction {
-            Direction::Inbound => 0,
-            Direction::Outbound => 1,
-        };
-        let entry = self.flows.entry(rec.session).or_insert(FlowStats {
-            first: rec.time,
-            last: rec.time,
-            packets: [0; 2],
-            wire_bytes: [0; 2],
-            app_bytes: [0; 2],
-        });
-        entry.last = rec.time;
-        entry.packets[dir] += 1;
-        entry.wire_bytes[dir] += u64::from(rec.wire_len());
-        entry.app_bytes[dir] += u64::from(rec.app_len);
-    }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // A tick burst delivers one packet per session, but command bursts
-        // repeat a session back-to-back; reusing the entry across a run of
-        // same-session records skips the redundant hash lookups.
-        let mut i = 0;
-        while i < recs.len() {
-            let rec = &recs[i];
-            i += 1;
-            if rec.session == u32::MAX {
-                continue; // sessionless traffic (server-browser probes)
-            }
-            let session = rec.session;
-            let entry = self.flows.entry(session).or_insert(FlowStats {
-                first: rec.time,
-                last: rec.time,
-                packets: [0; 2],
-                wire_bytes: [0; 2],
-                app_bytes: [0; 2],
-            });
-            let mut rec = rec;
-            loop {
-                let dir = match rec.direction {
-                    Direction::Inbound => 0,
-                    Direction::Outbound => 1,
-                };
-                entry.last = rec.time;
-                entry.packets[dir] += 1;
-                entry.wire_bytes[dir] += u64::from(rec.wire_len());
-                entry.app_bytes[dir] += u64::from(rec.app_len);
-                match recs.get(i) {
-                    Some(next) if next.session == session => {
-                        rec = next;
-                        i += 1;
-                    }
-                    _ => break,
-                }
-            }
-        }
+        self.add(rec.session, rec.time, rec.direction, rec.app_len);
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // Same run-folding as `on_batch`, but the run scan walks only the
-        // session column. Flow accumulation is integer addition plus a
-        // last-write-wins timestamp, so run order alone determines the final
-        // state — identical to per-record delivery.
-        let times = batch.times_ns();
-        let lens = batch.app_lens();
-        let sessions = batch.sessions();
-        let tags = batch.tags();
-        let n = sessions.len();
-        let mut i = 0;
-        while i < n {
-            let session = sessions[i];
-            if session == u32::MAX {
-                i += 1;
-                continue; // sessionless traffic (server-browser probes)
-            }
-            let t = SimTime::from_nanos(times[i]);
-            let entry = self.flows.entry(session).or_insert(FlowStats {
-                first: t,
-                last: t,
-                packets: [0; 2],
-                wire_bytes: [0; 2],
-                app_bytes: [0; 2],
-            });
-            loop {
-                let dir = usize::from(tags[i] >> 7);
-                entry.last = SimTime::from_nanos(times[i]);
-                entry.packets[dir] += 1;
-                entry.wire_bytes[dir] += u64::from(lens[i]) + u64::from(WIRE_OVERHEAD_BYTES);
-                entry.app_bytes[dir] += u64::from(lens[i]);
-                i += 1;
-                if i >= n || sessions[i] != session {
-                    break;
-                }
-            }
+        let rows = batch.sessions().iter().zip(batch.times_ns());
+        for (i, ((&session, &t), &app_len)) in rows.zip(batch.app_lens()).enumerate() {
+            self.add(session, SimTime::from_nanos(t), batch.direction(i), app_len);
         }
     }
 }

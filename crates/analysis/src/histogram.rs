@@ -33,7 +33,8 @@ impl SizeHistogram {
         }
     }
 
-    /// Records one packet size.
+    /// Records one packet size: the histogram's one fold, which both
+    /// `on_packet` and `on_columns` call per row.
     pub fn record(&mut self, direction: Direction, size: u32) {
         let i = Self::dir_idx(direction);
         let s = size as usize;
@@ -148,32 +149,9 @@ impl TraceSink for SizeHistogram {
         self.record(rec.direction, rec.app_len);
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        let max = self.max_size;
-        for rec in recs {
-            let i = Self::dir_idx(rec.direction);
-            let s = rec.app_len as usize;
-            if s <= max {
-                self.counts[i][s] += 1;
-            } else {
-                self.overflow[i] += 1;
-            }
-        }
-    }
-
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // The columnar loop reads only the size and tag columns; the
-        // direction index is a shift, not a match, and integer histogram
-        // increments commute so any delivery shape gives identical counts.
-        let max = self.max_size;
-        for (tag, len) in batch.tags().iter().zip(batch.app_lens()) {
-            let i = usize::from(tag >> 7);
-            let s = *len as usize;
-            if s <= max {
-                self.counts[i][s] += 1;
-            } else {
-                self.overflow[i] += 1;
-            }
+        for (i, &size) in batch.app_lens().iter().enumerate() {
+            self.record(batch.direction(i), size);
         }
     }
 }

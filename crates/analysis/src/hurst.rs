@@ -76,8 +76,9 @@ struct BlockAcc {
 /// }
 /// vt.on_end(SimTime::from_secs(100)); // 500k slots at 5 per ms = 100 s
 /// // Fit over block sizes with plenty of samples each.
-/// let (h, _fit) = vt.hurst(1, 100).unwrap();
+/// let (h, _fit) = vt.hurst(1, 100).ok_or("too few blocks to fit")?;
 /// assert!((h - 0.5).abs() < 0.12, "iid traffic has H near 1/2");
+/// # Ok::<(), &str>(())
 /// ```
 #[derive(Clone)]
 pub struct VarianceTime {
@@ -200,10 +201,10 @@ impl VarianceTime {
         }
     }
 
-    /// Folds a pre-counted run of same-timestamp packets in, as if `count`
-    /// records stamped `time` had been delivered one at a time. A zero-count
-    /// run is a no-op. Bin counts are integer sums, so state stays
-    /// byte-identical to the per-record path.
+    /// The estimator's one fold: adds a run of `count` packets, all in the
+    /// base bin holding `time`. A zero-count run is a no-op. `on_packet`
+    /// folds runs of one and `on_columns` whole same-bin runs; bin counts
+    /// are integer sums, so the run length never shows.
     pub fn add_run(&mut self, time: SimTime, count: u64) {
         if count == 0 {
             return;
@@ -211,11 +212,10 @@ impl VarianceTime {
         let idx = time.bin_index(self.base);
         match &mut self.current_bin {
             Some((cur, c)) if *cur == idx => *c += count,
-            Some(_) => {
+            _ => {
                 self.flush_current();
                 self.current_bin = Some((idx, count));
             }
-            None => self.current_bin = Some((idx, count)),
         }
     }
 
@@ -316,73 +316,12 @@ impl VarianceTime {
 
 impl TraceSink for VarianceTime {
     fn on_packet(&mut self, rec: &TraceRecord) {
-        let idx = rec.time.bin_index(self.base);
-        match &mut self.current_bin {
-            Some((cur, count)) if *cur == idx => *count += 1,
-            Some(_) => {
-                self.flush_current();
-                self.current_bin = Some((idx, 1));
-            }
-            None => self.current_bin = Some((idx, 1)),
-        }
-    }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // Fold each run of same-bin records (a tick burst shares one
-        // timestamp) with a single state update. Run membership is a range
-        // check against the bin's precomputed bounds — one division per run
-        // instead of one per record.
-        let base = self.base.as_nanos();
-        let mut i = 0;
-        while i < recs.len() {
-            let idx = recs[i].time.bin_index(self.base);
-            let lo = idx * base;
-            let hi = lo.saturating_add(base);
-            let mut run = 1u64;
-            i += 1;
-            while recs.get(i).is_some_and(|r| {
-                let t = r.time.as_nanos();
-                t >= lo && t < hi
-            }) {
-                run += 1;
-                i += 1;
-            }
-            match &mut self.current_bin {
-                Some((cur, count)) if *cur == idx => *count += run,
-                Some(_) => {
-                    self.flush_current();
-                    self.current_bin = Some((idx, run));
-                }
-                None => self.current_bin = Some((idx, run)),
-            }
-        }
+        self.add_run(rec.time, 1);
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // Columnar twin of `on_batch`: the run scan reads only the timestamp
-        // column, and each run becomes a single count increment.
-        let base = self.base.as_nanos();
-        let times = batch.times_ns();
-        let n = times.len();
-        let mut i = 0;
-        while i < n {
-            let idx = times[i] / base;
-            let lo = idx * base;
-            let hi = lo.saturating_add(base);
-            let start = i;
-            i += 1;
-            while i < n && times[i] >= lo && times[i] < hi {
-                i += 1;
-            }
-            let run = (i - start) as u64;
-            match &mut self.current_bin {
-                Some((cur, count)) if *cur == idx => *count += run,
-                Some(_) => {
-                    self.flush_current();
-                    self.current_bin = Some((idx, run));
-                }
-                None => self.current_bin = Some((idx, run)),
-            }
+        for (time, rows) in batch.bin_runs(self.base) {
+            self.add_run(time, rows.len() as u64);
         }
     }
 

@@ -120,16 +120,15 @@ impl RateSeries {
         }
     }
 
-    /// Folds a pre-aggregated run of same-timestamp packets into the series,
-    /// as if `packets` records totalling `wire_bytes` on the wire — all
-    /// stamped `time`, all passing this series' direction filter — had been
-    /// delivered one at a time. The caller is responsible for the filtering:
-    /// pass the matching direction's lane totals only. A zero-packet run is
-    /// a no-op (a burst with nothing for this series never opens or flushes
-    /// a bin, exactly like a run of filtered-out records).
-    ///
-    /// Bin contents are integer sums, so one pre-folded add leaves state
-    /// byte-identical to the per-record path.
+    /// The series' one fold: adds a run of `packets` records totalling
+    /// `wire_bytes` on the wire, all in the bin holding `time` and all
+    /// passing this series' direction filter. The caller does the
+    /// filtering: pass the matching direction's lane totals only. A
+    /// zero-packet run is a no-op (it never opens or flushes a bin, exactly
+    /// like a run of filtered-out records). `on_packet` folds runs of one;
+    /// `on_columns` folds whole same-bin runs through
+    /// [`RateSeries::add_lanes`], and since bin contents are integer sums
+    /// the run length never shows.
     pub fn add_run(&mut self, time: SimTime, packets: u64, wire_bytes: u64) {
         if packets == 0 {
             return;
@@ -140,7 +139,7 @@ impl RateSeries {
                 bin.packets += packets;
                 bin.wire_bytes += wire_bytes;
             }
-            Some(_) => {
+            _ => {
                 self.flush_current();
                 self.current = Some((
                     idx,
@@ -150,16 +149,22 @@ impl RateSeries {
                     },
                 ));
             }
-            None => {
-                self.current = Some((
-                    idx,
-                    RateBin {
-                        packets,
-                        wire_bytes,
-                    },
-                ));
-            }
         }
+    }
+
+    /// [`RateSeries::add_run`] from per-direction lane totals (`packets` and
+    /// application bytes, each `[inbound, outbound]`, as
+    /// [`PacketBatch::lane_totals`] returns them) of a run in the bin
+    /// holding `time`: the series picks the lane its filter selects, or
+    /// both lanes when unfiltered, so callers need not know the filter.
+    pub fn add_lanes(&mut self, time: SimTime, packets: [u64; 2], app_bytes: [u64; 2]) {
+        let (packets, app_bytes) = match self.filter {
+            None => (packets[0] + packets[1], app_bytes[0] + app_bytes[1]),
+            Some(Direction::Inbound) => (packets[0], app_bytes[0]),
+            Some(Direction::Outbound) => (packets[1], app_bytes[1]),
+        };
+        let wire_bytes = app_bytes + packets * u64::from(WIRE_OVERHEAD_BYTES);
+        self.add_run(time, packets, wire_bytes);
     }
 
     /// The stored bins (a prefix of all bins if a limit was set).
@@ -258,158 +263,15 @@ impl RateSeries {
 
 impl TraceSink for RateSeries {
     fn on_packet(&mut self, rec: &TraceRecord) {
-        if let Some(f) = self.filter {
-            if rec.direction != f {
-                return;
-            }
-        }
-        let idx = rec.time.bin_index(self.width);
-        match &mut self.current {
-            Some((cur, bin)) if *cur == idx => {
-                bin.packets += 1;
-                bin.wire_bytes += u64::from(rec.wire_len());
-            }
-            Some(_) => {
-                self.flush_current();
-                self.current = Some((
-                    idx,
-                    RateBin {
-                        packets: 1,
-                        wire_bytes: u64::from(rec.wire_len()),
-                    },
-                ));
-            }
-            None => {
-                self.current = Some((
-                    idx,
-                    RateBin {
-                        packets: 1,
-                        wire_bytes: u64::from(rec.wire_len()),
-                    },
-                ));
-            }
-        }
-    }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // A tick burst shares one timestamp, so after the first record the
-        // rest accumulate into the same bin; keep that bin in a local and
-        // write it back once per run of same-bin records. Membership in the
-        // run is a range check against the bin's precomputed bounds — one
-        // division per run instead of one per record.
-        let width = self.width.as_nanos();
-        let mut i = 0;
-        while i < recs.len() {
-            let rec = &recs[i];
-            i += 1;
-            if let Some(f) = self.filter {
-                if rec.direction != f {
-                    continue;
-                }
-            }
-            let idx = rec.time.bin_index(self.width);
-            let lo = idx * width;
-            let hi = lo.saturating_add(width);
-            let mut bin = match self.current.take() {
-                Some((cur, bin)) if cur == idx => bin,
-                Some(other) => {
-                    self.current = Some(other);
-                    self.flush_current();
-                    RateBin::default()
-                }
-                None => RateBin::default(),
-            };
-            bin.packets += 1;
-            bin.wire_bytes += u64::from(rec.wire_len());
-            // Fold the rest of the same-bin run without touching self.
-            while let Some(rec) = recs.get(i) {
-                if self.filter.is_some_and(|f| rec.direction != f) {
-                    i += 1;
-                    continue;
-                }
-                let t = rec.time.as_nanos();
-                if t < lo || t >= hi {
-                    break;
-                }
-                bin.packets += 1;
-                bin.wire_bytes += u64::from(rec.wire_len());
-                i += 1;
-            }
-            self.current = Some((idx, bin));
+        if self.filter.map_or(true, |f| rec.direction == f) {
+            self.add_run(rec.time, 1, rec.wire_len());
         }
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // Columnar variant of `on_batch`: runs of same-bin rows are found by
-        // scanning only the timestamp column, and the per-run accumulation
-        // reads only the size column (plus the tag column when filtered) —
-        // a tight integer loop over dense memory. Bin flush order, and
-        // therefore the Welford push sequence, matches the per-record path
-        // exactly: a filtered-out row contributes nothing either way.
-        let width = self.width.as_nanos();
-        let times = batch.times_ns();
-        let lens = batch.app_lens();
-        let tags = batch.tags();
-        let n = times.len();
-        let want: Option<u8> = self.filter.map(|f| match f {
-            Direction::Inbound => 0,
-            Direction::Outbound => 1,
-        });
-        let mut i = 0;
-        while i < n {
-            if let Some(w) = want {
-                if tags[i] >> 7 != w {
-                    i += 1;
-                    continue;
-                }
-            }
-            let idx = times[i] / width;
-            let lo = idx * width;
-            let hi = lo.saturating_add(width);
-            let mut bin = match self.current.take() {
-                Some((cur, bin)) if cur == idx => bin,
-                Some(other) => {
-                    self.current = Some(other);
-                    self.flush_current();
-                    RateBin::default()
-                }
-                None => RateBin::default(),
-            };
-            bin.packets += 1;
-            bin.wire_bytes += u64::from(lens[i]) + u64::from(WIRE_OVERHEAD_BYTES);
-            i += 1;
-            match want {
-                None => {
-                    // Unfiltered run: find the run end on the timestamp
-                    // column, then accumulate the size column branch-free.
-                    let start = i;
-                    while i < n && times[i] >= lo && times[i] < hi {
-                        i += 1;
-                    }
-                    let mut app: u64 = 0;
-                    for len in &lens[start..i] {
-                        app += u64::from(*len);
-                    }
-                    bin.packets += (i - start) as u64;
-                    bin.wire_bytes += app + (i - start) as u64 * u64::from(WIRE_OVERHEAD_BYTES);
-                }
-                Some(w) => {
-                    while i < n {
-                        if tags[i] >> 7 != w {
-                            i += 1;
-                            continue;
-                        }
-                        let t = times[i];
-                        if t < lo || t >= hi {
-                            break;
-                        }
-                        bin.packets += 1;
-                        bin.wire_bytes += u64::from(lens[i]) + u64::from(WIRE_OVERHEAD_BYTES);
-                        i += 1;
-                    }
-                }
-            }
-            self.current = Some((idx, bin));
+        for (time, rows) in batch.bin_runs(self.width) {
+            let (packets, app) = batch.lane_totals(rows);
+            self.add_lanes(time, packets, app);
         }
     }
 

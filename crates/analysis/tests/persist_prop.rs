@@ -15,7 +15,9 @@ use csprov_analysis::persist::{
 use csprov_analysis::{
     ByteReader, ByteWriter, RateSeries, SizeHistogram, StateError, Welford, KIND_SHARD,
 };
-use csprov_net::{CountingSink, Direction, PacketKind, TraceRecord, TraceSink};
+use csprov_net::{
+    CountingSink, Direction, PacketKind, TraceRecord, TraceSink, WIRE_OVERHEAD_BYTES,
+};
 use csprov_sim::check::{check, Gen};
 use csprov_sim::{SimDuration, SimTime};
 
@@ -47,7 +49,7 @@ fn encode_sample(g: &mut Gen) -> Vec<u8> {
             app_len: g.u32_in(0..600),
         };
         series.on_packet(&record);
-        sizes.record(record.direction, record.wire_len());
+        sizes.record(record.direction, record.app_len + WIRE_OVERHEAD_BYTES);
         counts.on_packet(&record);
         last = record.time;
     }

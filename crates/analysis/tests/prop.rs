@@ -47,7 +47,7 @@ fn rate_series_conserves_totals() {
         for r in &records {
             s.on_packet(r);
             packets += 1;
-            bytes += u64::from(r.wire_len());
+            bytes += r.wire_len();
         }
         s.on_end(records.last().unwrap().time);
         let bp: u64 = s.bins().iter().map(|b| b.packets).sum();

@@ -118,16 +118,7 @@ struct Options {
     serve: Option<String>,
     serve_linger_secs: u64,
     speed: Speed,
-    ingest: Option<IngestPath>,
     artifacts: Vec<ExperimentId>,
-}
-
-/// Which analyzer delivery path `--ingest` pins (normally the columnar
-/// fast path is on and the flag is only used to cross-check the two).
-#[derive(Clone, Copy)]
-enum IngestPath {
-    Columnar,
-    PerRecord,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -154,7 +145,6 @@ fn parse_args() -> Result<Options, String> {
         serve: None,
         serve_linger_secs: 0,
         speed: Speed::Max,
-        ingest: None,
         artifacts: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -281,18 +271,6 @@ fn parse_args() -> Result<Options, String> {
             "--speed" => {
                 opts.speed = args.next().ok_or("--speed needs a value")?.parse()?;
             }
-            "--ingest" => {
-                let path = args.next().ok_or("--ingest needs a value")?;
-                opts.ingest = Some(match path.as_str() {
-                    "columnar" => IngestPath::Columnar,
-                    "per-record" => IngestPath::PerRecord,
-                    other => {
-                        return Err(format!(
-                            "--ingest must be columnar or per-record, got {other}"
-                        ));
-                    }
-                });
-            }
             "-h" | "--help" => return Err(String::new()),
             "all" => opts.artifacts = ExperimentId::all(),
             "main" => {
@@ -395,7 +373,7 @@ fn usage() {
          [--fleet N [--fleet-minutes M] [--fleet-state-dir DIR] [--resume] \
          [--fleet-retries N] [--fleet-fail SHARD:COUNT|SHARD:stall=MS,...]] \
          [--serve ADDR [--serve-linger S]] \
-         [--speed N|max] [--ingest columnar|per-record] <artifact|all|main|nat>..."
+         [--speed N|max] <artifact|all|main|nat>..."
     );
     eprintln!("       repro fleet merge OUT_REPORT STATE_FILE...");
     eprintln!(
@@ -1321,16 +1299,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    // Analyzer construction reads the env var, so pinning it here covers
-    // every run this invocation performs (main, NAT, ablations, fleet).
-    // The CI ingest-smoke step diffs a columnar run against a per-record
-    // run through this flag; artifacts must come out byte-identical.
-    match opts.ingest {
-        Some(IngestPath::Columnar) => std::env::set_var(csprov::INGEST_PATH_ENV, "columnar"),
-        Some(IngestPath::PerRecord) => std::env::set_var(csprov::INGEST_PATH_ENV, "per-record"),
-        None => {}
-    }
 
     let duration = if opts.full_week {
         SimDuration::from_secs(PAPER_TRACE_SECS)

@@ -52,29 +52,11 @@ pub struct FullAnalysis {
     /// Reusable column scratch the burst is transposed into; cleared (not
     /// reallocated) every `on_batch`.
     batch: PacketBatch,
-    /// When set, `on_batch` forwards record slices to every analyzer's
-    /// per-record path instead of transposing to columns. Both paths must
-    /// leave byte-identical analyzer state; the toggle exists so tests and
-    /// the repro CLI can prove it.
-    per_record: bool,
 }
-
-/// Environment variable selecting the ingest delivery path; the value
-/// `per-record` disables the columnar fast path (any other value, or unset,
-/// selects columnar).
-pub const INGEST_PATH_ENV: &str = "CSPROV_INGEST_PATH";
 
 impl FullAnalysis {
     /// Creates the composite for a trace of the given expected duration.
-    /// The ingest path honors [`INGEST_PATH_ENV`].
     pub fn new(duration: SimDuration) -> Self {
-        let per_record = std::env::var(INGEST_PATH_ENV).is_ok_and(|v| v == "per-record");
-        Self::with_ingest(duration, per_record)
-    }
-
-    /// [`FullAnalysis::new`] with the ingest path chosen explicitly instead
-    /// of from the environment.
-    pub fn with_ingest(duration: SimDuration, per_record: bool) -> Self {
         let minute = SimDuration::from_secs(60);
         let ms10 = SimDuration::from_millis(10);
         // Block ladder up to 1/8 of the trace (beyond that too few blocks
@@ -119,7 +101,6 @@ impl FullAnalysis {
             sizes: SizeHistogram::new(500),
             flows: FlowTable::new(),
             batch: PacketBatch::new(),
-            per_record,
         }
     }
 
@@ -174,35 +155,27 @@ impl FullAnalysis {
 }
 
 impl FullAnalysis {
-    /// Columnar delivery of a batch whose rows all share timestamp `t`: the
-    /// per-direction lane totals feed each series once. Only the flow table
-    /// and size histogram still need the per-row columns.
+    /// Columnar delivery of a batch whose rows all share timestamp `t`: one
+    /// pass computes the per-direction lane totals, and every counter and
+    /// series folds them in once. Only the flow table and size histogram
+    /// still need the per-row columns.
     fn on_uniform_burst(&mut self, t: SimTime, batch: &PacketBatch) {
-        let mut packets = [0u64; 2];
-        let mut app = [0u64; 2];
-        for (tag, len) in batch.tags().iter().zip(batch.app_lens()) {
-            let d = usize::from(tag >> 7);
-            packets[d] += 1;
-            app[d] += u64::from(*len);
-        }
-        let overhead = u64::from(csprov_net::WIRE_OVERHEAD_BYTES);
-        let wire = [
-            app[0] + packets[0] * overhead,
-            app[1] + packets[1] * overhead,
-        ];
-        let total_packets = packets[0] + packets[1];
-        let total_wire = wire[0] + wire[1];
+        let (packets, app) = batch.lane_totals(0..batch.len());
         self.counts.add_counts(packets, app);
-        self.per_minute.add_run(t, total_packets, total_wire);
-        self.per_minute_in.add_run(t, packets[0], wire[0]);
-        self.per_minute_out.add_run(t, packets[1], wire[1]);
-        self.ms10_total.add_run(t, total_packets, total_wire);
-        self.ms10_in.add_run(t, packets[0], wire[0]);
-        self.ms10_out.add_run(t, packets[1], wire[1]);
-        self.ms50_total.add_run(t, total_packets, total_wire);
-        self.sec1_total.add_run(t, total_packets, total_wire);
-        self.min30_total.add_run(t, total_packets, total_wire);
-        self.variance_time.add_run(t, total_packets);
+        for series in [
+            &mut self.per_minute,
+            &mut self.per_minute_in,
+            &mut self.per_minute_out,
+            &mut self.ms10_total,
+            &mut self.ms10_in,
+            &mut self.ms10_out,
+            &mut self.ms50_total,
+            &mut self.sec1_total,
+            &mut self.min30_total,
+        ] {
+            series.add_lanes(t, packets, app);
+        }
+        self.variance_time.add_run(t, packets[0] + packets[1]);
         self.sizes.on_columns(batch);
         self.flows.on_columns(batch);
     }
@@ -226,22 +199,6 @@ impl TraceSink for FullAnalysis {
     }
 
     fn on_batch(&mut self, recs: &[TraceRecord]) {
-        if self.per_record {
-            self.counts.on_batch(recs);
-            self.per_minute.on_batch(recs);
-            self.per_minute_in.on_batch(recs);
-            self.per_minute_out.on_batch(recs);
-            self.ms10_total.on_batch(recs);
-            self.ms10_in.on_batch(recs);
-            self.ms10_out.on_batch(recs);
-            self.ms50_total.on_batch(recs);
-            self.sec1_total.on_batch(recs);
-            self.min30_total.on_batch(recs);
-            self.variance_time.on_batch(recs);
-            self.sizes.on_batch(recs);
-            self.flows.on_batch(recs);
-            return;
-        }
         // Transpose once into the reusable scratch, then fan the columns out
         // to every analyzer. Taking the batch out of `self` lets the columnar
         // delivery borrow `self` mutably; only the Vec headers move.
@@ -254,12 +211,10 @@ impl TraceSink for FullAnalysis {
 
     fn on_columns(&mut self, batch: &PacketBatch) {
         // A server tick burst shares a single timestamp. When the whole
-        // batch does, one pass over the tag and size columns produces
-        // per-direction lane totals, and every bin series folds its lane in
-        // with a single `add_run` — instead of ten separate column scans.
-        // Bin contents are integer sums and a zero-lane run touches nothing
-        // (like a run of filtered-out records), so state stays byte-identical
-        // to the general path.
+        // batch does, it is one run in every bin series, so one pass over
+        // the tag and size columns serves all of them — instead of each
+        // series scanning the batch for runs itself. The folds are the same
+        // either way; only the pre-aggregation is shared.
         let times = batch.times_ns();
         if let (Some(&first), Some(&last)) = (times.first(), times.last()) {
             if first == last {

@@ -11,13 +11,16 @@
 //! reconstructed exactly as the [`TraceRecord`] it was built from (see
 //! [`PacketBatch::record`]), which is what the default
 //! [`TraceSink::on_columns`](crate::TraceSink::on_columns) shim does for
-//! sinks that have not opted into the columnar path. Columnar and
-//! per-record delivery are required to leave byte-identical analyzer state;
-//! the differential tests in `csprov` enforce that.
+//! sinks without a column adapter. An analyzer with one has a single fold
+//! that both its `on_packet` and its `on_columns` call — the column side
+//! only pre-aggregates with [`PacketBatch::bin_runs`] and
+//! [`PacketBatch::lane_totals`] — so the two deliveries cannot disagree;
+//! the differential tests in `csprov` check it anyway.
 
 use crate::packet::{Direction, PacketKind, WIRE_OVERHEAD_BYTES};
 use crate::trace::TraceRecord;
-use csprov_sim::SimTime;
+use csprov_sim::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// Bit set in a tag byte for outbound packets.
 pub const TAG_DIR_BIT: u8 = 0x80;
@@ -153,9 +156,50 @@ impl PacketBatch {
         PacketKind::from_u8(self.tags[i] & TAG_KIND_MASK).unwrap_or(PacketKind::ClientCommand)
     }
 
-    /// Wire length of row `i` under the paper's accounting.
-    pub fn wire_len(&self, i: usize) -> u32 {
-        self.app_lens[i] + WIRE_OVERHEAD_BYTES
+    /// Wire length of row `i` under the paper's accounting. Widened to
+    /// `u64` so a foreign near-`u32::MAX` size cannot wrap.
+    pub fn wire_len(&self, i: usize) -> u64 {
+        u64::from(self.app_lens[i]) + u64::from(WIRE_OVERHEAD_BYTES)
+    }
+
+    /// Per-direction totals over `rows`: packets and application bytes,
+    /// each indexed `[inbound, outbound]`. The direction bit of the tag is
+    /// the lane index, so the loop has no data-dependent branches.
+    pub fn lane_totals(&self, rows: Range<usize>) -> ([u64; 2], [u64; 2]) {
+        let mut packets = [0u64; 2];
+        let mut app = [0u64; 2];
+        for (tag, len) in self.tags[rows.clone()].iter().zip(&self.app_lens[rows]) {
+            let d = usize::from(tag >> 7);
+            packets[d] += 1;
+            app[d] += u64::from(*len);
+        }
+        (packets, app)
+    }
+
+    /// Splits the rows into maximal runs that fall in one `width`-wide time
+    /// bin, yielding each run's first timestamp and its row range. A run
+    /// ends where the timestamp column leaves the bin, so finding it costs
+    /// one division however many rows it holds. `width` must be non-zero.
+    pub fn bin_runs(
+        &self,
+        width: SimDuration,
+    ) -> impl Iterator<Item = (SimTime, Range<usize>)> + '_ {
+        let width = width.as_nanos();
+        let times = &self.times_ns[..];
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let first = *times.get(start)?;
+            let lo = first - first % width;
+            let hi = lo.saturating_add(width);
+            // The first row always opens the run, even where `hi` saturated.
+            let run = 1 + times[start + 1..]
+                .iter()
+                .take_while(|&&t| t >= lo && t < hi)
+                .count();
+            let rows = start..start + run;
+            start += run;
+            Some((SimTime::from_nanos(first), rows))
+        })
     }
 
     /// Reconstructs row `i` as the record it was built from.
@@ -222,8 +266,56 @@ mod tests {
         assert_eq!(batch.sessions(), &[3, 7]);
         assert_eq!(batch.dir_index(0), 0);
         assert_eq!(batch.dir_index(1), 1);
-        assert_eq!(batch.wire_len(1), 130 + WIRE_OVERHEAD_BYTES);
+        assert_eq!(batch.wire_len(1), 130 + u64::from(WIRE_OVERHEAD_BYTES));
         assert_eq!(batch.kind(1), PacketKind::StateUpdate);
+    }
+
+    #[test]
+    fn lane_totals_split_by_direction() {
+        let recs = vec![
+            rec(0, Direction::Inbound, PacketKind::ClientCommand, 1, 40),
+            rec(0, Direction::Outbound, PacketKind::StateUpdate, 1, 130),
+            rec(1, Direction::Outbound, PacketKind::StateUpdate, 2, 150),
+        ];
+        let batch = PacketBatch::from_records(&recs);
+        assert_eq!(batch.lane_totals(0..3), ([1, 2], [40, 280]));
+        assert_eq!(batch.lane_totals(1..2), ([0, 1], [0, 130]));
+        assert_eq!(batch.lane_totals(2..2), ([0, 0], [0, 0]));
+    }
+
+    #[test]
+    fn bin_runs_break_where_the_bin_changes() {
+        let at = |ms: u64| rec(ms, Direction::Inbound, PacketKind::ClientCommand, 1, 40);
+        let batch = PacketBatch::from_records(&[at(1), at(4), at(12), at(25), at(29), at(3)]);
+        let runs: Vec<(u64, Range<usize>)> = batch
+            .bin_runs(SimDuration::from_millis(10))
+            .map(|(t, rows)| (t.as_nanos() / 1_000_000, rows))
+            .collect();
+        // An out-of-order row opens a run of its own, like any bin change.
+        assert_eq!(runs, vec![(1, 0..2), (12, 2..3), (25, 3..5), (3, 5..6)]);
+        assert_eq!(
+            PacketBatch::new()
+                .bin_runs(SimDuration::from_millis(10))
+                .count(),
+            0
+        );
+    }
+
+    #[test]
+    fn wire_len_does_not_wrap() {
+        let big = rec(
+            0,
+            Direction::Inbound,
+            PacketKind::ClientCommand,
+            1,
+            u32::MAX,
+        );
+        let batch = PacketBatch::from_records(&[big]);
+        assert_eq!(
+            batch.wire_len(0),
+            u64::from(u32::MAX) + u64::from(WIRE_OVERHEAD_BYTES)
+        );
+        assert_eq!(batch.wire_len(0), big.wire_len());
     }
 
     #[test]

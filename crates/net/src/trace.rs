@@ -82,37 +82,39 @@ impl TraceRecord {
     }
 
     /// On-the-wire bytes for this packet under the paper's accounting.
-    pub fn wire_len(&self) -> u32 {
-        self.app_len + WIRE_OVERHEAD_BYTES
+    /// Widened to `u64` so a foreign near-`u32::MAX` size cannot wrap.
+    pub fn wire_len(&self) -> u64 {
+        u64::from(self.app_len) + u64::from(WIRE_OVERHEAD_BYTES)
     }
 }
 
 /// A consumer of trace records.
 ///
 /// Implementations must be cheap per record; they are on the hot path of the
-/// simulation.
+/// simulation. The world delivers one `on_packet` per single packet and one
+/// same-timestamp `on_batch` per server tick; every delivery method means
+/// "these records, in this order", so a sink implements `on_packet` and the
+/// defaults cover the rest. A hot analyzer keeps one fold and makes both
+/// `on_packet` and `on_columns` thin adapters over it; only adapters that
+/// reshape or forward a burst (a transposing composite, a fan-out) override
+/// `on_batch`.
 pub trait TraceSink {
     /// Called once per observed packet, in non-decreasing time order.
     fn on_packet(&mut self, rec: &TraceRecord);
 
     /// Called with a burst of records in non-decreasing time order (e.g.
-    /// one server tick's outbound snapshots). Equivalent to calling
-    /// [`TraceSink::on_packet`] once per record — the default does exactly
-    /// that — but hot sinks override it to amortize dispatch and lookup
-    /// costs over the burst.
+    /// one server tick's outbound snapshots). The default calls
+    /// [`TraceSink::on_packet`] once per record.
     fn on_batch(&mut self, recs: &[TraceRecord]) {
         for rec in recs {
             self.on_packet(rec);
         }
     }
 
-    /// Called with a burst in columnar (struct-of-arrays) form. Equivalent
-    /// to delivering the reconstructed rows through
-    /// [`TraceSink::on_packet`] — the default shim does exactly that, so
-    /// every sink keeps working unchanged — but the hot analyzers override
-    /// it to walk whole columns: run-folded bin accounting over the
-    /// timestamp column, branch-light bucketing over the size column.
-    /// Overrides must leave state byte-identical to the per-record path.
+    /// Called with a burst in columnar (struct-of-arrays) form. The default
+    /// shim reconstructs each row and calls [`TraceSink::on_packet`]; hot
+    /// analyzers pre-aggregate the columns (per-bin runs, per-direction
+    /// lanes) and hand the totals to the same fold `on_packet` uses.
     fn on_columns(&mut self, batch: &PacketBatch) {
         for i in 0..batch.len() {
             self.on_packet(&batch.record(i));
@@ -129,8 +131,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn on_packet(&mut self, _rec: &TraceRecord) {}
-
-    fn on_batch(&mut self, _recs: &[TraceRecord]) {}
 
     fn on_columns(&mut self, _batch: &PacketBatch) {}
 }
@@ -186,10 +186,10 @@ impl CountingSink {
         self.wire_bytes[Self::dir_idx(d)]
     }
 
-    /// Folds pre-aggregated per-direction lane totals in, as if `packets[d]`
-    /// records totalling `app_bytes[d]` application bytes had been delivered
-    /// for each direction lane `d` (`[inbound, outbound]`). Pure integer
-    /// sums, so the result is byte-identical to per-record delivery.
+    /// The fold behind every delivery: adds `packets[d]` records totalling
+    /// `app_bytes[d]` application bytes for each direction lane `d`
+    /// (`[inbound, outbound]`). `on_packet` passes one record's lane,
+    /// `on_columns` a whole batch's [`PacketBatch::lane_totals`].
     pub fn add_counts(&mut self, packets: [u64; 2], app_bytes: [u64; 2]) {
         for i in 0..2 {
             self.packets[i] += packets[i];
@@ -216,48 +216,17 @@ impl CountingSink {
 
 impl TraceSink for CountingSink {
     fn on_packet(&mut self, rec: &TraceRecord) {
+        let mut packets = [0; 2];
+        let mut app = [0; 2];
         let i = Self::dir_idx(rec.direction);
-        self.packets[i] += 1;
-        self.app_bytes[i] += u64::from(rec.app_len);
-        self.wire_bytes[i] += u64::from(rec.wire_len());
-    }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // Accumulate in locals so the per-record loop stays in registers.
-        let mut packets = [0u64; 2];
-        let mut app = [0u64; 2];
-        let mut wire = [0u64; 2];
-        for rec in recs {
-            let i = Self::dir_idx(rec.direction);
-            packets[i] += 1;
-            app[i] += u64::from(rec.app_len);
-            wire[i] += u64::from(rec.wire_len());
-        }
-        for i in 0..2 {
-            self.packets[i] += packets[i];
-            self.app_bytes[i] += app[i];
-            self.wire_bytes[i] += wire[i];
-        }
+        packets[i] = 1;
+        app[i] = u64::from(rec.app_len);
+        self.add_counts(packets, app);
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // Pure integer accumulation over two dense columns: the tag byte
-        // selects the per-direction lane arithmetically, so the loop has no
-        // data-dependent branches and vectorizes.
-        let mut packets = [0u64; 2];
-        let mut app = [0u64; 2];
-        let tags = batch.tags();
-        let lens = batch.app_lens();
-        for (tag, len) in tags.iter().zip(lens) {
-            let d = usize::from(tag >> 7);
-            packets[d] += 1;
-            app[d] += u64::from(*len);
-        }
-        for i in 0..2 {
-            self.packets[i] += packets[i];
-            self.app_bytes[i] += app[i];
-            self.wire_bytes[i] += app[i] + packets[i] * u64::from(WIRE_OVERHEAD_BYTES);
-        }
+        let (packets, app) = batch.lane_totals(0..batch.len());
+        self.add_counts(packets, app);
     }
 
     fn on_end(&mut self, end: SimTime) {
@@ -410,17 +379,6 @@ impl<W: Write> TraceSink for WriterSink<W> {
             }
         }
     }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        for rec in recs {
-            if self.error.is_some() {
-                return;
-            }
-            if let Err(e) = self.writer.write(rec) {
-                self.error = Some(e);
-            }
-        }
-    }
 }
 
 /// Reads back traces written by [`TraceWriter`].
@@ -483,10 +441,10 @@ impl<R: Read> TraceReader<R> {
 
     /// Drains the stream into a sink; returns the record count.
     ///
-    /// Records are delivered through [`TraceSink::on_batch`] in chunks so
-    /// batching sinks amortize their dispatch; order and `on_end` semantics
-    /// match a record-at-a-time replay exactly. Strict: the first error of
-    /// any kind aborts the replay.
+    /// Records are delivered through [`TraceSink::on_batch`] in chunks, so
+    /// a sink that transposes bursts into columns pays its dispatch once per
+    /// chunk; order and `on_end` semantics match a record-at-a-time replay
+    /// exactly. Strict: the first error of any kind aborts the replay.
     pub fn replay(&mut self, sink: &mut dyn TraceSink) -> Result<u64, Error> {
         const CHUNK: usize = 256;
         let mut buf = Vec::with_capacity(CHUNK);

@@ -1,18 +1,17 @@
-//! Columnar-ingest determinism boundary: the struct-of-arrays fast path
+//! Columnar-ingest determinism boundary: the struct-of-arrays delivery
 //! must be unobservable. Every analyzer reaches byte-identical state
-//! whether a burst arrives as per-record `on_packet` calls, a per-record
-//! `on_batch` replay, or the columnar `on_columns` path — including the
-//! uniform-timestamp burst shortcut — and the journal's buffered writer
-//! lane stores exactly the events plain `emit` would.
+//! whether a burst arrives as `on_packet` calls or through
+//! `FullAnalysis`'s transposing `on_batch` — both its general column path
+//! and its uniform-timestamp burst shortcut — even for foreign sizes near
+//! `u32::MAX`; and the journal's buffered writer lane stores exactly the
+//! events plain `emit` would.
 
 use csprov::pipeline::FullAnalysis;
-use csprov::INGEST_PATH_ENV;
-use csprov_game::{ScenarioConfig, World};
-use csprov_net::{Direction, PacketKind, TraceRecord, TraceSink};
+use csprov_net::{
+    Direction, PacketBatch, PacketKind, TraceReader, TraceRecord, TraceSink, TraceWriter,
+};
 use csprov_obs::{BroadcastBus, BusEvent, Journal};
 use csprov_sim::{SimDuration, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// splitmix64: tiny, seedable, and good enough to randomize burst shapes.
 fn next(state: &mut u64) -> u64 {
@@ -64,9 +63,23 @@ fn random_bursts(seed: u64, bursts: usize) -> Vec<Vec<TraceRecord>> {
     out
 }
 
+/// Delivers every burst in one `on_batch` call: the columnar path.
 fn run_through(mut sink: FullAnalysis, bursts: &[Vec<TraceRecord>], end: SimTime) -> FullAnalysis {
     for burst in bursts {
         sink.on_batch(burst);
+    }
+    sink.on_end(end);
+    sink
+}
+
+/// Delivers every record in its own `on_packet` call: the reference.
+fn run_per_packet(
+    mut sink: FullAnalysis,
+    bursts: &[Vec<TraceRecord>],
+    end: SimTime,
+) -> FullAnalysis {
+    for rec in bursts.iter().flatten() {
+        sink.on_packet(rec);
     }
     sink.on_end(end);
     sink
@@ -166,18 +179,10 @@ fn columnar_matches_per_record_on_randomized_streams() {
     let end = SimTime::from_nanos(duration.as_nanos());
     for seed in [1, 42, 0xdead_beef, 7_777_777] {
         let bursts = random_bursts(seed, 400);
-        // Three deliveries of the same stream: the columnar path (default),
-        // the legacy per-record on_batch path, and raw on_packet calls.
-        let columnar = run_through(FullAnalysis::with_ingest(duration, false), &bursts, end);
-        let legacy = run_through(FullAnalysis::with_ingest(duration, true), &bursts, end);
-        let mut packet = FullAnalysis::with_ingest(duration, false);
-        for burst in &bursts {
-            for rec in burst {
-                packet.on_packet(rec);
-            }
-        }
-        packet.on_end(end);
-        assert_identical(&columnar, &legacy, &format!("seed {seed}: soa vs legacy"));
+        // The spread bursts take the general column path, which world runs
+        // never reach: their tick bursts always share one timestamp.
+        let columnar = run_through(FullAnalysis::new(duration), &bursts, end);
+        let packet = run_per_packet(FullAnalysis::new(duration), &bursts, end);
         assert_identical(
             &columnar,
             &packet,
@@ -213,45 +218,56 @@ fn uniform_tick_bursts_match_per_record() {
                 .collect(),
         );
     }
-    let columnar = run_through(FullAnalysis::with_ingest(duration, false), &bursts, end);
-    let legacy = run_through(FullAnalysis::with_ingest(duration, true), &bursts, end);
-    assert_identical(&columnar, &legacy, "uniform ticks");
+    let columnar = run_through(FullAnalysis::new(duration), &bursts, end);
+    let packet = run_per_packet(FullAnalysis::new(duration), &bursts, end);
+    assert_identical(&columnar, &packet, "uniform ticks");
 }
 
 #[test]
-fn env_toggle_pins_the_per_record_path() {
-    // CSPROV_INGEST_PATH=per-record must select the legacy path — and the
-    // selection must be unobservable in analyzer state, which is exactly
-    // why the CI smoke step can diff the two repro runs byte-for-byte.
+fn foreign_near_max_size_folds_to_the_same_wire_bytes_either_way() {
+    // A replayed CSPT record can carry any u32 size. Wire bytes are
+    // app_len + 58 computed in u64, so nothing wraps or overflows, and the
+    // row and column deliveries agree on the widened total.
+    let rec = TraceRecord {
+        time: SimTime::from_secs(90),
+        direction: Direction::Inbound,
+        kind: PacketKind::ClientCommand,
+        session: 5,
+        app_len: u32::MAX - 10,
+    };
+    let mut writer = TraceWriter::new(Vec::new()).unwrap();
+    writer.write(&rec).unwrap();
+    let bytes = writer.finish().unwrap();
+    let replayed = TraceReader::new(&bytes[..])
+        .unwrap()
+        .read()
+        .unwrap()
+        .unwrap();
+    assert_eq!(replayed, rec);
+
     let duration = SimDuration::from_mins(2);
     let end = SimTime::from_nanos(duration.as_nanos());
-    let bursts = random_bursts(31337, 120);
-    std::env::set_var(INGEST_PATH_ENV, "per-record");
-    let pinned = FullAnalysis::new(duration);
-    std::env::remove_var(INGEST_PATH_ENV);
-    let pinned = run_through(pinned, &bursts, end);
-    let columnar = run_through(FullAnalysis::new(duration), &bursts, end);
-    assert_identical(&columnar, &pinned, "env-pinned per-record");
-}
+    let mut by_packet = FullAnalysis::new(duration);
+    by_packet.on_packet(&replayed);
+    by_packet.on_end(end);
+    let mut by_columns = FullAnalysis::new(duration);
+    by_columns.on_columns(&PacketBatch::from_records(&[replayed]));
+    by_columns.on_end(end);
 
-#[test]
-fn seeded_world_run_is_identical_across_ingest_paths() {
-    // The real producer: a seeded world run delivers genuine server-tick
-    // bursts. Forcing the fast path off must leave every artifact source
-    // byte-identical.
-    let cfg = ScenarioConfig::new(2024, SimDuration::from_mins(3));
-    let run = |per_record: bool| {
-        let sink = Rc::new(RefCell::new(FullAnalysis::with_ingest(
-            cfg.duration,
-            per_record,
-        )));
-        let _ = World::run(cfg.clone(), sink.clone());
-        Rc::try_unwrap(sink)
-            .map_err(|_| ())
-            .expect("world must release the sink")
-            .into_inner()
-    };
-    assert_identical(&run(false), &run(true), "seeded world run");
+    const WIRE: u64 = 4_294_967_343;
+    for (a, how) in [(&by_packet, "on_packet"), (&by_columns, "on_columns")] {
+        assert_eq!(a.counts.total_wire_bytes(), WIRE, "{how}: counts");
+        assert_eq!(
+            a.counts.wire_bytes_in(Direction::Inbound),
+            WIRE,
+            "{how}: counts inbound"
+        );
+        let bins: Vec<u64> = a.per_minute.bins().iter().map(|b| b.wire_bytes).collect();
+        assert_eq!(bins, vec![0, WIRE], "{how}: per_minute bins");
+        let flow = a.flows.get(5).expect("the record opens flow 5");
+        assert_eq!(flow.wire_bytes, [WIRE, 0], "{how}: flow wire_bytes");
+    }
+    assert_identical(&by_packet, &by_columns, "near-u32::MAX size");
 }
 
 #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Panic gate: library code on the ingest and forwarding paths must not
-# panic. Malformed trace input is an expected condition (skip-and-count or
-# a typed error), so `unwrap`/`expect`/`panic!` and friends are banned from
-# non-test code in the crates that touch foreign bytes.
+# Panic gate: library code on the ingest, forwarding and dispatch paths
+# must not panic. Malformed trace input is an expected condition
+# (skip-and-count or a typed error), so `unwrap`/`expect`/`panic!` and
+# friends are banned from non-test code in the crates that touch foreign
+# bytes, and from the event kernel every run executes.
 #
 # Scope: crates/net/src and crates/router/src (the net glob also covers
 # the columnar batch module, crates/net/src/batch.rs), plus the fleet
@@ -10,11 +11,13 @@
 # (state files are foreign bytes: corruption must surface as typed
 # StateError/CheckpointError values, shard failures as FleetError), the
 # aggregate experiment, the journal hot path in crates/obs, the
-# columnar ingest pipeline in crates/core, and the analyzer folds it
+# columnar ingest pipeline in crates/core, the analyzer folds it
 # feeds (rate series, variance-time, size histogram, flow table; a
-# replayed trace hands them foreign sizes) — excluding `#[cfg(test)]`
-# modules (tests may unwrap freely). Binaries (crates/bench) are exempt —
-# a CLI aborting with a message is fine; a library unwinding is not.
+# replayed trace hands them foreign sizes), and the simulation kernel in
+# crates/sim (engine, event queue, recurring-process table) — excluding
+# `#[cfg(test)]` modules (tests may unwrap freely). Binaries
+# (crates/bench) are exempt — a CLI aborting with a message is fine; a
+# library unwinding is not.
 #
 # Exits non-zero listing each offending line.
 
@@ -32,7 +35,9 @@ for f in crates/net/src/*.rs crates/router/src/*.rs \
     crates/analysis/src/series.rs crates/analysis/src/hurst.rs \
     crates/analysis/src/histogram.rs crates/analysis/src/flows.rs \
     crates/core/src/experiments/aggregate.rs \
-    crates/core/src/pipeline.rs crates/obs/src/journal.rs; do
+    crates/core/src/pipeline.rs crates/obs/src/journal.rs \
+    crates/sim/src/engine.rs crates/sim/src/event.rs \
+    crates/sim/src/process.rs; do
     # Strip everything from the first `#[cfg(test)]` onward: by repo
     # convention the test module is the final item in each file.
     hits=$(awk '/^#\[cfg\(test\)\]/ { exit } { print NR": "$0 }' "$f" \
@@ -47,6 +52,6 @@ done
 if [ "$status" -ne 0 ]; then
     echo "panic gate FAILED: use typed csprov_net::Error instead" >&2
 else
-    echo "panic gate OK: no unwrap/expect/panic! in net+router+fleet library code"
+    echo "panic gate OK: no unwrap/expect/panic! in net+router+fleet+sim-kernel library code"
 fi
 exit "$status"

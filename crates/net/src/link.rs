@@ -6,11 +6,17 @@
 //! saturation phenomenon at the heart of the paper comes from clients whose
 //! [`LinkClass::Modem56k`] serialization rate is close to the traffic the
 //! game offers it.
+//!
+//! The queue is kept as serialization end times, not as events: a packet
+//! holds its slot up to and including the instant its serialization ends,
+//! so admission, departure and arrival are all decided when the packet is
+//! offered, and an admitted packet costs one kernel event — its delivery.
 
 use crate::metrics::LinkMetrics;
 use crate::packet::Packet;
 use csprov_sim::{Counter, RngStream, SimDuration, SimTime, Simulator};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Static parameters of a link.
@@ -101,7 +107,7 @@ impl LinkClass {
 pub struct LinkStats {
     /// Packets offered to the link.
     pub offered: Counter,
-    /// Packets delivered to the far end.
+    /// Packets delivered to the far end, counted on arrival.
     pub delivered: Counter,
     /// Packets dropped by the drop-tail queue.
     pub dropped_queue: Counter,
@@ -112,8 +118,13 @@ pub struct LinkStats {
 struct LinkState {
     config: LinkConfig,
     rng: RngStream,
-    busy_until: SimTime,
-    queued: usize,
+    /// Serialization end of the latest admitted packet (`None` before the
+    /// first).
+    busy_until: Option<SimTime>,
+    /// Serialization ends of earlier admitted packets that may still hold a
+    /// queue slot, oldest first. Stays unallocated on a link that never has
+    /// two packets queued at once.
+    backlog: VecDeque<SimTime>,
     stats: LinkStats,
     metrics: Option<LinkMetrics>,
 }
@@ -131,8 +142,8 @@ impl Link {
             state: Rc::new(RefCell::new(LinkState {
                 config,
                 rng,
-                busy_until: SimTime::ZERO,
-                queued: 0,
+                busy_until: None,
+                backlog: VecDeque::new(),
                 stats: LinkStats::default(),
                 metrics: None,
             })),
@@ -162,18 +173,29 @@ impl Link {
 
     /// Offers a packet to the link. If it survives the queue and random
     /// loss, `deliver` is invoked at the computed arrival time.
+    ///
+    /// Drop-tail admission counts the admitted packets whose serialization
+    /// ends at or after now; the packet is dropped when `queue_limit` of
+    /// them remain.
     pub fn send<F>(&self, sim: &mut Simulator, packet: Packet, deliver: F)
     where
         F: FnOnce(&mut Simulator, Packet) + 'static,
     {
         let now = sim.now();
-        let (depart, extra_delay) = {
+        let arrive = {
             let mut st = self.state.borrow_mut();
+            let st = &mut *st;
             st.stats.offered.incr();
             if let Some(m) = &st.metrics {
                 m.offered.incr();
             }
-            if st.queued >= st.config.queue_limit {
+            // Ends are nondecreasing, so the expired ones are a prefix.
+            while st.backlog.front().is_some_and(|&end| end < now) {
+                st.backlog.pop_front();
+            }
+            let latest_queued = st.busy_until.filter(|&end| end >= now);
+            let queued = st.backlog.len() + usize::from(latest_queued.is_some());
+            if queued >= st.config.queue_limit {
                 st.stats.dropped_queue.incr();
                 if let Some(m) = &st.metrics {
                     m.dropped_queue.incr();
@@ -188,12 +210,17 @@ impl Link {
                 }
                 return;
             }
-            let start = st.busy_until.max(now);
+            let start = match latest_queued {
+                Some(end) => {
+                    st.backlog.push_back(end);
+                    end
+                }
+                None => now,
+            };
             let depart = start + st.config.tx_time(packet.wire_len());
-            st.busy_until = depart;
-            st.queued += 1;
+            st.busy_until = Some(depart);
             if let Some(m) = &st.metrics {
-                m.queue_depth.adjust(1);
+                m.in_flight.adjust(1);
             }
             let jitter_bound = st.config.jitter.as_nanos();
             let jitter_ns = if jitter_bound == 0 {
@@ -201,26 +228,20 @@ impl Link {
             } else {
                 st.rng.next_below(jitter_bound + 1)
             };
-            (
-                depart,
-                st.config.propagation + SimDuration::from_nanos(jitter_ns),
-            )
+            depart + (st.config.propagation + SimDuration::from_nanos(jitter_ns))
         };
 
-        // Serialization completes at `depart`: free the queue slot there,
-        // then deliver after propagation + jitter.
         let state = self.state.clone();
-        sim.schedule_at(depart, move |sim| {
+        sim.schedule_at(arrive, move |sim| {
             {
-                let mut st = state.borrow_mut();
-                st.queued -= 1;
+                let st = state.borrow();
                 st.stats.delivered.incr();
                 if let Some(m) = &st.metrics {
-                    m.queue_depth.adjust(-1);
+                    m.in_flight.adjust(-1);
                     m.delivered.incr();
                 }
             }
-            sim.schedule_in(extra_delay, move |sim| deliver(sim, packet));
+            deliver(sim, packet);
         });
     }
 }
@@ -345,34 +366,95 @@ mod tests {
     }
 
     #[test]
+    fn a_packet_holds_its_slot_through_its_departure_instant() {
+        let mut sim = Simulator::new();
+        // 98 wire bytes at 98_000 bps => T = 8 ms of serialization.
+        let link = Link::new(lossless(98_000.0, 100, 1), RngStream::new(1));
+        let tx = SimDuration::from_millis(8);
+        let arrived = Rc::new(RefCell::new(Vec::new()));
+        let offer = |sim: &mut Simulator, name: &'static str| {
+            let a = arrived.clone();
+            link.send(sim, pkt(40), move |sim, _| {
+                a.borrow_mut().push((name, sim.now()));
+            });
+        };
+        offer(&mut sim, "A");
+        // B is offered at exactly T, the instant A's serialization ends.
+        sim.run_until(SimTime::ZERO + tx);
+        offer(&mut sim, "B");
+        assert_eq!(link.stats().dropped_queue.get(), 1, "B is dropped");
+        // C, one nanosecond later, finds the slot free.
+        sim.run_until(SimTime::ZERO + tx + SimDuration::from_nanos(1));
+        offer(&mut sim, "C");
+        sim.run();
+        let prop = SimDuration::from_millis(100);
+        let c_sent = SimTime::ZERO + tx + SimDuration::from_nanos(1);
+        assert_eq!(
+            *arrived.borrow(),
+            vec![("A", SimTime::ZERO + tx + prop), ("C", c_sent + tx + prop)]
+        );
+        let stats = link.stats();
+        assert_eq!(stats.offered.get(), 3);
+        assert_eq!(stats.delivered.get(), 2);
+        assert_eq!(stats.dropped_queue.get(), 1);
+    }
+
+    #[test]
     fn attached_metrics_mirror_stats_without_changing_behaviour() {
+        // 8 ms of serialization per packet, one offered every 3 ms into a
+        // two-slot queue with 20% random loss and 30 ms of propagation, so
+        // every counter moves and packets are in flight mid-run.
         let deliveries = |metrics: bool| {
             let mut sim = Simulator::new();
-            let link = Link::new(lossless(98_000.0, 0, 2), RngStream::new(3));
+            let mut cfg = lossless(98_000.0, 30, 2);
+            cfg.loss = 0.2;
+            let link = Link::new(cfg, RngStream::new(3));
             let reg = csprov_obs::MetricsRegistry::new();
-            if metrics {
-                link.attach_metrics(crate::metrics::LinkMetrics::register(&reg));
+            let m = metrics.then(|| crate::metrics::LinkMetrics::register(&reg));
+            if let Some(m) = &m {
+                link.attach_metrics(m.clone());
             }
             let delivered = Rc::new(RefCell::new(Vec::new()));
-            for _ in 0..5 {
-                let d = delivered.clone();
-                link.send(&mut sim, pkt(40), move |sim, _| {
-                    d.borrow_mut().push(sim.now());
+            for i in 0..40u64 {
+                let (link, d) = (link.clone(), delivered.clone());
+                sim.schedule_at(SimTime::from_millis(3 * i), move |sim| {
+                    link.send(sim, pkt(40), move |sim, _| d.borrow_mut().push(sim.now()));
                 });
             }
+            let conserved = |m: &crate::metrics::LinkMetrics| {
+                let in_flight = u64::try_from(m.in_flight.get()).expect("non-negative");
+                assert_eq!(
+                    m.offered.get(),
+                    m.delivered.get() + m.dropped_queue.get() + m.dropped_random.get() + in_flight
+                );
+                let stats = link.stats();
+                assert_eq!(m.offered.get(), stats.offered.get());
+                assert_eq!(m.delivered.get(), stats.delivered.get());
+                assert_eq!(m.dropped_queue.get(), stats.dropped_queue.get());
+                assert_eq!(m.dropped_random.get(), stats.dropped_random.get());
+                in_flight
+            };
+            sim.run_until(SimTime::from_millis(61));
+            if let Some(m) = &m {
+                assert!(conserved(m) > 0, "stopped with packets in flight");
+            }
             sim.run();
-            let got = delivered.borrow().clone();
-            (got, reg)
+            if let Some(m) = &m {
+                assert_eq!(conserved(m), 0);
+                assert_eq!(m.offered.get(), 40);
+                assert!(m.delivered.get() > 0);
+                assert!(m.dropped_queue.get() > 0);
+                assert!(m.dropped_random.get() > 0);
+                // Two queued plus those propagating behind them.
+                assert!(m.in_flight.high_water() > 2);
+            }
+            delivered.take()
         };
-        let (plain, _) = deliveries(false);
-        let (instrumented, reg) = deliveries(true);
-        assert_eq!(plain, instrumented, "metrics must not perturb the link");
-        let m = crate::metrics::LinkMetrics::register(&reg);
-        assert_eq!(m.offered.get(), 5);
-        assert_eq!(m.delivered.get(), 2);
-        assert_eq!(m.dropped_queue.get(), 3);
-        assert_eq!(m.queue_depth.get(), 0);
-        assert_eq!(m.queue_depth.high_water(), 2);
+        assert_eq!(
+            deliveries(false),
+            deliveries(true),
+            "metrics must not perturb the link"
+        );
     }
 
     #[test]

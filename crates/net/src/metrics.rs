@@ -13,15 +13,19 @@ use csprov_obs::{Counter, Gauge, MetricsRegistry};
 pub struct LinkMetrics {
     /// Packets offered to any instrumented link (`net.link.offered`).
     pub offered: Counter,
-    /// Packets delivered to the far end (`net.link.delivered`).
+    /// Packets delivered to the far end, counted on arrival
+    /// (`net.link.delivered`).
     pub delivered: Counter,
     /// Drop-tail queue drops (`net.link.dropped_queue`).
     pub dropped_queue: Counter,
     /// Random-loss drops (`net.link.dropped_random`).
     pub dropped_random: Counter,
-    /// Packets awaiting serialization across all links, with high-water
-    /// mark (`net.link.queue_depth`).
-    pub queue_depth: Gauge,
+    /// Packets admitted but not yet arrived across all links — queued,
+    /// serializing or propagating — with high-water mark
+    /// (`net.link.in_flight`). Links keep no departure event, so queue
+    /// depth alone is not tracked. At any instant `offered = delivered +
+    /// dropped_queue + dropped_random + in_flight`.
+    pub in_flight: Gauge,
 }
 
 impl LinkMetrics {
@@ -32,7 +36,7 @@ impl LinkMetrics {
             delivered: registry.counter("net.link.delivered"),
             dropped_queue: registry.counter("net.link.dropped_queue"),
             dropped_random: registry.counter("net.link.dropped_random"),
-            queue_depth: registry.gauge("net.link.queue_depth"),
+            in_flight: registry.gauge("net.link.in_flight"),
         }
     }
 }

@@ -356,3 +356,93 @@ fn arbitrary_configs_conserve_packets() {
         assert_eq!(stats.delivered(), fates_deliver + fates_late + fates_dup);
     });
 }
+
+// ---------------------------------------------------------------------------
+// Access-link queue properties.
+// ---------------------------------------------------------------------------
+
+use csprov_net::{Link, LinkConfig};
+use csprov_sim::Simulator;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// The drop-tail link queue by brute force: a packet is admitted iff fewer
+/// than `limit` earlier admitted packets have a serialization end at or
+/// after now, and it departs at `max(last end, now) + tx`.
+struct ReferenceQueue {
+    limit: usize,
+    ends: Vec<SimTime>,
+}
+
+impl ReferenceQueue {
+    /// Offers a packet; returns its departure time, or `None` if dropped.
+    fn offer(&mut self, now: SimTime, tx: SimDuration) -> Option<SimTime> {
+        let queued = self.ends.iter().filter(|&&end| end >= now).count();
+        if queued >= self.limit {
+            return None;
+        }
+        let depart = self.ends.last().map_or(now, |&end| end.max(now)) + tx;
+        self.ends.push(depart);
+        Some(depart)
+    }
+}
+
+/// On lossless, jitter-free links, every drop decision and arrival time
+/// matches the brute-force queue, ties at a serialization end included.
+#[test]
+fn link_admission_matches_brute_force_reference() {
+    check("link_admission_matches_brute_force_reference", 128, |g| {
+        let config = LinkConfig {
+            bandwidth_bps: g.f64_in(20_000.0..2_000_000.0),
+            propagation: SimDuration::from_micros(g.u64_in(0..50_000)),
+            jitter: SimDuration::ZERO,
+            loss: 0.0,
+            queue_limit: g.usize_in(1..9),
+        };
+        let link = Link::new(config.clone(), RngStream::new(g.u64()));
+        let mut reference = ReferenceQueue {
+            limit: config.queue_limit,
+            ends: Vec::new(),
+        };
+        let mut sim = Simulator::new();
+        let arrivals = Rc::new(RefCell::new(Vec::new()));
+        let mut expected = Vec::new();
+        let n = g.usize_in(1..200);
+        let mut now = SimTime::ZERO;
+        for i in 0..n {
+            // Bias send times toward the instants that decide admission:
+            // exactly at, or just after, an earlier packet's end.
+            let end = match reference.ends.len() {
+                0 => None,
+                len => Some(reference.ends[g.usize_in(0..len)]).filter(|&end| end >= now),
+            };
+            now = match (g.u8_in(0..4), end) {
+                (0, Some(end)) => end,
+                (1, Some(end)) => end + SimDuration::from_nanos(1),
+                (2, _) => now,
+                _ => now + SimDuration::from_micros(g.u64_in(0..20_000)),
+            };
+            let pkt = gen_packet(g, i as u32, Direction::Inbound, now);
+            let depart = reference.offer(now, config.tx_time(pkt.wire_len()));
+            expected.push(depart.map(|depart| depart + config.propagation));
+            let (link, arrivals) = (link.clone(), arrivals.clone());
+            sim.schedule_at(now, move |sim| {
+                link.send(sim, pkt, move |sim, _| {
+                    arrivals.borrow_mut().push((i, sim.now()));
+                });
+            });
+        }
+        sim.run();
+        let mut got = vec![None; n];
+        for &(i, at) in arrivals.borrow().iter() {
+            got[i] = Some(at);
+        }
+        assert_eq!(got, expected);
+        let admitted = expected.iter().flatten().count() as u64;
+        let stats = link.stats();
+        assert_eq!(stats.offered.get(), n as u64);
+        assert_eq!(stats.delivered.get(), admitted);
+        assert_eq!(stats.dropped_queue.get(), n as u64 - admitted);
+        assert_eq!(stats.dropped_random.get(), 0);
+    });
+}

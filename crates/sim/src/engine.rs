@@ -1,9 +1,17 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Simulator`] owns a virtual clock and an [`EventQueue`] of boxed actions.
-//! Actors are plain Rust values shared through `Rc<RefCell<..>>`; an event is
-//! a closure that borrows the simulator to read the clock and schedule
-//! follow-up events. Runs are single-threaded and fully deterministic.
+//! [`Simulator`] owns a virtual clock, an [`EventQueue`] and a table of
+//! recurring processes. Actors are plain Rust values shared through
+//! `Rc<RefCell<..>>`; an event is a closure that borrows the simulator to
+//! read the clock and schedule follow-up events. Runs are single-threaded
+//! and fully deterministic.
+//!
+//! A queue entry is either a one-shot boxed action or the slot of a
+//! recurring process ([`crate::spawn_periodic`], [`crate::spawn_poisson`]):
+//! the process body is boxed once when it is spawned and lives in the
+//! table, so a firing allocates nothing. Its next firing is pushed after
+//! the body returns, so an event the body schedules for that same instant
+//! fires first, and a process that ends frees its slot for the next one.
 //!
 //! ```
 //! use csprov_sim::{Simulator, SimTime, SimDuration};
@@ -29,6 +37,18 @@ use csprov_obs::{Journal, Profile};
 /// A scheduled action: a one-shot closure run with access to the simulator.
 pub type Action = Box<dyn FnOnce(&mut Simulator)>;
 
+/// The body of a recurring process: runs once per firing and returns the
+/// time of its next firing, or `None` to end the process.
+pub(crate) type Recurring = Box<dyn FnMut(&mut Simulator) -> Option<SimTime>>;
+
+/// What a queue entry runs when it fires.
+enum Event {
+    /// A one-shot action.
+    Once(Action),
+    /// The next firing of the recurring process in this process-table slot.
+    Recurring(usize),
+}
+
 /// A read-only callback invoked from [`Simulator::step`] every N events.
 ///
 /// Observers see the simulator through `&Simulator`, so they can read the
@@ -48,7 +68,12 @@ struct JournalTap {
 /// The discrete-event simulator: virtual clock plus event queue.
 pub struct Simulator {
     now: SimTime,
-    queue: EventQueue<Action>,
+    queue: EventQueue<Event>,
+    /// Recurring-process bodies by slot. A slot is `None` while it is free
+    /// or while its body is running.
+    procs: Vec<Option<Recurring>>,
+    /// Free slots of `procs`, reused before the table grows.
+    free_procs: Vec<usize>,
     executed: u64,
     stopped: bool,
     queue_hwm: usize,
@@ -70,6 +95,8 @@ impl Simulator {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            procs: Vec::new(),
+            free_procs: Vec::new(),
             executed: 0,
             stopped: false,
             queue_hwm: 0,
@@ -163,6 +190,14 @@ impl Simulator {
         self.profile = None;
     }
 
+    /// Queues `event` at `at` and updates the high-water mark.
+    #[inline]
+    fn push(&mut self, at: SimTime, event: Event) -> EventId {
+        let id = self.queue.push(at, event);
+        self.queue_hwm = self.queue_hwm.max(self.queue.len());
+        id
+    }
+
     /// Schedules `action` at absolute time `at`.
     ///
     /// # Panics
@@ -176,9 +211,7 @@ impl Simulator {
             "cannot schedule into the past: {at} < now {}",
             self.now
         );
-        let id = self.queue.push(at, Box::new(action));
-        self.queue_hwm = self.queue_hwm.max(self.queue.len());
-        id
+        self.push(at, Event::Once(Box::new(action)))
     }
 
     /// Schedules `action` after a delay from now.
@@ -186,10 +219,7 @@ impl Simulator {
     where
         F: FnOnce(&mut Simulator) + 'static,
     {
-        let at = self.now + delay;
-        let id = self.queue.push(at, Box::new(action));
-        self.queue_hwm = self.queue_hwm.max(self.queue.len());
-        id
+        self.push(self.now + delay, Event::Once(Box::new(action)))
     }
 
     /// Schedules a cancellable action at absolute time `at`.
@@ -198,7 +228,9 @@ impl Simulator {
         F: FnOnce(&mut Simulator) + 'static,
     {
         assert!(at >= self.now, "cannot schedule into the past");
-        let handle = self.queue.push_cancellable(at, Box::new(action));
+        let handle = self
+            .queue
+            .push_cancellable(at, Event::Once(Box::new(action)));
         self.queue_hwm = self.queue_hwm.max(self.queue.len());
         handle
     }
@@ -208,10 +240,50 @@ impl Simulator {
     where
         F: FnOnce(&mut Simulator) + 'static,
     {
-        let at = self.now + delay;
-        let handle = self.queue.push_cancellable(at, Box::new(action));
-        self.queue_hwm = self.queue_hwm.max(self.queue.len());
-        handle
+        self.schedule_cancellable_at(self.now + delay, action)
+    }
+
+    /// Registers a recurring process in the process table and queues its
+    /// first firing at `first`. Each firing runs `body`; the firing it
+    /// returns is queued after it returns, and `None` frees the slot.
+    ///
+    /// # Panics
+    /// Panics if `first` is in the virtual past.
+    pub(crate) fn spawn_recurring(&mut self, first: SimTime, body: Recurring) {
+        assert!(
+            first >= self.now,
+            "cannot schedule into the past: {first} < now {}",
+            self.now
+        );
+        let slot = match self.free_procs.pop() {
+            Some(slot) => slot,
+            None => {
+                self.procs.push(None);
+                self.procs.len() - 1
+            }
+        };
+        if let Some(entry) = self.procs.get_mut(slot) {
+            *entry = Some(body);
+        }
+        self.push(first, Event::Recurring(slot));
+    }
+
+    /// Runs one firing of the recurring process in `slot`, then queues its
+    /// next firing or frees the slot. The body is taken out of the table
+    /// while it runs, so it may spawn processes of its own.
+    fn fire(&mut self, slot: usize) {
+        let Some(mut body) = self.procs.get_mut(slot).and_then(Option::take) else {
+            return;
+        };
+        match body(self) {
+            Some(next) => {
+                if let Some(entry) = self.procs.get_mut(slot) {
+                    *entry = Some(body);
+                }
+                self.push(next, Event::Recurring(slot));
+            }
+            None => self.free_procs.push(slot),
+        }
     }
 
     /// Requests that the run loop stop after the current event returns.
@@ -222,11 +294,14 @@ impl Simulator {
     /// Executes a single event, if any; returns whether one was executed.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((at, _id, action)) => {
+            Some((at, _id, event)) => {
                 debug_assert!(at >= self.now, "event queue produced time travel");
                 self.now = at;
                 self.executed += 1;
-                action(self);
+                match event {
+                    Event::Once(action) => action(self),
+                    Event::Recurring(slot) => self.fire(slot),
+                }
                 // The observer is taken out for the call so it can borrow
                 // the simulator immutably while stored behind `&mut self`.
                 if let Some((every, mut f)) = self.observer.take() {
@@ -309,7 +384,8 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use crate::process::{spawn_periodic, StopFlag};
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     #[test]
@@ -554,6 +630,75 @@ mod tests {
             (fired, sim.events_executed(), sim.now())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn process_table_stays_small_under_session_churn() {
+        // Every millisecond an arrival process stops the previous session's
+        // stream and spawns the next one from inside its own running body:
+        // 10,000 periodic processes started and stopped one after another.
+        let mut sim = Simulator::new();
+        let fired = Rc::new(Cell::new(0u64));
+        let f = fired.clone();
+        let mut current: Option<StopFlag> = None;
+        spawn_periodic(
+            &mut sim,
+            SimTime::ZERO,
+            SimDuration::from_millis(1),
+            StopFlag::new(),
+            move |sim, _| {
+                if let Some(previous) = current.take() {
+                    previous.stop();
+                }
+                let stop = StopFlag::new();
+                let f = f.clone();
+                spawn_periodic(
+                    sim,
+                    sim.now(),
+                    SimDuration::from_micros(300),
+                    stop.clone(),
+                    move |_, _| f.set(f.get() + 1),
+                );
+                current = Some(stop);
+            },
+        );
+        sim.run_until(SimTime::from_millis(10_000));
+        // Each session fires at +0, +300, +600 and +900 µs.
+        assert_eq!(fired.get(), 40_000);
+        // The arrival process, the live session and the one stopped but
+        // not yet fired again: freed slots are reused, so the table never
+        // grows with the number of sessions ever started.
+        assert!(sim.procs.len() <= 3, "{} slots", sim.procs.len());
+    }
+
+    #[test]
+    fn body_scheduled_event_at_the_next_firing_instant_fires_first() {
+        let mut sim = Simulator::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        let period = SimDuration::from_millis(10);
+        spawn_periodic(
+            &mut sim,
+            SimTime::ZERO,
+            period,
+            StopFlag::new(),
+            move |sim, i| {
+                l.borrow_mut().push(("tick", i));
+                let l = l.clone();
+                sim.schedule_in(period, move |_| l.borrow_mut().push(("scheduled", i)));
+            },
+        );
+        sim.run_until(SimTime::from_millis(25));
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                ("tick", 0),
+                ("scheduled", 0),
+                ("tick", 1),
+                ("scheduled", 1),
+                ("tick", 2)
+            ]
+        );
     }
 
     #[test]

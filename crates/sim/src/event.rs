@@ -42,6 +42,7 @@
 use crate::time::SimTime;
 use std::cell::Cell;
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
@@ -294,13 +295,16 @@ impl<A> EventQueue<A> {
     /// Retires a flagged entry that is leaving the queue: removes its flag
     /// and reports whether it was a tombstone (marking it fired otherwise).
     fn retire_flag(&mut self, id: EventId) -> bool {
-        let flag = self.flags.remove(&id.0).expect("flagged entry has a flag");
-        if flag.get() == CANCELLED {
-            self.tombstones.set(self.tombstones.get() - 1);
-            true
-        } else {
-            flag.set(FIRED);
-            false
+        match self.flags.remove(&id.0) {
+            Some(flag) if flag.get() == CANCELLED => {
+                self.tombstones.set(self.tombstones.get() - 1);
+                true
+            }
+            Some(flag) => {
+                flag.set(FIRED);
+                false
+            }
+            None => false,
         }
     }
 
@@ -334,13 +338,12 @@ impl<A> EventQueue<A> {
             // entries that the new horizon covers (all of them, after a
             // jump with a saturated window).
             let horizon = self.horizon();
-            while let Some(top) = self.overflow.peek() {
+            while let Some(top) = self.overflow.peek_mut() {
                 let t = top.at.as_nanos();
                 if t < self.active_end || self.active_end == u64::MAX {
-                    let e = self.overflow.pop().expect("peeked");
-                    self.active.push(e);
+                    self.active.push(PeekMut::pop(top));
                 } else if t < horizon {
-                    let e = self.overflow.pop().expect("peeked");
+                    let e = PeekMut::pop(top);
                     let offset = ((t - self.active_end) / BUCKET_WIDTH_NS) as usize;
                     let slot = (self.cursor + offset) % self.wheel.len();
                     self.wheel[slot].push(e);
@@ -383,9 +386,10 @@ impl<A> EventQueue<A> {
         loop {
             match self.active.last() {
                 Some(e) if self.is_tombstone(e) => {
-                    let e = self.active.pop().expect("just peeked");
+                    let id = e.id;
+                    self.active.pop();
                     self.len -= 1;
-                    self.flags.remove(&e.id.0);
+                    self.flags.remove(&id.0);
                     self.tombstones.set(self.tombstones.get() - 1);
                 }
                 Some(e) => return Some(e.at),

@@ -1,9 +1,10 @@
-//! Recurring-process helpers built on the engine.
+//! Recurring processes built on the engine.
 //!
 //! Game traffic is dominated by strictly periodic processes (the 50 ms server
 //! tick, per-client command streams) and by Poisson-like arrival processes
-//! (player arrivals). These helpers encapsulate the self-rescheduling
-//! pattern so actor code stays focused on behaviour.
+//! (player arrivals). Both register their body once in the simulator's
+//! process table, which re-queues it after each firing, so actor code stays
+//! focused on behaviour and a firing allocates nothing.
 
 use crate::dist::{Exp, Sample};
 use crate::engine::Simulator;
@@ -42,7 +43,7 @@ pub fn spawn_periodic<F>(
     start: SimTime,
     period: SimDuration,
     stop: StopFlag,
-    body: F,
+    mut body: F,
 ) where
     F: FnMut(&mut Simulator, u64) + 'static,
 {
@@ -50,29 +51,23 @@ pub fn spawn_periodic<F>(
         !period.is_zero(),
         "periodic process needs a positive period"
     );
-    schedule_tick(sim, start, period, stop, 0, body);
-}
-
-fn schedule_tick<F>(
-    sim: &mut Simulator,
-    at: SimTime,
-    period: SimDuration,
-    stop: StopFlag,
-    index: u64,
-    mut body: F,
-) where
-    F: FnMut(&mut Simulator, u64) + 'static,
-{
-    sim.schedule_at(at, move |sim| {
-        if stop.is_stopped() {
-            return;
-        }
-        body(sim, index);
-        if !stop.is_stopped() {
-            let next = at + period;
-            schedule_tick(sim, next, period, stop, index + 1, body);
-        }
-    });
+    let mut at = start;
+    let mut index = 0;
+    sim.spawn_recurring(
+        start,
+        Box::new(move |sim| {
+            if stop.is_stopped() {
+                return None;
+            }
+            body(sim, index);
+            if stop.is_stopped() {
+                return None;
+            }
+            at += period;
+            index += 1;
+            Some(at)
+        }),
+    );
 }
 
 /// Schedules `body` to run at exponentially-distributed intervals with the
@@ -84,36 +79,26 @@ pub fn spawn_poisson<F>(
     mean_interval: SimDuration,
     mut rng: RngStream,
     stop: StopFlag,
-    body: F,
+    mut body: F,
 ) where
     F: FnMut(&mut Simulator) + 'static,
 {
     assert!(!mean_interval.is_zero());
     let dist = Exp::with_mean(mean_interval.as_secs_f64());
     let first = start + SimDuration::from_secs_f64(dist.sample(&mut rng));
-    schedule_poisson(sim, first, dist, rng, stop, body);
-}
-
-fn schedule_poisson<F>(
-    sim: &mut Simulator,
-    at: SimTime,
-    dist: Exp,
-    mut rng: RngStream,
-    stop: StopFlag,
-    mut body: F,
-) where
-    F: FnMut(&mut Simulator) + 'static,
-{
-    sim.schedule_at(at, move |sim| {
-        if stop.is_stopped() {
-            return;
-        }
-        body(sim);
-        if !stop.is_stopped() {
-            let next = sim.now() + SimDuration::from_secs_f64(dist.sample(&mut rng));
-            schedule_poisson(sim, next, dist, rng, stop, body);
-        }
-    });
+    sim.spawn_recurring(
+        first,
+        Box::new(move |sim| {
+            if stop.is_stopped() {
+                return None;
+            }
+            body(sim);
+            if stop.is_stopped() {
+                return None;
+            }
+            Some(sim.now() + SimDuration::from_secs_f64(dist.sample(&mut rng)))
+        }),
+    );
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 # must not panic. Malformed trace input is an expected condition
 # (skip-and-count or a typed error), so `unwrap`/`expect`/`panic!` and
 # friends are banned from non-test code in the crates that touch foreign
-# bytes, and from the event kernel every run executes.
+# bytes, and from the kernel and world model every run executes.
 #
 # Scope: crates/net/src and crates/router/src (the net glob also covers
 # the columnar batch module, crates/net/src/batch.rs), plus the fleet
@@ -13,11 +13,12 @@
 # aggregate experiment, the journal hot path in crates/obs, the
 # columnar ingest pipeline in crates/core, the analyzer folds it
 # feeds (rate series, variance-time, size histogram, flow table; a
-# replayed trace hands them foreign sizes), and the simulation kernel in
-# crates/sim (engine, event queue, recurring-process table) — excluding
-# `#[cfg(test)]` modules (tests may unwrap freely). Binaries
-# (crates/bench) are exempt — a CLI aborting with a message is fine; a
-# library unwinding is not.
+# replayed trace hands them foreign sizes), every module of crates/sim
+# (the kernel every run executes) and crates/game (the world model it
+# drives), and the shard health board in crates/obs that fleet workers
+# write from pool threads — excluding `#[cfg(test)]` modules (tests may
+# unwrap freely). Binaries (crates/bench) are exempt — a CLI aborting
+# with a message is fine; a library unwinding is not.
 #
 # Exits non-zero listing each offending line.
 
@@ -36,8 +37,8 @@ for f in crates/net/src/*.rs crates/router/src/*.rs \
     crates/analysis/src/histogram.rs crates/analysis/src/flows.rs \
     crates/core/src/experiments/aggregate.rs \
     crates/core/src/pipeline.rs crates/obs/src/journal.rs \
-    crates/sim/src/engine.rs crates/sim/src/event.rs \
-    crates/sim/src/process.rs; do
+    crates/obs/src/health.rs \
+    crates/sim/src/*.rs crates/game/src/*.rs; do
     # Strip everything from the first `#[cfg(test)]` onward: by repo
     # convention the test module is the final item in each file.
     hits=$(awk '/^#\[cfg\(test\)\]/ { exit } { print NR": "$0 }' "$f" \
@@ -52,6 +53,6 @@ done
 if [ "$status" -ne 0 ]; then
     echo "panic gate FAILED: use typed csprov_net::Error instead" >&2
 else
-    echo "panic gate OK: no unwrap/expect/panic! in net+router+fleet+sim-kernel library code"
+    echo "panic gate OK: no unwrap/expect/panic! in net+router+fleet+sim+game library code"
 fi
 exit "$status"

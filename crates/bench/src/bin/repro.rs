@@ -48,7 +48,17 @@
 //!                      (requires --serve)
 //!   --speed S          replay speed: a multiplier (1 = wall clock,
 //!                      8 = 8x fast-forward) or "max" (default: unpaced)
+//!
+//! repro fleet merge OUT_REPORT STATE_FILE...
+//! repro fleet work --shards LO:HI --fleet N --fleet-state-dir DIR [...]
+//! repro fleet coordinate --fleet N --fleet-state-dir DIR [--workers W] [...]
 //! ```
+//!
+//! `fleet work` runs one shard range against a shared state directory;
+//! `fleet coordinate` spawns `fleet work` children over that directory,
+//! re-dispatches the ranges of workers that die, and folds each shard
+//! checkpoint as it lands; `fleet merge` folds checkpoint files by hand.
+//! All three print the same report block as `--fleet`.
 //!
 //! Instrumentation is observe-only: a seeded run's artifact output is
 //! byte-identical with and without `--progress`/`--metrics-out`/
@@ -70,7 +80,7 @@ use csprov_obs::{
     SeriesSampler, ShardHealthBoard, TraceEvent, SHARD_RUNNING,
 };
 use csprov_router::EngineConfig;
-use csprov_serve::ServeShared;
+use csprov_serve::{ServeHandle, ServeShared};
 use csprov_sim::{Pacer, PacerStats, SimDuration, Simulator, Speed};
 use std::cell::{Cell, RefCell};
 use std::process::ExitCode;
@@ -382,7 +392,7 @@ fn usage() {
     );
     eprintln!(
         "       repro fleet coordinate --fleet N --fleet-state-dir DIR [--seed S] \
-         [--fleet-minutes M] [--workers W] [--fan-in K] [--fleet-retries N] \
+         [--fleet-minutes M] [--workers W] [--fleet-retries N] \
          [--fleet-fail SPEC] [--serve ADDR [--serve-linger S]]"
     );
     eprintln!("artifacts: table1..table4, fig1..fig15, ablate-tick, ablate-population,");
@@ -682,6 +692,207 @@ fn finish_serve_run(
     });
 }
 
+/// Binds the live serving plane on `addr` (nothing without `--serve`).
+/// HTTP threads only ever read rendered snapshots, so nothing a
+/// subscriber does can perturb the simulation.
+fn bind_serve(addr: Option<&str>) -> Result<Option<(Arc<ServeShared>, ServeHandle)>, ExitCode> {
+    let Some(addr) = addr else {
+        return Ok(None);
+    };
+    let shared = Arc::new(ServeShared::new(BroadcastBus::new()));
+    match csprov_serve::serve(addr, shared.clone()) {
+        Ok(handle) => {
+            eprintln!(
+                "[serve] listening on http://{} (/metrics /events /series /status /report \
+                 /healthz /shards /profile)",
+                handle.addr()
+            );
+            Ok(Some((shared, handle)))
+        }
+        Err(e) => {
+            eprintln!("error: could not bind --serve {addr}: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// Winds the serving plane down: the terminal status, an optional linger
+/// window for late scrapers, then a clean shutdown that closes the bus so
+/// SSE streams end instead of hanging.
+fn close_serve(shared: Option<&ServeShared>, handle: Option<ServeHandle>, linger_secs: u64) {
+    if let Some(shared) = shared {
+        shared.update_status(|s| s.state = "finished");
+        if linger_secs > 0 {
+            eprintln!("[serve] lingering {linger_secs} s before shutdown");
+            std::thread::sleep(Duration::from_secs(linger_secs));
+        }
+    }
+    if let Some(mut handle) = handle {
+        handle.shutdown();
+    }
+}
+
+/// The fleet health board behind `/shards`. Its watchdog deadline is
+/// wall-domain and tunable (`CSPROV_WATCHDOG_MS`, default 3000) because
+/// "stalled" is a property of the host, not the simulation.
+fn health_board(servers: usize) -> Arc<ShardHealthBoard> {
+    let watchdog_ms: u64 = std::env::var("CSPROV_WATCHDOG_MS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&ms| ms > 0)
+        .unwrap_or(3000);
+    Arc::new(ShardHealthBoard::new(
+        servers,
+        Duration::from_millis(watchdog_ms),
+    ))
+}
+
+/// A fleet report under its `================ {title} ================`
+/// banner, as stdout, `fleet merge`'s file and `/report` carry it.
+fn fleet_block(title: &str, report: &fleet::ProvisioningReport) -> String {
+    format!(
+        "================ {title} ================\n{}\n{}\n",
+        report.render().render(),
+        report.sizing_line()
+    )
+}
+
+/// Narrates a fleet's execution-plane events to stderr under `prefix`:
+/// `[fleet]` for an in-process `--fleet`, `[worker]` in `fleet work`.
+fn narrate(prefix: &str, ev: &fleet::FleetEvent<'_>) {
+    match ev {
+        fleet::FleetEvent::ShardDone {
+            state,
+            from_checkpoint: false,
+            ..
+        } => eprintln!("{prefix} shard {} done", state.shard),
+        fleet::FleetEvent::ShardDone { .. } | fleet::FleetEvent::CheckpointWritten { .. } => {}
+        fleet::FleetEvent::ShardRetry {
+            shard,
+            attempt,
+            backoff_ns,
+            message,
+        } => eprintln!(
+            "{prefix} shard {shard} attempt {attempt} failed ({message}); \
+             retrying after {} ms simulated backoff",
+            backoff_ns / 1_000_000
+        ),
+        fleet::FleetEvent::ShardLost {
+            shard,
+            attempts,
+            message,
+        } => eprintln!(
+            "{prefix} shard {shard} LOST after {attempts} attempts ({message}); \
+             report degrades to a lower bound"
+        ),
+        fleet::FleetEvent::CheckpointFailed { shard, message } => {
+            eprintln!("{prefix} shard {shard} checkpoint write failed: {message}");
+        }
+        fleet::FleetEvent::ResumeLoaded { shard } => {
+            eprintln!("{prefix} shard {shard} restored from checkpoint");
+        }
+        fleet::FleetEvent::ResumeInvalid { message } => {
+            eprintln!("{prefix} ignoring invalid checkpoint: {message}");
+        }
+    }
+}
+
+/// What `--fleet` and `fleet coordinate` share around their engine: the
+/// serving plane's view of one fleet run, and its final report.
+struct FleetDriver<'a> {
+    config: &'a FleetConfig,
+    serve: Option<&'a ServeShared>,
+    horizon_ns: u64,
+    /// Shard states finished so far, behind the interim `/report`.
+    done: Mutex<Vec<ShardState>>,
+}
+
+impl<'a> FleetDriver<'a> {
+    /// Announces the run on the serving plane: the health board behind
+    /// `/shards`, a running status and the run-started bus event.
+    fn start(config: &'a FleetConfig, serve: Option<&'a ServeShared>) -> Self {
+        let horizon_ns = SimDuration::from_mins(config.minutes).as_nanos();
+        if let Some(shared) = serve {
+            if let Some(board) = &config.health {
+                shared.set_board(board.clone());
+            }
+            shared.update_status(|s| {
+                s.state = "running";
+                s.horizon_ns = horizon_ns;
+                s.sim_ns = 0;
+                s.shards_total = config.servers as u64;
+                s.shards_done = 0;
+            });
+            shared.bus().publish(BusEvent::RunStarted {
+                label: "fleet".into(),
+                horizon_ns,
+            });
+        }
+        FleetDriver {
+            config,
+            serve,
+            horizon_ns,
+            done: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A shard finished (run, restored from a checkpoint, or collected by
+    /// the coordinator): live status, the `fleet.shard.done` bus event,
+    /// and an interim `/report` over the shards finished so far.
+    fn shard_done(&self, state: &ShardState) {
+        let Some(shared) = self.serve else { return };
+        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        done.push(state.clone());
+        let n = done.len() as u64;
+        let servers = self.config.servers;
+        let sim_ns = self.horizon_ns * n / servers as u64;
+        shared.update_status(|s| {
+            s.shards_done = n;
+            s.sim_ns = sim_ns;
+        });
+        shared.bus().publish(BusEvent::Trace(TraceEvent {
+            sim_ns,
+            kind: "fleet.shard.done",
+            key: state.shard as u64,
+            value: n,
+        }));
+        if let Ok(report) = fleet::interim_report(self.config, &done) {
+            let title = format!("fleet (interim, {n}/{servers} shards)");
+            shared.set_report(fleet_block(&title, &report));
+        }
+    }
+
+    /// The run finished: the report on stdout and `/report`, the final
+    /// status and run-finished bus event, and a warning on stderr when
+    /// coverage degraded.
+    fn finish(&self, run: &fleet::FleetRun) {
+        let text = fleet_block("fleet", &run.report);
+        print!("\n{text}");
+        if let Some(shared) = self.serve {
+            let events = run.facility.counts.total_packets();
+            shared.set_report(text);
+            shared.update_status(|s| {
+                s.sim_ns = self.horizon_ns;
+                s.shards_done = run.facility.shards as u64;
+                s.events = events;
+            });
+            shared.bus().publish(BusEvent::RunFinished {
+                label: "fleet".into(),
+                sim_ns: self.horizon_ns,
+                events,
+            });
+        }
+        let cov = &run.report.coverage;
+        if cov.is_degraded() {
+            eprintln!(
+                "[fleet] DEGRADED: {}/{} shards merged; lost {:?}; \
+                 headline numbers are lower bounds",
+                cov.merged, cov.configured, cov.lost
+            );
+        }
+    }
+}
+
 fn write_csv(dir: &str, name: &str, headers: &[&str], cols: &[&[f64]]) {
     let path = format!("{dir}/{name}.csv");
     if let Err(e) =
@@ -738,11 +949,7 @@ fn fleet_merge_command(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let text = format!(
-        "================ fleet ================\n{}\n{}\n",
-        report.render().render(),
-        report.sizing_line()
-    );
+    let text = fleet_block("fleet", &report);
     if let Err(e) = std::fs::write(out, &text) {
         eprintln!("error: could not write {out}: {e}");
         return ExitCode::FAILURE;
@@ -760,8 +967,8 @@ fn fleet_merge_command(args: &[String]) -> ExitCode {
 /// Both subcommands describe the *same* fleet (`--seed`, `--fleet`,
 /// `--fleet-minutes`, `--fleet-retries`, `--fleet-fail`) so shard seeds
 /// derive identically no matter which process runs a shard; the rest is
-/// role-specific (an assigned `--shards` range for a worker, worker and
-/// merge-tree counts plus an optional serving plane for the coordinator).
+/// role-specific (an assigned `--shards` range for a worker, a worker
+/// count plus an optional serving plane for the coordinator).
 struct CoordCli {
     seed: u64,
     servers: Option<usize>,
@@ -771,7 +978,6 @@ struct CoordCli {
     fail_spec: Option<String>,
     shards: Option<fleet::coord::ShardRange>,
     workers: usize,
-    fan_in: usize,
     serve: Option<String>,
     serve_linger_secs: u64,
 }
@@ -786,7 +992,6 @@ fn parse_coord_cli(args: &[String]) -> Result<CoordCli, String> {
         fail_spec: None,
         shards: None,
         workers: 2,
-        fan_in: 16,
         serve: None,
         serve_linger_secs: 0,
     };
@@ -862,17 +1067,6 @@ fn parse_coord_cli(args: &[String]) -> Result<CoordCli, String> {
                 }
                 o.workers = n;
             }
-            "--fan-in" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--fan-in needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fan-in: {e}"))?;
-                if n < 2 {
-                    return Err("--fan-in must be >= 2".into());
-                }
-                o.fan_in = n;
-            }
             "--serve" => o.serve = Some(args.next().ok_or("--serve needs HOST:PORT")?.clone()),
             "--serve-linger" => {
                 o.serve_linger_secs = args
@@ -944,46 +1138,7 @@ fn fleet_work_command(args: &[String]) -> ExitCode {
         state_dir.display()
     );
     let t0 = Instant::now();
-    let on_event = |ev: &fleet::FleetEvent<'_>| match ev {
-        fleet::FleetEvent::ShardDone {
-            state,
-            from_checkpoint,
-            ..
-        } => {
-            if !from_checkpoint {
-                eprintln!("[worker] shard {} done", state.shard);
-            }
-        }
-        fleet::FleetEvent::ShardRetry {
-            shard,
-            attempt,
-            backoff_ns,
-            message,
-        } => {
-            eprintln!(
-                "[worker] shard {shard} attempt {attempt} failed ({message}); \
-                 retrying after {} ms simulated backoff",
-                backoff_ns / 1_000_000
-            );
-        }
-        fleet::FleetEvent::ShardLost {
-            shard,
-            attempts,
-            message,
-        } => {
-            eprintln!("[worker] shard {shard} LOST after {attempts} attempts ({message})");
-        }
-        fleet::FleetEvent::CheckpointWritten { .. } => {}
-        fleet::FleetEvent::CheckpointFailed { shard, message } => {
-            eprintln!("[worker] shard {shard} checkpoint write failed: {message}");
-        }
-        fleet::FleetEvent::ResumeLoaded { shard } => {
-            eprintln!("[worker] shard {shard} restored from checkpoint");
-        }
-        fleet::FleetEvent::ResumeInvalid { message } => {
-            eprintln!("[worker] ignoring invalid checkpoint: {message}");
-        }
-    };
+    let on_event = |ev: &fleet::FleetEvent<'_>| narrate("[worker]", ev);
     match fleet::coord::run_worker_range(&config, range, &state_dir, Some(&on_event)) {
         Ok(summary) => {
             eprintln!(
@@ -1023,10 +1178,10 @@ impl fleet::coord::WorkerHandle for ProcessWorker {
 /// `repro fleet coordinate ...` — plans shard ranges, spawns `repro fleet
 /// work` children against the shared state directory, watches their
 /// heartbeat sidecars and exits, re-dispatches ranges of killed workers,
-/// folds the collected checkpoints through the hierarchical merge tree,
-/// and prints the same byte-identical report as an in-process `--fleet`
-/// run. With `--serve`, `/shards` and `/report` watch a fleet this
-/// process never executes — the board is fed purely from sidecars.
+/// folds each checkpoint as it is collected, and prints the same
+/// byte-identical report as an in-process `--fleet` run. With `--serve`,
+/// `/shards` and `/report` watch a fleet this process never executes —
+/// the board is fed purely from sidecars.
 fn fleet_coordinate_command(args: &[String]) -> ExitCode {
     let opts = match parse_coord_cli(args) {
         Ok(o) => o,
@@ -1034,7 +1189,7 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: repro fleet coordinate --fleet N --fleet-state-dir DIR [--seed S] \
-                 [--fleet-minutes M] [--workers W] [--fan-in K] [--fleet-retries N] \
+                 [--fleet-minutes M] [--workers W] [--fleet-retries N] \
                  [--fleet-fail SPEC] [--serve HOST:PORT [--serve-linger S]]"
             );
             return ExitCode::FAILURE;
@@ -1053,64 +1208,31 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
     };
     let servers = config.servers;
     let state_dir = std::path::PathBuf::from(opts.state_dir.as_deref().unwrap());
-    let watchdog_ms: u64 = std::env::var("CSPROV_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(3000);
-    let board = Arc::new(ShardHealthBoard::new(
-        servers,
-        Duration::from_millis(watchdog_ms),
-    ));
-    config.health = Some(board.clone());
-    let fleet_horizon = SimDuration::from_mins(opts.minutes).as_nanos();
+    config.health = Some(health_board(servers));
 
     // The optional serving plane: this process executes nothing, so every
     // document it serves is assembled from observation — `/shards` from
     // sidecar records aged by mtime, `/report` from checkpoints collected
     // so far.
-    let serve_state = opts
-        .serve
-        .as_ref()
-        .map(|_| Arc::new(ServeShared::new(BroadcastBus::new())));
-    let mut serve_handle = None;
-    if let (Some(addr), Some(shared)) = (&opts.serve, &serve_state) {
-        match csprov_serve::serve(addr.as_str(), shared.clone()) {
-            Ok(handle) => {
-                eprintln!(
-                    "[serve] listening on http://{} (/metrics /events /series /status /report \
-                     /healthz /shards /profile)",
-                    handle.addr()
-                );
-                serve_handle = Some(handle);
-            }
-            Err(e) => {
-                eprintln!("error: could not bind --serve {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        shared.set_board(board.clone());
+    let (serve_state, serve_handle) = match bind_serve(opts.serve.as_deref()) {
+        Ok(serve) => serve.unzip(),
+        Err(code) => return code,
+    };
+    if let Some(shared) = &serve_state {
         shared.update_status(|s| {
-            s.state = "running";
             s.mode = "coordinate";
             s.label = "fleet".to_string();
             s.seed = opts.seed;
-            s.horizon_ns = fleet_horizon;
-            s.shards_total = servers as u64;
-        });
-        shared.bus().publish(BusEvent::RunStarted {
-            label: "fleet".into(),
-            horizon_ns: fleet_horizon,
         });
     }
+    let driver = FleetDriver::start(&config, serve_state.as_deref());
 
     eprintln!(
         "[coord] fleet: {servers} servers x {} simulated min (seed {}), {} workers, \
-         fan-in {}, state dir {}",
+         state dir {}",
         opts.minutes,
         opts.seed,
         opts.workers,
-        opts.fan_in,
         state_dir.display()
     );
     let t0 = Instant::now();
@@ -1148,7 +1270,6 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
             .map(|child| ProcessWorker { child })
             .map_err(|e| format!("spawn worker {worker}: {e}"))
     };
-    let partial: Mutex<Vec<ShardState>> = Mutex::new(Vec::new());
     let on_event = |ev: &fleet::coord::CoordEvent<'_>| match ev {
         fleet::coord::CoordEvent::WorkerLaunched {
             worker,
@@ -1191,32 +1312,11 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
         }
         fleet::coord::CoordEvent::ShardCollected { shard, state } => {
             eprintln!("[coord] shard {shard} collected");
-            let Some(shared) = &serve_state else { return };
-            let mut done = partial.lock().unwrap_or_else(|e| e.into_inner());
-            done.push((*state).clone());
-            let n = done.len() as u64;
-            shared.update_status(|s| {
-                s.shards_done = n;
-                s.sim_ns = fleet_horizon * n / servers as u64;
-            });
-            shared.bus().publish(BusEvent::Trace(TraceEvent {
-                sim_ns: fleet_horizon * n / servers as u64,
-                kind: "fleet.shard.done",
-                key: *shard as u64,
-                value: n,
-            }));
-            if let Ok(report) = fleet::interim_report(&config, &done) {
-                shared.set_report(format!(
-                    "================ fleet (interim, {n}/{servers} shards) ================\n{}\n{}\n",
-                    report.render().render(),
-                    report.sizing_line()
-                ));
-            }
+            driver.shard_done(state);
         }
     };
     let coord_opts = fleet::coord::CoordOptions {
         workers: opts.workers,
-        fan_in: opts.fan_in,
         ..fleet::coord::CoordOptions::default()
     };
     let result =
@@ -1229,51 +1329,14 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
         }
     };
     let secs = t0.elapsed().as_secs_f64();
-    println!("\n================ fleet ================");
-    println!("{}", run.report.render().render());
-    println!("{}", run.report.sizing_line());
+    driver.finish(&run);
     eprintln!(
         "[coord] fleet done: {} packets across {} shards in {:.1} s wall",
         run.facility.counts.total_packets(),
         run.facility.shards,
         secs
     );
-    let cov = &run.report.coverage;
-    if cov.is_degraded() {
-        eprintln!(
-            "[fleet] DEGRADED: {}/{} shards merged; lost {:?}; \
-             headline numbers are lower bounds",
-            cov.merged, cov.configured, cov.lost
-        );
-    }
-    if let Some(shared) = &serve_state {
-        shared.set_report(format!(
-            "================ fleet ================\n{}\n{}\n",
-            run.report.render().render(),
-            run.report.sizing_line()
-        ));
-        shared.update_status(|s| {
-            s.state = "finished";
-            s.sim_ns = fleet_horizon;
-            s.shards_done = run.facility.shards as u64;
-            s.events = run.facility.counts.total_packets();
-        });
-        shared.bus().publish(BusEvent::RunFinished {
-            label: "fleet".into(),
-            sim_ns: fleet_horizon,
-            events: run.facility.counts.total_packets(),
-        });
-        if opts.serve_linger_secs > 0 {
-            eprintln!(
-                "[serve] lingering {} s before shutdown",
-                opts.serve_linger_secs
-            );
-            std::thread::sleep(Duration::from_secs(opts.serve_linger_secs));
-        }
-    }
-    if let Some(mut handle) = serve_handle.take() {
-        handle.shutdown();
-    }
+    close_serve(serve_state.as_deref(), serve_handle, opts.serve_linger_secs);
     ExitCode::SUCCESS
 }
 
@@ -1326,28 +1389,12 @@ fn main() -> ExitCode {
         .then(|| opts.series_interval_ms * 1_000_000);
 
     // The live serving plane: shared snapshot state plus the broadcast bus
-    // every run's journal taps into. HTTP threads only ever read rendered
-    // snapshots, so nothing a subscriber does can perturb the simulation.
-    let serve_state = opts
-        .serve
-        .as_ref()
-        .map(|_| Arc::new(ServeShared::new(BroadcastBus::new())));
-    let mut serve_handle = None;
-    if let (Some(addr), Some(shared)) = (&opts.serve, &serve_state) {
-        match csprov_serve::serve(addr.as_str(), shared.clone()) {
-            Ok(handle) => {
-                eprintln!(
-                    "[serve] listening on http://{} (/metrics /events /series /status /report \
-                     /healthz /shards /profile)",
-                    handle.addr()
-                );
-                serve_handle = Some(handle);
-            }
-            Err(e) => {
-                eprintln!("error: could not bind --serve {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    // every run's journal taps into.
+    let (serve_state, serve_handle) = match bind_serve(opts.serve.as_deref()) {
+        Ok(serve) => serve.unzip(),
+        Err(code) => return code,
+    };
+    if let Some(shared) = &serve_state {
         let mut labels: Vec<String> = opts.artifacts.iter().map(|id| id.to_string()).collect();
         if opts.fleet.is_some() {
             labels.push("fleet".to_string());
@@ -1696,109 +1743,28 @@ fn main() -> ExitCode {
         // The health board behind /shards: workers beat it in-process;
         // a scanner thread folds in .hb sidecars so externally-written
         // heartbeats (other processes sharing the state dir) are seen
-        // too. The watchdog deadline is wall-domain and tunable because
-        // "stalled" is a property of the host, not the simulation.
-        let watchdog_ms: u64 = std::env::var("CSPROV_WATCHDOG_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&ms| ms > 0)
-            .unwrap_or(3000);
-        let board = serve_state.as_ref().map(|shared| {
-            let board = Arc::new(ShardHealthBoard::new(
-                servers,
-                Duration::from_millis(watchdog_ms),
-            ));
-            shared.set_board(board.clone());
-            board
-        });
-        config.health = board.clone();
+        // too.
+        config.health = serve_state.as_ref().map(|_| health_board(servers));
         let persistence = match (&opts.fleet_state_dir, opts.fleet_resume) {
             (Some(dir), true) => fleet::FleetPersistence::resume_from(dir),
             (Some(dir), false) => fleet::FleetPersistence::checkpoint_to(dir),
             (None, _) => fleet::FleetPersistence::none(),
         };
-        let fleet_horizon = SimDuration::from_mins(opts.fleet_minutes).as_nanos();
-        if let Some(shared) = &serve_state {
-            shared.update_status(|s| {
-                s.state = "running";
-                s.horizon_ns = fleet_horizon;
-                s.sim_ns = 0;
-                s.shards_total = servers as u64;
-                s.shards_done = 0;
-            });
-            shared.bus().publish(BusEvent::RunStarted {
-                label: "fleet".into(),
-                horizon_ns: fleet_horizon,
-            });
-        }
+        let driver = FleetDriver::start(&config, serve_state.as_deref());
         // Execution-plane event hook: shard completions feed the serving
-        // plane (interim reports, live status), while recovery events
-        // (retries, losses, checkpoint and resume activity) narrate to
-        // stderr. The canonical merge happens inside the engine, so none
-        // of this affects the answer.
-        let partial: Mutex<Vec<ShardState>> = Mutex::new(Vec::new());
-        let on_event = |ev: &fleet::FleetEvent<'_>| match ev {
-            fleet::FleetEvent::ShardDone { state, .. } => {
-                let Some(shared) = &serve_state else { return };
-                let mut done = partial.lock().unwrap_or_else(|e| e.into_inner());
-                done.push((*state).clone());
-                let n = done.len() as u64;
-                shared.update_status(|s| {
-                    s.shards_done = n;
-                    s.sim_ns = fleet_horizon * n / servers as u64;
-                });
-                shared.bus().publish(BusEvent::Trace(TraceEvent {
-                    sim_ns: fleet_horizon * n / servers as u64,
-                    kind: "fleet.shard.done",
-                    key: state.shard as u64,
-                    value: n,
-                }));
-                if let Ok(report) = fleet::interim_report(&config, &done) {
-                    shared.set_report(format!(
-                            "================ fleet (interim, {n}/{servers} shards) ================\n{}\n{}\n",
-                            report.render().render(),
-                            report.sizing_line()
-                        ));
-                }
-            }
-            fleet::FleetEvent::ShardRetry {
-                shard,
-                attempt,
-                backoff_ns,
-                message,
-            } => {
-                eprintln!(
-                    "[fleet] shard {shard} attempt {attempt} failed ({message}); \
-                         retrying after {} ms simulated backoff",
-                    backoff_ns / 1_000_000
-                );
-            }
-            fleet::FleetEvent::ShardLost {
-                shard,
-                attempts,
-                message,
-            } => {
-                eprintln!(
-                    "[fleet] shard {shard} LOST after {attempts} attempts ({message}); \
-                         report degrades to a lower bound"
-                );
-            }
-            fleet::FleetEvent::CheckpointWritten { .. } => {}
-            fleet::FleetEvent::CheckpointFailed { shard, message } => {
-                eprintln!("[fleet] shard {shard} checkpoint write failed: {message}");
-            }
-            fleet::FleetEvent::ResumeLoaded { shard } => {
-                eprintln!("[fleet] shard {shard} restored from checkpoint");
-            }
-            fleet::FleetEvent::ResumeInvalid { message } => {
-                eprintln!("[fleet] ignoring invalid checkpoint: {message}");
+        // plane and every event narrates to stderr. The canonical merge
+        // happens inside the engine, so none of this affects the answer.
+        let on_event = |ev: &fleet::FleetEvent<'_>| {
+            narrate("[fleet]", ev);
+            if let fleet::FleetEvent::ShardDone { state, .. } = ev {
+                driver.shard_done(state);
             }
         };
         // Heartbeat sidecar scanner: while the fleet runs, fold any .hb
         // files in the state dir into the board and narrate fresh beats
         // onto the bus. Reads only; undecodable files are skipped.
         let scan_stop = Arc::new(AtomicBool::new(false));
-        let scanner = match (&board, &opts.fleet_state_dir, &serve_state) {
+        let scanner = match (&config.health, &opts.fleet_state_dir, &serve_state) {
             (Some(board), Some(dir), Some(shared)) => {
                 let board = board.clone();
                 let shared = shared.clone();
@@ -1840,12 +1806,9 @@ fn main() -> ExitCode {
         match fleet_result {
             Ok(run) => {
                 let secs = t0.elapsed().as_secs_f64();
-                println!("\n================ fleet ================");
-                println!("{}", run.report.render().render());
-                println!("{}", run.report.sizing_line());
                 if let Some(registry) = &registry {
                     run.export_metrics(registry);
-                    if let Some(board) = &board {
+                    if let Some(board) = &config.health {
                         board.export_metrics(registry);
                     }
                 }
@@ -1878,23 +1841,7 @@ fn main() -> ExitCode {
                         write_journal(journal, base, "fleet");
                     }
                 }
-                if let Some(shared) = &serve_state {
-                    shared.set_report(format!(
-                        "================ fleet ================\n{}\n{}\n",
-                        run.report.render().render(),
-                        run.report.sizing_line()
-                    ));
-                    shared.update_status(|s| {
-                        s.sim_ns = fleet_horizon;
-                        s.shards_done = run.facility.shards as u64;
-                        s.events = run.facility.counts.total_packets();
-                    });
-                    shared.bus().publish(BusEvent::RunFinished {
-                        label: "fleet".into(),
-                        sim_ns: fleet_horizon,
-                        events: run.facility.counts.total_packets(),
-                    });
-                }
+                driver.finish(&run);
                 eprintln!(
                     "[run] fleet done: {} packets across {} shards in {:.1} s wall",
                     run.facility.counts.total_packets(),
@@ -1907,14 +1854,6 @@ fn main() -> ExitCode {
                         "[fleet] persistence: {} checkpoints written, {} shards resumed, \
                          {} invalid checkpoints recomputed",
                         p.checkpoints_written, p.resumed, p.invalid_checkpoints
-                    );
-                }
-                let cov = &run.report.coverage;
-                if cov.is_degraded() {
-                    eprintln!(
-                        "[fleet] DEGRADED: {}/{} shards merged; lost {:?}; \
-                         headline numbers are lower bounds",
-                        cov.merged, cov.configured, cov.lost
                     );
                 }
                 eprintln!("[time] fleet: {secs:.3} s wall");
@@ -2010,25 +1949,11 @@ fn main() -> ExitCode {
         }
     }
 
-    // Wind the serving plane down: one last snapshot, the terminal status,
-    // an optional linger window for late scrapers, then a clean shutdown
-    // that closes the bus so SSE streams end instead of hanging.
-    if let Some(shared) = &serve_state {
-        if let Some(registry) = &registry {
-            shared.export_metrics(registry);
-            shared.set_metrics(registry.render_prometheus());
-        }
-        shared.update_status(|s| s.state = "finished");
-        if opts.serve_linger_secs > 0 {
-            eprintln!(
-                "[serve] lingering {} s before shutdown",
-                opts.serve_linger_secs
-            );
-            std::thread::sleep(Duration::from_secs(opts.serve_linger_secs));
-        }
+    // Wind the serving plane down after one last metrics snapshot.
+    if let (Some(shared), Some(registry)) = (&serve_state, &registry) {
+        shared.export_metrics(registry);
+        shared.set_metrics(registry.render_prometheus());
     }
-    if let Some(mut handle) = serve_handle.take() {
-        handle.shutdown();
-    }
+    close_serve(serve_state.as_deref(), serve_handle, opts.serve_linger_secs);
     ExitCode::SUCCESS
 }

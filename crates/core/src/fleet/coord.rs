@@ -5,17 +5,19 @@
 //! contract across *processes, and therefore machines*: a coordinator
 //! plans contiguous shard ranges, each worker — spawned as a child or
 //! launched by hand against a shared state directory — executes its range
-//! with [`run_worker_range`] (the exact per-shard engine the in-process
+//! with [`run_worker_range`] (the exact shard executor the in-process
 //! fleet uses, checkpoints and heartbeat sidecars included), and the
-//! coordinator folds completed `csprov-state/1` checkpoints through a
-//! hierarchical merge tree into the same byte-identical
-//! [`ProvisioningReport`].
+//! coordinator folds each completed `csprov-state/1` checkpoint into one
+//! [`FleetMerger`](super::FleetMerger) as it collects it, settling the
+//! same byte-identical [`ProvisioningReport`](super::ProvisioningReport).
 //!
 //! The protocol is deliberately *files, not sockets*:
 //! - a shard is **done** when `shard-NNNNN.state` exists and validates
 //!   against the fleet config (derived seed, duration) — the atomic
 //!   write-tmp/fsync/rename discipline means the file is either whole or
-//!   absent;
+//!   absent. A file that fails validation is read again when its range's
+//!   worker exits, since that worker's resume scan recomputes the shard
+//!   and replaces the file;
 //! - a shard's **liveness** is its `shard-NNNNN.hb` sidecar. The record
 //!   inside carries the *writer's* clocks (`unix_ms` for ordering,
 //!   `wall_ms` for context); the coordinator judges freshness only by the
@@ -31,24 +33,22 @@
 //! Determinism contract: shard seeds derive from the facility seed and
 //! shard index alone, so the partition into ranges, the number of
 //! workers, worker deaths, and re-dispatches change *nothing* about any
-//! shard's traffic. The merge tree is byte-identical to the flat fold
+//! shard's traffic. The fold is byte-identical for any collection order
 //! (superposition is commutative and associative), so `coordinate` over N
 //! workers — including after a kill — renders the same report as one
 //! in-process `--fleet` run.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
-
-use csprov_game::ScenarioConfig;
 
 use super::persist;
 use super::{
-    FleetConfig, FleetError, FleetEvent, FleetRun, PersistSummary, ShardHealthBoard, ShardState,
+    FleetConfig, FleetError, FleetEvent, FleetMerger, FleetPersistence, FleetRun, Losses,
+    PersistSummary, ShardHealthBoard, ShardState,
 };
-use crate::sweep::work_steal;
-use std::sync::Arc;
 
 /// A contiguous, half-open range of shard indices assigned to one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +135,10 @@ pub struct WorkerRangeSummary {
 /// The range always *resume-scans* the directory first: shards that
 /// already have a valid checkpoint (a previous worker finished them
 /// before dying, or the range was partially executed) are skipped, so a
-/// re-dispatched range recomputes only what is missing. Remaining shards
+/// re-dispatched range recomputes only what is missing, and only files
+/// of the range are restored or reported as rejected. Remaining shards
 /// run across the local work-stealing pool through the same retrying,
-/// checkpointing, sidecar-writing engine as the in-process fleet. A
+/// checkpointing, sidecar-writing executor as the in-process fleet. A
 /// worker with lost shards still returns `Ok` (and exits cleanly): loss
 /// after exhausted retries is the coordinator's degraded-coverage
 /// business, not a worker crash.
@@ -156,14 +157,6 @@ pub fn run_worker_range(
             config.servers
         )));
     }
-    std::fs::create_dir_all(state_dir)
-        .map_err(|e| FleetError::StateDir(format!("{}: {e}", state_dir.display())))?;
-    let emit = |ev: FleetEvent<'_>| {
-        if let Some(f) = on_event {
-            f(&ev);
-        }
-    };
-
     // Workers always publish heartbeat sidecars: the coordinator (possibly
     // on another machine) has no other liveness channel. Reuse a caller's
     // board when present, otherwise attach a private one.
@@ -174,48 +167,17 @@ pub fn run_worker_range(
             Duration::from_secs(3),
         )));
     }
-
-    let scan = persist::load_checkpoints(state_dir, &config)
-        .map_err(|e| FleetError::StateDir(e.to_string()))?;
-    for (path, err) in &scan.rejected {
-        let message = format!("{}: {err}", path.display());
-        emit(FleetEvent::ResumeInvalid { message: &message });
-    }
-    let mut summary = WorkerRangeSummary::default();
-    let horizon_ns = csprov_sim::SimDuration::from_mins(config.minutes).as_nanos();
-    for (&shard, state) in scan.states.range(range.shards()) {
-        summary.resumed.push(shard);
-        if let Some(board) = &config.health {
-            board.done(shard, horizon_ns);
-        }
-        emit(FleetEvent::ResumeLoaded { shard });
-        emit(FleetEvent::ShardDone {
-            state,
-            attempt: 0,
-            from_checkpoint: true,
-        });
-    }
-
-    let todo: Vec<(usize, ScenarioConfig)> = range
-        .shards()
-        .filter(|i| !scan.states.contains_key(i))
-        .map(|i| (i, config.scenario(i)))
-        .collect();
-    let outcomes = work_steal(&todo, |_, (shard, cfg)| {
-        super::run_one_shard(*shard, cfg, &config, Some(state_dir), on_event)
-    })
-    .map_err(|p| {
-        let first = p.first();
-        FleetError::ShardFailed {
-            shard: todo
-                .get(first.index)
-                .map(|(s, _)| *s)
-                .unwrap_or(first.index),
-            message: first.message.clone(),
-        }
-    })?;
-
-    for outcome in &outcomes {
+    let executed = super::execute_shards(
+        &config,
+        range.shards(),
+        &FleetPersistence::resume_from(state_dir),
+        on_event,
+    )?;
+    let mut summary = WorkerRangeSummary {
+        resumed: executed.loaded.keys().copied().collect(),
+        ..WorkerRangeSummary::default()
+    };
+    for outcome in &executed.outcomes {
         summary.retries += u64::from(outcome.retries);
         summary.backoff_ns = summary.backoff_ns.saturating_add(outcome.backoff_ns);
         if outcome.state.is_some() {
@@ -242,8 +204,6 @@ pub trait WorkerHandle {
 pub struct CoordOptions {
     /// Worker processes to plan ranges for (clamped to the shard count).
     pub workers: usize,
-    /// Merge-tree fan-in for the final fold (clamped to ≥ 2).
-    pub fan_in: usize,
     /// Poll-loop sleep between scans.
     pub poll_interval: Duration,
 }
@@ -252,7 +212,6 @@ impl Default for CoordOptions {
     fn default() -> Self {
         CoordOptions {
             workers: 2,
-            fan_in: 16,
             poll_interval: Duration::from_millis(50),
         }
     }
@@ -301,12 +260,12 @@ pub enum CoordEvent<'a> {
         /// Why.
         message: &'a str,
     },
-    /// A shard's checkpoint was validated and collected for the merge.
+    /// A shard's checkpoint was validated and folded into the merge.
     ShardCollected {
         /// Shard index.
         shard: usize,
-        /// The decoded, validated state (borrowed; dropped unless an
-        /// observer clones it for interim reporting).
+        /// The decoded, validated state (borrowed; dropped after the fold
+        /// unless an observer clones it for interim reporting).
         state: &'a ShardState,
     },
 }
@@ -323,10 +282,9 @@ struct Dispatch<H> {
 /// `state_dir`: plans ranges, launches workers via `launch`, tracks their
 /// heartbeat sidecars and exits, re-dispatches ranges of dead workers
 /// under the fleet's [`RetryPolicy`](super::RetryPolicy) (attempts per
-/// range, including the first launch), and folds the collected
-/// checkpoints through a [`persist::merge_state_tree`] with fan-in
-/// [`CoordOptions::fan_in`] into the same byte-identical report the
-/// in-process fleet renders.
+/// range, including the first launch), and folds each checkpoint into one
+/// [`FleetMerger`] as it collects it, settling the same byte-identical
+/// report the in-process fleet renders.
 ///
 /// `launch(worker, range)` starts one worker executing `range` against
 /// `state_dir` and returns a pollable handle — a spawned `repro fleet
@@ -359,22 +317,26 @@ where
     let attempts = config.retry.attempts.max(1);
     let horizon_ns = csprov_sim::SimDuration::from_mins(config.minutes).as_nanos();
 
-    let mut collected: BTreeMap<usize, PathBuf> = BTreeMap::new();
+    let mut merger = FleetMerger::new();
+    let mut fold_error: Option<FleetError> = None;
+    let mut collected: BTreeSet<usize> = BTreeSet::new();
     let mut rejected: BTreeSet<usize> = BTreeSet::new();
     let mut lost: BTreeSet<usize> = BTreeSet::new();
     let mut first_loss: Option<String> = None;
 
     // One targeted collection pass: validate any newly-appeared checkpoint
-    // for shards still outstanding. Atomic checkpoint writes mean a file
-    // is whole the moment it is visible; validation failures are remembered
-    // so a foreign file cannot be re-decoded every poll.
-    let collect = |range: ShardRange,
-                   collected: &mut BTreeMap<usize, PathBuf>,
-                   rejected: &mut BTreeSet<usize>,
-                   lost: &BTreeSet<usize>| {
+    // for shards still outstanding and fold it at once, so each file is
+    // read and decoded once. Atomic checkpoint writes mean a file is whole
+    // the moment it is visible; validation failures are remembered until
+    // the range's worker exits, so a foreign file is not re-decoded every
+    // poll. A fold error is kept, not returned: workers may still be
+    // running, so it surfaces once the poll loop ends.
+    let mut collect = |range: ShardRange,
+                       collected: &mut BTreeSet<usize>,
+                       rejected: &mut BTreeSet<usize>,
+                       lost: &BTreeSet<usize>| {
         for shard in range.shards() {
-            if collected.contains_key(&shard) || rejected.contains(&shard) || lost.contains(&shard)
-            {
+            if collected.contains(&shard) || rejected.contains(&shard) || lost.contains(&shard) {
                 continue;
             }
             let path = state_dir.join(persist::shard_file_name(shard));
@@ -383,6 +345,9 @@ where
             }
             match persist::read_checkpoint(&path, shard, config) {
                 Ok(state) => {
+                    if let Err(e) = merger.push(&state) {
+                        fold_error.get_or_insert(e);
+                    }
                     if let Some(b) = board {
                         b.done(shard, horizon_ns);
                     }
@@ -390,7 +355,7 @@ where
                         shard,
                         state: &state,
                     });
-                    collected.insert(shard, path);
+                    collected.insert(shard);
                 }
                 Err(_) => {
                     rejected.insert(shard);
@@ -505,13 +470,16 @@ where
                 clean,
                 detail: &detail,
             });
-            // The worker's final checkpoints landed before it exited;
-            // collect them before judging the range incomplete.
+            // The worker's final checkpoints landed before it exited, and
+            // its resume scan recomputed and replaced any file of the range
+            // this loop rejected: forget those rejections and collect once
+            // more before judging the range incomplete.
+            rejected.retain(|s| !d.range.shards().contains(s));
             collect(d.range, &mut collected, &mut rejected, &lost);
             let incomplete: Vec<usize> = d
                 .range
                 .shards()
-                .filter(|s| !collected.contains_key(s) && !lost.contains(s))
+                .filter(|s| !collected.contains(s) && !lost.contains(s))
                 .collect();
             if incomplete.is_empty() {
                 d.settled = true;
@@ -562,21 +530,9 @@ where
         std::thread::sleep(opts.poll_interval);
     }
 
-    if collected.is_empty() {
-        return Err(FleetError::AllShardsLost {
-            configured: config.servers,
-            message: first_loss.unwrap_or_default(),
-        });
+    if let Some(e) = fold_error {
+        return Err(e);
     }
-
-    // Final fold: the hierarchical merge tree over every collected
-    // checkpoint, byte-identical to the in-process streaming fold.
-    let paths: Vec<PathBuf> = collected.values().cloned().collect();
-    let (facility, shards) =
-        persist::merge_state_tree(&paths, opts.fan_in).map_err(|e| match e {
-            persist::MergeFilesError::Merge(err) => err,
-            other => FleetError::StateDir(other.to_string()),
-        })?;
 
     // Retry accounting travels in the final sidecar records (a DONE/LOST
     // record carries the retries its run consumed); the backoff those
@@ -588,7 +544,7 @@ where
     let mut backoff_ns = 0u64;
     for rec in persist::scan_heartbeats(state_dir) {
         let shard = rec.shard as usize;
-        if !collected.contains_key(&shard) && !lost.contains(&shard) {
+        if !collected.contains(&shard) && !lost.contains(&shard) {
             continue;
         }
         retries += rec.retries;
@@ -597,25 +553,17 @@ where
         }
     }
 
-    let coverage = super::FleetCoverage {
-        configured: config.servers,
-        merged: shards.len(),
+    let losses = Losses {
         lost: lost.into_iter().collect(),
+        first_message: first_loss,
         retries,
         backoff_ns,
     };
-    let report = super::ProvisioningReport::build(config, &facility, &shards, coverage)?;
     let persist_summary = PersistSummary {
-        checkpoints_written: paths.len() as u64,
+        checkpoints_written: collected.len() as u64,
         ..PersistSummary::default()
     };
-    Ok(FleetRun {
-        facility,
-        shards,
-        report,
-        persist: persist_summary,
-        profile: None,
-    })
+    super::settle(config, merger, losses, persist_summary, None)
 }
 
 #[cfg(test)]

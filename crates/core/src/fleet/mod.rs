@@ -47,6 +47,7 @@ use csprov_obs::{
 use csprov_sim::{Pacer, RngStream, SimDuration, Speed};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -504,12 +505,11 @@ impl FacilityAnalysis {
 /// Holds exactly one accumulator plus O(shards) *scalars* (per-shard bin
 /// lengths and reporting rows), never more than one decoded shard state at
 /// a time — the property that lets `repro fleet merge` fold 10k+ state
-/// files without materializing them all. A k-ary tree fold would hold k
-/// decoded states per level for the same result; because superposition is
+/// files without materializing them all. Because superposition is
 /// commutative and associative (integer adds; Welford statistics are
 /// recomputed over the final stored bins; truncation is a min-fold), the
-/// degenerate streaming fold is both the cheapest and byte-identical to
-/// any tree shape or push order.
+/// result is byte-identical for any push order, which is what lets the
+/// coordinator fold checkpoints in the order workers finish them.
 ///
 /// The dropped-tail-bin total needs the *global* minimum bin count, which
 /// a pairwise running count cannot provide order-independently; the merger
@@ -602,42 +602,6 @@ impl FleetMerger {
                 acc.sessions.1 += s.sessions.1;
             }
         }
-        Ok(())
-    }
-
-    /// Absorbs another merger: the fold of states A++B, given the folds
-    /// of A and of B. Every ingredient is commutative and associative —
-    /// integer superposition for bins/counts/sizes, running-min truncation
-    /// for the player sums (equivalent to truncating to the global minimum
-    /// up front), and concatenation for the per-shard scalars settled in
-    /// [`FleetMerger::finish`] — so absorbing partial folds in any tree
-    /// shape is byte-identical to one streaming fold over all states.
-    /// This is what lets the coordinator fold each worker range as it
-    /// completes and combine the partials hierarchically.
-    pub fn absorb(&mut self, other: FleetMerger) -> Result<(), FleetError> {
-        match (self.acc.as_mut(), other.acc) {
-            (None, maybe) => {
-                self.acc = maybe;
-                self.players = other.players;
-            }
-            (Some(_), None) => {}
-            (Some(acc), Some(theirs)) => {
-                acc.counts.merge(&theirs.counts);
-                acc.per_minute.merge_superpose(&theirs.per_minute)?;
-                acc.per_minute_in.merge_superpose(&theirs.per_minute_in)?;
-                acc.per_minute_out.merge_superpose(&theirs.per_minute_out)?;
-                acc.sizes.merge(&theirs.sizes)?;
-                acc.sessions.0 += theirs.sessions.0;
-                acc.sessions.1 += theirs.sessions.1;
-                let keep = self.players.len().min(other.players.len());
-                self.players.truncate(keep);
-                for (agg, add) in self.players.iter_mut().zip(&other.players) {
-                    *agg += add;
-                }
-            }
-        }
-        self.bin_lens.extend(other.bin_lens);
-        self.stats.extend(other.stats);
         Ok(())
     }
 
@@ -1062,35 +1026,17 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, FleetError> {
     run_fleet_full(config, &FleetPersistence::none(), None)
 }
 
-/// [`run_fleet`] with a shard-completion observer for live serving.
-///
-/// `on_shard` is invoked from the worker thread that finished the shard,
-/// immediately after its reduction — the hook the serving plane uses to
-/// re-merge an interim facility aggregate while other shards still run.
-/// The observer is read-only with respect to the fleet: its return is
-/// `()`, shard states are handed to it by reference, and the canonical
-/// merge happens afterwards from the untouched results, so the final
-/// aggregate cannot depend on observer behavior or timing.
-pub fn run_fleet_observed(
-    config: &FleetConfig,
-    on_shard: Option<&(dyn Fn(&ShardState) + Sync)>,
-) -> Result<FleetRun, FleetError> {
-    match on_shard {
-        None => run_fleet_full(config, &FleetPersistence::none(), None),
-        Some(observe) => {
-            let forward = |ev: &FleetEvent<'_>| {
-                if let FleetEvent::ShardDone { state, .. } = ev {
-                    observe(state);
-                }
-            };
-            run_fleet_full(config, &FleetPersistence::none(), Some(&forward))
-        }
-    }
-}
-
 /// The crash-safe fleet engine: [`run_fleet`] plus checkpointing, resume,
 /// per-shard retry, degraded-mode merging, and an execution-plane event
 /// stream.
+///
+/// `on_event` is invoked from the thread that produced the event — a
+/// [`FleetEvent::ShardDone`] from the pool thread that ran the shard,
+/// right after its reduction, which is the hook the serving plane uses to
+/// re-merge an interim aggregate while other shards still run. It is
+/// read-only with respect to the fleet: states are lent by reference and
+/// the canonical merge runs afterwards from the untouched results, so the
+/// aggregate cannot depend on observer behavior or timing.
 ///
 /// With a `state_dir`, every completed shard is written atomically
 /// (`write-tmp + fsync + rename`, see [`persist::write_checkpoint_atomic`])
@@ -1109,42 +1055,108 @@ pub fn run_fleet_full(
     if config.servers == 0 {
         return Err(FleetError::NoServers);
     }
+    let executed = execute_shards(config, 0..config.servers, persistence, on_event)?;
+    let mut summary = PersistSummary {
+        resumed: executed.loaded.len() as u64,
+        invalid_checkpoints: executed.rejected,
+        ..PersistSummary::default()
+    };
+
+    let coord_profile = config.profile.then(Profile::new);
+    let mut merger = FleetMerger::new();
+    {
+        let _merge_scope = coord_profile.as_ref().map(|p| p.enter("fleet.merge"));
+        for state in executed.loaded.values() {
+            merger.push(state)?;
+        }
+        for outcome in &executed.outcomes {
+            if let Some(state) = &outcome.state {
+                merger.push(state)?;
+            }
+        }
+    }
+    let mut losses = Losses::default();
+    let mut fleet_profile = coord_profile.as_ref().map(|p| p.snapshot());
+    for outcome in &executed.outcomes {
+        losses.retries += u64::from(outcome.retries);
+        losses.backoff_ns = losses.backoff_ns.saturating_add(outcome.backoff_ns);
+        summary.checkpoints_written += u64::from(outcome.checkpoint_written);
+        summary.checkpoint_failures += u64::from(outcome.checkpoint_failed);
+        if let (Some(total), Some(snap)) = (fleet_profile.as_mut(), outcome.profile.as_ref()) {
+            total.absorb(snap);
+        }
+        if outcome.state.is_none() {
+            // Outcomes come back in ascending shard order, so `lost` is
+            // ascending and the first message is the lowest shard's.
+            losses.lost.push(outcome.shard);
+            losses
+                .first_message
+                .get_or_insert_with(|| outcome.message.clone());
+        }
+    }
+    settle(config, merger, losses, summary, fleet_profile)
+}
+
+/// What [`execute_shards`] did with a range: the shards it restored and
+/// the outcome of every shard it ran.
+struct ExecutedShards {
+    /// Shards restored from valid checkpoints, ascending.
+    loaded: BTreeMap<usize, ShardState>,
+    /// State files of the range the resume scan rejected (recomputed).
+    rejected: u64,
+    /// One outcome per shard the pool ran, ascending.
+    outcomes: Vec<ShardOutcome>,
+}
+
+/// The one shard executor under [`run_fleet_full`] and
+/// [`coord::run_worker_range`]. Creates the state dir, resume-scans it
+/// when asked (loaded and rejected files both filtered to `range`),
+/// replays each restored shard as a checkpoint [`FleetEvent::ShardDone`]
+/// on the calling thread before the pool starts, then runs the rest of
+/// `range` across the work-stealing pool.
+fn execute_shards(
+    config: &FleetConfig,
+    range: Range<usize>,
+    persistence: &FleetPersistence,
+    on_event: Option<&(dyn Fn(&FleetEvent<'_>) + Sync)>,
+) -> Result<ExecutedShards, FleetError> {
     let emit = |ev: FleetEvent<'_>| {
         if let Some(f) = on_event {
             f(&ev);
         }
     };
-
-    let mut summary = PersistSummary::default();
     let state_dir = persistence.state_dir.as_deref();
     if let Some(dir) = state_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| FleetError::StateDir(format!("{}: {e}", dir.display())))?;
     }
 
-    // Resume: load valid checkpoints up front; rejected files are surfaced
-    // as events, counted, and recomputed like missing ones.
+    // Resume: rejected files are surfaced as events, counted, and
+    // recomputed like missing ones.
     let mut loaded: BTreeMap<usize, ShardState> = BTreeMap::new();
-    if persistence.resume {
-        if let Some(dir) = state_dir {
-            let scan = persist::load_checkpoints(dir, config)
-                .map_err(|e| FleetError::StateDir(e.to_string()))?;
-            for (path, err) in &scan.rejected {
-                summary.invalid_checkpoints += 1;
+    let mut rejected = 0u64;
+    if let (true, Some(dir)) = (persistence.resume, state_dir) {
+        let scan = persist::load_checkpoints(dir, config)
+            .map_err(|e| FleetError::StateDir(e.to_string()))?;
+        for (path, err) in &scan.rejected {
+            let shard = path
+                .file_name()
+                .and_then(|name| name.to_str())
+                .and_then(persist::parse_shard_file_name);
+            if shard.is_some_and(|s| range.contains(&s)) {
+                rejected += 1;
                 let message = format!("{}: {err}", path.display());
                 emit(FleetEvent::ResumeInvalid { message: &message });
             }
-            for (shard, state) in scan.states {
-                summary.resumed += 1;
-                emit(FleetEvent::ResumeLoaded { shard });
-                loaded.insert(shard, state);
-            }
         }
+        loaded = scan.states;
+        loaded.retain(|shard, _| range.contains(shard));
     }
     let horizon_ns = SimDuration::from_mins(config.minutes).as_nanos();
-    for state in loaded.values() {
+    for (&shard, state) in &loaded {
+        emit(FleetEvent::ResumeLoaded { shard });
         if let Some(board) = &config.health {
-            board.done(state.shard, horizon_ns);
+            board.done(shard, horizon_ns);
         }
         emit(FleetEvent::ShardDone {
             state,
@@ -1153,11 +1165,10 @@ pub fn run_fleet_full(
         });
     }
 
-    let todo: Vec<(usize, ScenarioConfig)> = (0..config.servers)
+    let todo: Vec<(usize, ScenarioConfig)> = range
         .filter(|i| !loaded.contains_key(i))
         .map(|i| (i, config.scenario(i)))
         .collect();
-
     let outcomes = work_steal(&todo, |_, (shard, cfg)| {
         run_one_shard(*shard, cfg, config, state_dir, on_event)
     })
@@ -1172,54 +1183,45 @@ pub fn run_fleet_full(
             message: first.message.clone(),
         }
     })?;
+    Ok(ExecutedShards {
+        loaded,
+        rejected,
+        outcomes,
+    })
+}
 
-    let coord_profile = config.profile.then(Profile::new);
-    let mut merger = FleetMerger::new();
-    {
-        let _merge_scope = coord_profile.as_ref().map(|p| p.enter("fleet.merge"));
-        for state in loaded.values() {
-            merger.push(state)?;
-        }
-        for outcome in &outcomes {
-            if let Some(state) = &outcome.state {
-                merger.push(state)?;
-            }
-        }
-    }
-    let mut retries = 0u64;
-    let mut backoff_ns = 0u64;
-    let mut lost: Vec<usize> = Vec::new();
-    let mut first_loss: Option<String> = None;
-    let mut fleet_profile = coord_profile.as_ref().map(|p| p.snapshot());
-    for outcome in &outcomes {
-        retries += u64::from(outcome.retries);
-        backoff_ns = backoff_ns.saturating_add(outcome.backoff_ns);
-        summary.checkpoints_written += u64::from(outcome.checkpoint_written);
-        summary.checkpoint_failures += u64::from(outcome.checkpoint_failed);
-        if let (Some(total), Some(snap)) = (fleet_profile.as_mut(), outcome.profile.as_ref()) {
-            total.absorb(snap);
-        }
-        if outcome.state.is_none() {
-            // `todo` is built in ascending shard order and work_steal
-            // returns outcomes in input order, so `lost` is ascending.
-            lost.push(outcome.shard);
-            if first_loss.is_none() {
-                first_loss = Some(outcome.message.clone());
-            }
-        }
-    }
+/// The coverage inputs a run gathers before [`settle`]: lost shards
+/// (ascending), the first loss's message, and the retry accounting.
+#[derive(Default)]
+struct Losses {
+    lost: Vec<usize>,
+    first_message: Option<String>,
+    retries: u64,
+    backoff_ns: u64,
+}
+
+/// The one settlement under [`run_fleet_full`] and [`coord::coordinate`]:
+/// a fleet with nothing merged fails with [`FleetError::AllShardsLost`];
+/// otherwise the fold is finished and the report built over its coverage.
+fn settle(
+    config: &FleetConfig,
+    merger: FleetMerger,
+    losses: Losses,
+    persist: PersistSummary,
+    profile: Option<ProfileSnapshot>,
+) -> Result<FleetRun, FleetError> {
     if merger.merged() == 0 {
         return Err(FleetError::AllShardsLost {
             configured: config.servers,
-            message: first_loss.unwrap_or_default(),
+            message: losses.first_message.unwrap_or_default(),
         });
     }
     let coverage = FleetCoverage {
         configured: config.servers,
         merged: merger.merged(),
-        lost,
-        retries,
-        backoff_ns,
+        lost: losses.lost,
+        retries: losses.retries,
+        backoff_ns: losses.backoff_ns,
     };
     let (facility, shards) = merger.finish()?;
     let report = ProvisioningReport::build(config, &facility, &shards, coverage)?;
@@ -1227,8 +1229,8 @@ pub fn run_fleet_full(
         facility,
         shards,
         report,
-        persist: summary,
-        profile: fleet_profile,
+        persist,
+        profile,
     })
 }
 
@@ -1614,18 +1616,18 @@ mod tests {
         use std::sync::Mutex;
         let cfg = FleetConfig::new("observed", 17, 3, 4);
         let seen: Mutex<Vec<ShardState>> = Mutex::new(Vec::new());
-        let observed = run_fleet_observed(
-            &cfg,
-            Some(&|state: &ShardState| {
-                let mut partial = seen.lock().unwrap();
-                partial.push(state.clone());
-                // An interim report over any non-empty prefix is valid.
-                let interim = interim_report(&cfg, &partial).unwrap();
-                assert_eq!(interim.servers, partial.len());
-                assert!(interim.mean_pps > 0.0);
-            }),
-        )
-        .unwrap();
+        let observe = |ev: &FleetEvent<'_>| {
+            let FleetEvent::ShardDone { state, .. } = ev else {
+                return;
+            };
+            let mut partial = seen.lock().unwrap();
+            partial.push((*state).clone());
+            // An interim report over any non-empty prefix is valid.
+            let interim = interim_report(&cfg, &partial).unwrap();
+            assert_eq!(interim.servers, partial.len());
+            assert!(interim.mean_pps > 0.0);
+        };
+        let observed = run_fleet_full(&cfg, &FleetPersistence::none(), Some(&observe)).unwrap();
         let states = seen.into_inner().unwrap();
         assert_eq!(states.len(), 3);
         // The interim report over ALL shards is the final report.

@@ -15,7 +15,7 @@
 //! shards leaves a directory of complete, individually-verifiable
 //! checkpoints.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -412,7 +412,7 @@ pub fn shard_file_name(shard: usize) -> String {
 /// Parses a checkpoint file name back to its shard index. Returns `None`
 /// for anything that is not exactly `shard-NNNNN.state` (tmp files, other
 /// droppings) so the resume scan skips them silently.
-fn parse_shard_file_name(name: &str) -> Option<usize> {
+pub(super) fn parse_shard_file_name(name: &str) -> Option<usize> {
     let digits = name.strip_prefix("shard-")?.strip_suffix(".state")?;
     if digits.len() != 5 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -510,96 +510,30 @@ pub fn read_checkpoint(
 }
 
 /// Folds shard checkpoint files into a facility aggregate without holding
-/// more than one decoded state at a time: each file streams through the
-/// [`FleetMerger`] accumulator and is dropped before the next is read.
-/// Because superposition merging is commutative and associative, this
-/// flat left fold is byte-identical to any tree-shaped fold over the same
-/// files, so 10k+ states merge in O(1) decoded-state memory.
+/// more than one decoded state at a time: each file is read, decoded and
+/// pushed through the [`FleetMerger`] accumulator, then dropped before the
+/// next is read, so 10k+ states merge in O(1) decoded-state memory.
 ///
-/// Files are folded in shard order regardless of argument order; a
-/// duplicate shard index is an error (merging the same traffic twice
-/// would silently double-count it).
+/// Files are folded in argument order; the fold is byte-identical for any
+/// order. A duplicate shard index (decoded, not taken from the file name)
+/// is an error: merging the same traffic twice would silently
+/// double-count it.
 pub fn merge_state_files(
     paths: &[PathBuf],
 ) -> Result<(FacilityAnalysis, Vec<super::ShardStats>), MergeFilesError> {
-    let ordered = order_state_files(paths)?;
+    let mut seen = BTreeSet::new();
     let mut merger = FleetMerger::new();
-    fold_state_files(&mut merger, &ordered)?;
-    merger.finish().map_err(MergeFilesError::Merge)
-}
-
-/// Orders checkpoint files canonically by their *decoded* shard index
-/// (file names are not trusted) and rejects duplicates. Shared by the
-/// flat fold and every level of the hierarchical merge tree.
-fn order_state_files(paths: &[PathBuf]) -> Result<Vec<PathBuf>, MergeFilesError> {
-    let mut ordered: BTreeMap<usize, &PathBuf> = BTreeMap::new();
     for path in paths {
         let bytes = fs::read(path)
             .map_err(|e| MergeFilesError::File(path.clone(), CheckpointError::Io(e)))?;
         let state = decode_shard_state(&bytes)
             .map_err(|e| MergeFilesError::File(path.clone(), CheckpointError::State(e)))?;
-        if ordered.insert(state.shard, path).is_some() {
+        if !seen.insert(state.shard) {
             return Err(MergeFilesError::DuplicateShard(state.shard));
         }
-    }
-    Ok(ordered.into_values().cloned().collect())
-}
-
-/// Streams `paths` through `merger`, holding one decoded state at a time.
-fn fold_state_files(merger: &mut FleetMerger, paths: &[PathBuf]) -> Result<(), MergeFilesError> {
-    for path in paths {
-        let bytes = fs::read(path)
-            .map_err(|e| MergeFilesError::File(path.clone(), CheckpointError::Io(e)))?;
-        let state = decode_shard_state(&bytes)
-            .map_err(|e| MergeFilesError::File(path.clone(), CheckpointError::State(e)))?;
         merger.push(&state).map_err(MergeFilesError::Merge)?;
     }
-    Ok(())
-}
-
-/// Folds shard checkpoint files through a hierarchical merge tree with
-/// fan-in `fan_in`: leaves fold runs of `fan_in` files through the same
-/// streaming machinery as [`merge_state_files`], then mergers absorb each
-/// other `fan_in` at a time until one remains.
-///
-/// Because superposition merging is commutative and associative, the
-/// result is byte-identical to the flat fold for every tree shape; the
-/// tree exists for the coordinator, where each completed worker range can
-/// be folded as it lands and the partial mergers (O(shards) scalars each,
-/// not decoded states) combine at the end. Intermediate nodes stay
-/// [`FleetMerger`]s rather than encoded facility files: a facility
-/// container cannot carry the per-shard bin lengths the global
-/// dropped-bins settlement needs.
-pub fn merge_state_tree(
-    paths: &[PathBuf],
-    fan_in: usize,
-) -> Result<(FacilityAnalysis, Vec<super::ShardStats>), MergeFilesError> {
-    let fan_in = fan_in.max(2);
-    let ordered = order_state_files(paths)?;
-    let mut level: Vec<FleetMerger> = Vec::with_capacity(ordered.len().div_ceil(fan_in));
-    for chunk in ordered.chunks(fan_in) {
-        let mut merger = FleetMerger::new();
-        fold_state_files(&mut merger, chunk)?;
-        level.push(merger);
-    }
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(fan_in));
-        let mut nodes = level.into_iter();
-        while let Some(mut base) = nodes.next() {
-            for _ in 1..fan_in {
-                match nodes.next() {
-                    Some(other) => base.absorb(other).map_err(MergeFilesError::Merge)?,
-                    None => break,
-                }
-            }
-            next.push(base);
-        }
-        level = next;
-    }
-    match level.pop() {
-        Some(merger) => merger.finish().map_err(MergeFilesError::Merge),
-        None => Err(MergeFilesError::Merge(FleetError::NoServers)),
-    }
+    merger.finish().map_err(MergeFilesError::Merge)
 }
 
 /// Why [`merge_state_files`] failed.
@@ -774,54 +708,6 @@ mod tests {
         );
         assert_eq!(stats.len(), 3);
         assert!(stats.windows(2).all(|w| w[0].shard < w[1].shard));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tree_merge_is_byte_identical_to_the_flat_fold_for_every_fan_in() {
-        let dir = std::env::temp_dir().join(format!("csprov-persist-tree-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let config = FleetConfig::new("persist-test", 99, 4, 3);
-        let mut paths = Vec::new();
-        for shard in 0..4 {
-            let cfg = config.scenario(shard);
-            let run = crate::pipeline::MainRun::execute(cfg);
-            paths.push(write_checkpoint_atomic(&dir, &run.into_fleet_shard(shard)).unwrap());
-        }
-        // Feed out of order; every tree shape must canonicalize.
-        paths.swap(0, 3);
-        let (flat, flat_stats) = merge_state_files(&paths).unwrap();
-        let flat_bytes = encode_facility(&flat).unwrap();
-        for fan_in in [2, 3, 16] {
-            let (tree, tree_stats) = merge_state_tree(&paths, fan_in).unwrap();
-            assert_eq!(
-                encode_facility(&tree).unwrap(),
-                flat_bytes,
-                "fan-in {fan_in} diverged from the flat fold"
-            );
-            assert_eq!(tree_stats, flat_stats, "fan-in {fan_in} stats diverged");
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tree_merge_rejects_duplicates_and_empty_input() {
-        let dir = std::env::temp_dir().join(format!("csprov-persist-tdup-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        assert!(matches!(
-            merge_state_tree(&[], 4),
-            Err(MergeFilesError::Merge(FleetError::NoServers))
-        ));
-        let state = sample_state(0);
-        let a = write_checkpoint_atomic(&dir, &state).unwrap();
-        let b = dir.join("copy.state");
-        fs::copy(&a, &b).unwrap();
-        assert!(matches!(
-            merge_state_tree(&[a, b], 2),
-            Err(MergeFilesError::DuplicateShard(0))
-        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,11 +8,15 @@
 //! plumbing.
 
 use csprov::fleet::coord::{
-    coordinate, plan_ranges, run_worker_range, CoordOptions, ShardRange, WorkerHandle,
+    coordinate, plan_ranges, run_worker_range, CoordEvent, CoordOptions, ShardRange, WorkerHandle,
 };
-use csprov::fleet::{run_fleet, FleetConfig};
+use csprov::fleet::persist::shard_file_name;
+use csprov::fleet::{run_fleet, FleetConfig, FleetEvent};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("csprov-coord-{tag}-{}", std::process::id()));
@@ -93,23 +97,109 @@ fn coordinating_one_worker_matches_the_in_process_fleet() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Several workers, a small fan-in (so the merge tree has real levels),
-/// and an awkward shard/worker ratio still converge to the same bytes.
+/// Several workers and an awkward shard/worker ratio still converge to
+/// the same bytes, with the coordinator folding checkpoints in the order
+/// it collects them: worker 0 starts only once every other range has been
+/// collected, so its shards are folded last, not in shard order.
 #[test]
 fn coordinating_many_workers_matches_the_in_process_fleet() {
     let dir = temp_dir("many");
     let config = FleetConfig::new("fleet", 77, 5, 2);
     let baseline = run_fleet(&config).expect("in-process fleet");
 
+    let others = config.servers - plan_ranges(config.servers, 3)[0].len();
+    let order: Arc<Mutex<Vec<usize>>> = Arc::default();
+    let mut honest = honest_launcher(&config, &dir);
+    let (gate, gate_config, gate_dir) = (order.clone(), config.clone(), dir.clone());
+    let launch = move |worker: usize, range: ShardRange| {
+        if worker != 0 {
+            return honest(worker, range);
+        }
+        let (gate, config, state_dir) = (gate.clone(), gate_config.clone(), gate_dir.clone());
+        Ok(ThreadWorker::spawn(move || {
+            // Bounded, so a coordinator that never collects fails the
+            // order assertion below instead of hanging the suite.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while gate.lock().unwrap().len() < others && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            run_worker_range(&config, range, &state_dir, None)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        }))
+    };
+    let record = order.clone();
+    let on_event = move |ev: &CoordEvent<'_>| {
+        if let CoordEvent::ShardCollected { shard, .. } = ev {
+            record.lock().unwrap().push(*shard);
+        }
+    };
     let opts = CoordOptions {
         workers: 3,
-        fan_in: 2,
+        ..CoordOptions::default()
+    };
+    let run = coordinate(&config, &dir, &opts, launch, Some(&on_event)).expect("coordinated fleet");
+
+    let order = order.lock().unwrap().clone();
+    assert_eq!(order.len(), config.servers);
+    assert!(
+        order.windows(2).any(|w| w[0] > w[1]),
+        "fold order {order:?} must not be shard order"
+    );
+    assert_eq!(rendered(&run.report), rendered(&baseline.report));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A garbage checkpoint left in the state dir fails validation in the
+/// coordinator and in the worker's resume scan alike. The worker
+/// recomputes the shard and replaces the file; the coordinator reads it
+/// again when the worker exits, so the shard is merged, not lost.
+#[test]
+fn corrupt_checkpoint_is_recomputed_not_lost() {
+    let dir = temp_dir("corrupt");
+    let config = FleetConfig::new("fleet", 4343, 3, 2);
+    let baseline = run_fleet(&config).expect("in-process fleet");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(shard_file_name(1)), b"not a checkpoint").unwrap();
+
+    let opts = CoordOptions {
+        workers: 1,
         ..CoordOptions::default()
     };
     let run = coordinate(&config, &dir, &opts, honest_launcher(&config, &dir), None)
         .expect("coordinated fleet");
 
     assert_eq!(rendered(&run.report), rendered(&baseline.report));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker owns its range: it restores and reports only files of that
+/// range, so a garbage checkpoint elsewhere in the shared directory is
+/// left to the worker whose range holds it.
+#[test]
+fn worker_resumes_and_reports_only_its_own_range() {
+    let dir = temp_dir("own-range");
+    let config = FleetConfig::new("fleet", 515, 4, 1);
+    run_worker_range(&config, ShardRange { start: 0, end: 1 }, &dir, None).expect("shard 0");
+    std::fs::write(dir.join(shard_file_name(3)), b"not a checkpoint").unwrap();
+
+    let invalid = AtomicUsize::new(0);
+    let on_event = |ev: &FleetEvent<'_>| {
+        if matches!(ev, FleetEvent::ResumeInvalid { .. }) {
+            invalid.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    let middle = ShardRange { start: 1, end: 3 };
+    let summary = run_worker_range(&config, middle, &dir, Some(&on_event)).expect("middle");
+    assert!(summary.resumed.is_empty(), "{summary:?}");
+    assert_eq!(summary.done, vec![1, 2]);
+    assert_eq!(invalid.swap(0, Ordering::Relaxed), 0);
+
+    let whole = ShardRange { start: 0, end: 4 };
+    let summary = run_worker_range(&config, whole, &dir, Some(&on_event)).expect("whole");
+    assert_eq!(summary.resumed, vec![0, 1, 2]);
+    assert_eq!(summary.done, vec![3]);
+    assert_eq!(invalid.load(Ordering::Relaxed), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,9 +11,10 @@
 # (state files are foreign bytes: corruption must surface as typed
 # StateError/CheckpointError values, shard failures as FleetError), the
 # aggregate experiment, the journal hot path in crates/obs, the
-# columnar ingest pipeline in crates/core, the analyzer folds it
-# feeds (rate series, variance-time, size histogram, flow table; a
-# replayed trace hands them foreign sizes), every module of crates/sim
+# columnar ingest pipeline in crates/core, every module of
+# crates/analysis (the analyzer folds the pipeline feeds — a replayed
+# trace hands them foreign sizes — the checkpoint codec, and the
+# renderers every artifact goes through), every module of crates/sim
 # (the kernel every run executes) and crates/game (the world model it
 # drives), and the shard health board in crates/obs that fleet workers
 # write from pool threads — excluding `#[cfg(test)]` modules (tests may
@@ -32,9 +33,7 @@ status=0
 for f in crates/net/src/*.rs crates/router/src/*.rs \
     crates/core/src/fleet/mod.rs crates/core/src/fleet/persist.rs \
     crates/core/src/fleet/coord.rs \
-    crates/analysis/src/persist.rs \
-    crates/analysis/src/series.rs crates/analysis/src/hurst.rs \
-    crates/analysis/src/histogram.rs crates/analysis/src/flows.rs \
+    crates/analysis/src/*.rs \
     crates/core/src/experiments/aggregate.rs \
     crates/core/src/pipeline.rs crates/obs/src/journal.rs \
     crates/obs/src/health.rs \
@@ -53,6 +52,6 @@ done
 if [ "$status" -ne 0 ]; then
     echo "panic gate FAILED: use typed csprov_net::Error instead" >&2
 else
-    echo "panic gate OK: no unwrap/expect/panic! in net+router+fleet+sim+game library code"
+    echo "panic gate OK: no unwrap/expect/panic! in net+router+fleet+analysis+sim+game library code"
 fi
 exit "$status"

@@ -13,9 +13,9 @@ use std::fmt::Write as _;
 pub fn line_chart(title: &str, ys: &[f64], width: usize, height: usize) -> String {
     assert!(width >= 2 && height >= 2);
     let mut out = String::new();
-    writeln!(out, "{title}").unwrap();
+    let _ = writeln!(out, "{title}");
     if ys.is_empty() {
-        writeln!(out, "(no data)").unwrap();
+        let _ = writeln!(out, "(no data)");
         return out;
     }
     let cols = downsample_max(ys, width);
@@ -40,26 +40,26 @@ pub fn line_chart(title: &str, ys: &[f64], width: usize, height: usize) -> Strin
         } else {
             format!("{:>10} |", "")
         };
-        writeln!(out, "{label}{}", row.iter().collect::<String>()).unwrap();
+        let _ = writeln!(out, "{label}{}", row.iter().collect::<String>());
     }
-    writeln!(out, "{:>11}+{}", "", "-".repeat(cols.len())).unwrap();
-    writeln!(out, "{:>12}0..{} ({} samples)", "", ys.len(), ys.len()).unwrap();
+    let _ = writeln!(out, "{:>11}+{}", "", "-".repeat(cols.len()));
+    let _ = writeln!(out, "{:>12}0..{} ({} samples)", "", ys.len(), ys.len());
     out
 }
 
 /// Renders a histogram as horizontal bars, one per (label, count).
 pub fn bar_chart(title: &str, bars: &[(String, u64)], width: usize) -> String {
     let mut out = String::new();
-    writeln!(out, "{title}").unwrap();
+    let _ = writeln!(out, "{title}");
     if bars.is_empty() {
-        writeln!(out, "(no data)").unwrap();
+        let _ = writeln!(out, "(no data)");
         return out;
     }
-    let max = bars.iter().map(|b| b.1).max().unwrap().max(1);
-    let label_w = bars.iter().map(|b| b.0.len()).max().unwrap();
+    let max = bars.iter().map(|b| b.1).max().unwrap_or(0).max(1);
+    let label_w = bars.iter().map(|b| b.0.len()).max().unwrap_or(0);
     for (label, count) in bars {
         let n = (*count as f64 / max as f64 * width as f64).round() as usize;
-        writeln!(out, "{label:>label_w$} | {} {count}", "#".repeat(n)).unwrap();
+        let _ = writeln!(out, "{label:>label_w$} | {} {count}", "#".repeat(n));
     }
     out
 }

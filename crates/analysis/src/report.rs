@@ -68,8 +68,8 @@ impl TextTable {
 
         let mut out = String::new();
         let total: usize = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
-        writeln!(out, "{}", self.title).unwrap();
-        writeln!(out, "{}", "=".repeat(self.title.len().max(total))).unwrap();
+        let _ = writeln!(out, "{}", self.title);
+        let _ = writeln!(out, "{}", "=".repeat(self.title.len().max(total)));
         let render_row = |cols: &[String]| -> String {
             let mut line = String::new();
             for (i, w) in widths.iter().enumerate() {
@@ -83,11 +83,11 @@ impl TextTable {
             line.trim_end().to_string()
         };
         if !self.header.is_empty() {
-            writeln!(out, "{}", render_row(&self.header)).unwrap();
-            writeln!(out, "{}", "-".repeat(total)).unwrap();
+            let _ = writeln!(out, "{}", render_row(&self.header));
+            let _ = writeln!(out, "{}", "-".repeat(total));
         }
         for r in &self.rows {
-            writeln!(out, "{}", render_row(r)).unwrap();
+            let _ = writeln!(out, "{}", render_row(r));
         }
         out
     }

@@ -8,7 +8,7 @@
 use csprov_bench::harness::{black_box, Harness, Throughput};
 use csprov_net::{client_endpoint, server_endpoint, Direction, Packet, PacketKind};
 use csprov_obs::{BroadcastBus, BusEvent, Journal, MetricsRegistry, Profile, TraceEvent};
-use csprov_router::{EngineConfig, ForwardingEngine, NatDevice, NatTaps, RouterMetrics};
+use csprov_router::{EngineConfig, ForwardingEngine, NatDevice, NatTaps};
 use csprov_sim::{Pacer, SimDuration, SimTime, Simulator, Speed, StopFlag};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -115,8 +115,8 @@ fn bench_serve_bus(h: &mut Harness) {
 }
 
 /// The NAT forwarding workload from the `router` bench, optionally with the
-/// full `router.*` metric bundle attached.
-fn run_forward(metrics: Option<&RouterMetrics>) -> u64 {
+/// engine's stats reporting into `router.engine.*` registry totals.
+fn run_forward(registry: Option<&MetricsRegistry>) -> u64 {
     let mut sim = Simulator::new();
     let engine = ForwardingEngine::new(EngineConfig {
         lookup_time: SimDuration::from_micros(1),
@@ -124,8 +124,8 @@ fn run_forward(metrics: Option<&RouterMetrics>) -> u64 {
         lan_queue: 64,
         ..EngineConfig::default()
     });
-    if let Some(m) = metrics {
-        engine.attach_metrics(m.clone());
+    if let Some(registry) = registry {
+        engine.stats().report_to(registry);
     }
     for i in 0..10_000u64 {
         let engine2 = engine.clone();
@@ -148,14 +148,13 @@ fn run_forward(metrics: Option<&RouterMetrics>) -> u64 {
 
 fn bench_router_forwarding(h: &mut Harness) {
     let registry = MetricsRegistry::new();
-    let metrics = RouterMetrics::register(&registry);
     let mut g = h.group("obs_router_forward");
     g.throughput(Throughput::Elements(10_000));
     g.bench_function("engine_forward_10k_plain", |b| {
         b.iter(|| black_box(run_forward(None)))
     });
     g.bench_function("engine_forward_10k_metrics", |b| {
-        b.iter(|| black_box(run_forward(Some(&metrics))))
+        b.iter(|| black_box(run_forward(Some(&registry))))
     });
     g.finish();
 }

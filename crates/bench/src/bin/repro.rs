@@ -74,7 +74,6 @@ use csprov::pipeline::MainRun;
 use csprov_analysis::report::to_csv;
 use csprov_bench::harness::{render_bench_json, BenchResult};
 use csprov_game::{GameMetrics, ScenarioConfig, WorldInstruments, PAPER_TRACE_SECS};
-use csprov_net::LinkMetrics;
 use csprov_obs::{
     BroadcastBus, BusEvent, Journal, MetricsRegistry, Profile, ProfileSnapshot, ProgressReporter,
     SeriesSampler, ShardHealthBoard, TraceEvent, SHARD_RUNNING,
@@ -444,7 +443,7 @@ fn instruments_for(spec: TelemetrySpec<'_>) -> RunTelemetry {
     let mut instruments = WorldInstruments::default();
     if let Some(registry) = registry {
         instruments.metrics = Some(GameMetrics::register(registry));
-        instruments.link_metrics = Some(LinkMetrics::register(registry));
+        instruments.registry = Some(registry.clone());
     }
     instruments.journal = journal.clone();
     let pacer_stats: Option<Arc<PacerStats>> = speed.is_paced().then(|| {

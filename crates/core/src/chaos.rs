@@ -10,9 +10,7 @@
 
 use crate::pipeline::MainRun;
 use csprov_game::{Middlebox, ScenarioConfig, WorldInstruments};
-use csprov_net::{
-    BurstLoss, DuplicateConfig, FaultConfig, FaultMetrics, FaultStats, ReorderConfig,
-};
+use csprov_net::{BurstLoss, DuplicateConfig, FaultConfig, FaultStats, ReorderConfig};
 use csprov_obs::MetricsRegistry;
 use csprov_router::{NatStats, NatTableConfig};
 use csprov_sim::{RngStream, SimDuration};
@@ -229,7 +227,7 @@ pub fn build_path_around(
         inner,
     ));
     if let Some(registry) = registry {
-        path.attach_metrics(FaultMetrics::register(registry));
+        path.stats().report_to(registry);
     }
     path
 }

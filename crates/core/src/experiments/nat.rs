@@ -7,7 +7,7 @@ use csprov_analysis::RateSeries;
 use csprov_game::{Middlebox, ScenarioConfig, TraceOutcome, World, WorldInstruments};
 use csprov_net::{Direction, NullSink, TraceSink};
 use csprov_obs::MetricsRegistry;
-use csprov_router::{EngineConfig, EngineStats, NatDevice, NatTaps, RouterMetrics};
+use csprov_router::{EngineConfig, EngineStats, NatDevice, NatTaps};
 use csprov_sim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -74,7 +74,8 @@ pub fn run_nat_experiment_instrumented(
     };
     let device = Rc::new(NatDevice::new(engine.clone(), taps));
     if let Some(registry) = registry {
-        device.attach_metrics(RouterMetrics::register(registry));
+        device.stats().report_to(registry);
+        device.nat_stats().report_to(registry);
     }
     if let Some(journal) = &instruments.journal {
         device.attach_journal(journal.clone());
@@ -174,7 +175,8 @@ pub fn run_nat_campaign(
         None => NatDevice::new(engine.clone(), taps),
     });
     if let Some(registry) = registry {
-        device.attach_metrics(RouterMetrics::register(registry));
+        device.stats().report_to(registry);
+        device.nat_stats().report_to(registry);
     }
     if let Some(journal) = &instruments.journal {
         device.attach_journal(journal.clone());

@@ -15,7 +15,7 @@ use crate::server::{ConnectOutcome, ServerState};
 use crate::session::{self, Population};
 use csprov_analysis::SessionRecord;
 use csprov_net::{
-    client_endpoint, server_endpoint, Direction, Link, LinkClass, LinkMetrics, Packet, PacketKind,
+    client_endpoint, server_endpoint, Direction, Link, LinkClass, LinkStats, Packet, PacketKind,
     TraceRecord, TraceSink,
 };
 use csprov_sim::{spawn_periodic, RngStream, SimDuration, SimTime, Simulator, StopFlag};
@@ -47,8 +47,10 @@ pub trait Middlebox {
 pub struct WorldInstruments {
     /// Server/world instruments (tick span, snapshots, players, refusals).
     pub metrics: Option<GameMetrics>,
-    /// Aggregate access-link instruments, cloned into every client link.
-    pub link_metrics: Option<LinkMetrics>,
+    /// Registry the run's access-link stats report into (`net.link.*`).
+    /// Every client link counts into one [`LinkStats`] bundle, which
+    /// reports once.
+    pub registry: Option<csprov_obs::MetricsRegistry>,
     /// Read-only kernel observer `(every_n_events, callback)` — the hook a
     /// progress reporter hangs off.
     pub observer: Option<(u64, csprov_sim::Observer)>,
@@ -139,7 +141,8 @@ struct WorldState {
     rng_clients: RngStream,
     rng_misc: RngStream,
     metrics: Option<GameMetrics>,
-    link_metrics: Option<LinkMetrics>,
+    /// Shared by every client access link.
+    link_stats: LinkStats,
     journal: Option<csprov_obs::Journal>,
 }
 
@@ -203,6 +206,10 @@ impl World {
         let root = RngStream::new(cfg.seed);
         let server = ServerState::new(cfg.server.clone(), root.derive("server"));
         let mut rng_maps = root.derive("maps");
+        let link_stats = LinkStats::default();
+        if let Some(registry) = &instruments.registry {
+            link_stats.report_to(registry);
+        }
         let state = Rc::new(RefCell::new(WorldState {
             population: Population::new(cfg.workload.population_theta),
             server,
@@ -225,7 +232,7 @@ impl World {
             rng_clients: root.derive("clients"),
             rng_misc: root.derive("misc"),
             metrics: instruments.metrics,
-            link_metrics: instruments.link_metrics,
+            link_stats,
             journal: instruments.journal.clone(),
             cfg,
         }));
@@ -778,10 +785,11 @@ fn begin_connection_attempt(w: &W, sim: &mut Simulator, retry_as: Option<u32>) {
         } else {
             pick_link_class(&st.cfg.workload.link_mix, &mut crng)
         };
-        let link = Link::of_class(link_class, crng.derive("link"));
-        if let Some(lm) = &st.link_metrics {
-            link.attach_metrics(lm.clone());
-        }
+        let link = Link::with_stats(
+            link_class.config(),
+            crng.derive("link"),
+            st.link_stats.clone(),
+        );
         let custom_rate = is_l337.then_some(st.cfg.workload.l337_update_rate);
         let req_size = packets::connect_request_size(&mut crng);
 

@@ -20,8 +20,8 @@
 //!    [`FaultStats::conservation_holds`]).
 
 use crate::packet::Packet;
-use csprov_obs::Journal;
-use csprov_sim::{Counter, RngStream, SimDuration, SimTime, TokenBucket};
+use csprov_obs::{Counter, Journal, MetricsRegistry};
+use csprov_sim::{RngStream, SimDuration, SimTime, TokenBucket};
 
 /// Impairment configuration. The default is a no-op.
 #[derive(Debug, Clone, Default)]
@@ -166,6 +166,23 @@ impl FaultStats {
     /// The conservation identity: every offered packet has exactly one fate.
     pub fn conservation_holds(&self) -> bool {
         self.offered.get() == self.delivered() + self.dropped_total()
+    }
+
+    /// Reports every counter into `registry`'s `net.fault.*` totals;
+    /// `dropped` reports as `net.fault.dropped_random`.
+    pub fn report_to(&self, registry: &MetricsRegistry) {
+        for (name, counter) in [
+            ("net.fault.offered", &self.offered),
+            ("net.fault.passed", &self.passed),
+            ("net.fault.dropped_random", &self.dropped),
+            ("net.fault.dropped_burst", &self.dropped_burst),
+            ("net.fault.corrupted", &self.corrupted),
+            ("net.fault.shaped", &self.shaped),
+            ("net.fault.reordered", &self.reordered),
+            ("net.fault.duplicated", &self.duplicated),
+        ] {
+            counter.report_to(&registry.counter(name));
+        }
     }
 }
 

@@ -22,15 +22,12 @@
 //!   the knobs of smoltcp's example harnesses.
 //! - [`error`] — the typed error taxonomy for the ingest path; malformed
 //!   captures degrade the analysis instead of unwinding the process.
-//! - [`metrics`] — optional aggregate link instrumentation backed by
-//!   `csprov-obs`; attaching it never changes queueing or loss decisions.
 
 pub mod addr;
 pub mod batch;
 pub mod error;
 pub mod fault;
 pub mod link;
-pub mod metrics;
 pub mod packet;
 pub mod pcap;
 pub mod trace;
@@ -44,6 +41,5 @@ pub use fault::{
     ReorderConfig,
 };
 pub use link::{Link, LinkClass, LinkConfig, LinkStats};
-pub use metrics::{FaultMetrics, LinkMetrics};
 pub use packet::{Direction, Packet, PacketKind, CAPTURE_OVERHEAD_BYTES, WIRE_OVERHEAD_BYTES};
 pub use trace::{CountingSink, NullSink, Tee, TraceReader, TraceRecord, TraceSink, TraceWriter};

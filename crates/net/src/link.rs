@@ -12,9 +12,9 @@
 //! so admission, departure and arrival are all decided when the packet is
 //! offered, and an admitted packet costs one kernel event — its delivery.
 
-use crate::metrics::LinkMetrics;
 use crate::packet::Packet;
-use csprov_sim::{Counter, RngStream, SimDuration, SimTime, Simulator};
+use csprov_obs::{Counter, Gauge, MetricsRegistry};
+use csprov_sim::{RngStream, SimDuration, SimTime, Simulator};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -102,7 +102,8 @@ impl LinkClass {
     }
 }
 
-/// Per-link delivery statistics.
+/// Delivery statistics of one link, or of every link sharing the bundle
+/// (see [`Link::with_stats`]). Shared handles.
 #[derive(Debug, Clone, Default)]
 pub struct LinkStats {
     /// Packets offered to the link.
@@ -113,6 +114,27 @@ pub struct LinkStats {
     pub dropped_queue: Counter,
     /// Packets dropped by random loss.
     pub dropped_random: Counter,
+    /// Packets admitted but not yet arrived — queued, serializing or
+    /// propagating — with high-water mark. Links keep no departure event,
+    /// so queue depth alone is not tracked. At any instant `offered =
+    /// delivered + dropped_queue + dropped_random + in_flight`.
+    pub in_flight: Gauge,
+}
+
+impl LinkStats {
+    /// Reports every handle into `registry`'s `net.link.*` totals.
+    pub fn report_to(&self, registry: &MetricsRegistry) {
+        for (name, counter) in [
+            ("net.link.offered", &self.offered),
+            ("net.link.delivered", &self.delivered),
+            ("net.link.dropped_queue", &self.dropped_queue),
+            ("net.link.dropped_random", &self.dropped_random),
+        ] {
+            counter.report_to(&registry.counter(name));
+        }
+        self.in_flight
+            .report_to(&registry.gauge("net.link.in_flight"));
+    }
 }
 
 struct LinkState {
@@ -126,7 +148,6 @@ struct LinkState {
     /// two packets queued at once.
     backlog: VecDeque<SimTime>,
     stats: LinkStats,
-    metrics: Option<LinkMetrics>,
 }
 
 /// One direction of a network path. Cheap to clone (shared state).
@@ -138,32 +159,26 @@ pub struct Link {
 impl Link {
     /// Creates a link with the given configuration and RNG stream.
     pub fn new(config: LinkConfig, rng: RngStream) -> Self {
+        Self::with_stats(config, rng, LinkStats::default())
+    }
+
+    /// Creates a link counting into an existing stats bundle, so many
+    /// links (e.g. every client's access link) can share one set of totals.
+    pub fn with_stats(config: LinkConfig, rng: RngStream, stats: LinkStats) -> Self {
         Link {
             state: Rc::new(RefCell::new(LinkState {
                 config,
                 rng,
                 busy_until: None,
                 backlog: VecDeque::new(),
-                stats: LinkStats::default(),
-                metrics: None,
+                stats,
             })),
         }
     }
 
-    /// Creates a link of a canonical class.
-    pub fn of_class(class: LinkClass, rng: RngStream) -> Self {
-        Link::new(class.config(), rng)
-    }
-
-    /// A snapshot handle onto the link's statistics counters.
+    /// Shared handles onto the link's statistics.
     pub fn stats(&self) -> LinkStats {
         self.state.borrow().stats.clone()
-    }
-
-    /// Attaches aggregate [`LinkMetrics`]; purely observational — the link's
-    /// queueing, loss and timing behaviour is unchanged.
-    pub fn attach_metrics(&self, metrics: LinkMetrics) {
-        self.state.borrow_mut().metrics = Some(metrics);
     }
 
     /// The link's configuration.
@@ -186,9 +201,6 @@ impl Link {
             let mut st = self.state.borrow_mut();
             let st = &mut *st;
             st.stats.offered.incr();
-            if let Some(m) = &st.metrics {
-                m.offered.incr();
-            }
             // Ends are nondecreasing, so the expired ones are a prefix.
             while st.backlog.front().is_some_and(|&end| end < now) {
                 st.backlog.pop_front();
@@ -197,17 +209,11 @@ impl Link {
             let queued = st.backlog.len() + usize::from(latest_queued.is_some());
             if queued >= st.config.queue_limit {
                 st.stats.dropped_queue.incr();
-                if let Some(m) = &st.metrics {
-                    m.dropped_queue.incr();
-                }
                 return;
             }
             let loss = st.config.loss;
             if loss > 0.0 && st.rng.chance(loss) {
                 st.stats.dropped_random.incr();
-                if let Some(m) = &st.metrics {
-                    m.dropped_random.incr();
-                }
                 return;
             }
             let start = match latest_queued {
@@ -219,9 +225,7 @@ impl Link {
             };
             let depart = start + st.config.tx_time(packet.wire_len());
             st.busy_until = Some(depart);
-            if let Some(m) = &st.metrics {
-                m.in_flight.adjust(1);
-            }
+            st.stats.in_flight.adjust(1);
             let jitter_bound = st.config.jitter.as_nanos();
             let jitter_ns = if jitter_bound == 0 {
                 0
@@ -235,11 +239,8 @@ impl Link {
         sim.schedule_at(arrive, move |sim| {
             {
                 let st = state.borrow();
+                st.stats.in_flight.adjust(-1);
                 st.stats.delivered.incr();
-                if let Some(m) = &st.metrics {
-                    m.in_flight.adjust(-1);
-                    m.delivered.incr();
-                }
             }
             deliver(sim, packet);
         });
@@ -400,19 +401,18 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_mirror_stats_without_changing_behaviour() {
+    fn reported_totals_match_stats_without_changing_behaviour() {
         // 8 ms of serialization per packet, one offered every 3 ms into a
         // two-slot queue with 20% random loss and 30 ms of propagation, so
         // every counter moves and packets are in flight mid-run.
-        let deliveries = |metrics: bool| {
+        let deliveries = |report: bool| {
             let mut sim = Simulator::new();
             let mut cfg = lossless(98_000.0, 30, 2);
             cfg.loss = 0.2;
             let link = Link::new(cfg, RngStream::new(3));
-            let reg = csprov_obs::MetricsRegistry::new();
-            let m = metrics.then(|| crate::metrics::LinkMetrics::register(&reg));
-            if let Some(m) = &m {
-                link.attach_metrics(m.clone());
+            let reg = MetricsRegistry::new();
+            if report {
+                link.stats().report_to(&reg);
             }
             let delivered = Rc::new(RefCell::new(Vec::new()));
             for i in 0..40u64 {
@@ -421,40 +421,67 @@ mod tests {
                     link.send(sim, pkt(40), move |sim, _| d.borrow_mut().push(sim.now()));
                 });
             }
-            let conserved = |m: &crate::metrics::LinkMetrics| {
-                let in_flight = u64::try_from(m.in_flight.get()).expect("non-negative");
+            // Checks conservation on the stats and, when reporting, that
+            // each registry total equals its stat; returns `in_flight`.
+            let conserved = || {
+                let s = link.stats();
+                let in_flight = u64::try_from(s.in_flight.get()).expect("non-negative");
                 assert_eq!(
-                    m.offered.get(),
-                    m.delivered.get() + m.dropped_queue.get() + m.dropped_random.get() + in_flight
+                    s.offered.get(),
+                    s.delivered.get() + s.dropped_queue.get() + s.dropped_random.get() + in_flight
                 );
-                let stats = link.stats();
-                assert_eq!(m.offered.get(), stats.offered.get());
-                assert_eq!(m.delivered.get(), stats.delivered.get());
-                assert_eq!(m.dropped_queue.get(), stats.dropped_queue.get());
-                assert_eq!(m.dropped_random.get(), stats.dropped_random.get());
+                if report {
+                    for (name, stat) in [
+                        ("net.link.offered", &s.offered),
+                        ("net.link.delivered", &s.delivered),
+                        ("net.link.dropped_queue", &s.dropped_queue),
+                        ("net.link.dropped_random", &s.dropped_random),
+                    ] {
+                        assert_eq!(reg.counter(name).get(), stat.get(), "{name}");
+                    }
+                    let total = reg.gauge("net.link.in_flight");
+                    assert_eq!(total.get(), s.in_flight.get());
+                    assert_eq!(total.high_water(), s.in_flight.high_water());
+                }
                 in_flight
             };
             sim.run_until(SimTime::from_millis(61));
-            if let Some(m) = &m {
-                assert!(conserved(m) > 0, "stopped with packets in flight");
-            }
+            assert!(conserved() > 0, "stopped with packets in flight");
             sim.run();
-            if let Some(m) = &m {
-                assert_eq!(conserved(m), 0);
-                assert_eq!(m.offered.get(), 40);
-                assert!(m.delivered.get() > 0);
-                assert!(m.dropped_queue.get() > 0);
-                assert!(m.dropped_random.get() > 0);
-                // Two queued plus those propagating behind them.
-                assert!(m.in_flight.high_water() > 2);
-            }
+            assert_eq!(conserved(), 0);
+            let s = link.stats();
+            assert_eq!(s.offered.get(), 40);
+            assert!(s.delivered.get() > 0);
+            assert!(s.dropped_queue.get() > 0);
+            assert!(s.dropped_random.get() > 0);
+            // Two queued plus those propagating behind them.
+            assert!(s.in_flight.high_water() > 2);
             delivered.take()
         };
         assert_eq!(
             deliveries(false),
             deliveries(true),
-            "metrics must not perturb the link"
+            "reporting must not perturb the link"
         );
+    }
+
+    #[test]
+    fn links_sharing_stats_count_into_one_bundle() {
+        let mut sim = Simulator::new();
+        let shared = LinkStats::default();
+        let a = Link::with_stats(lossless(98_000.0, 0, 1), RngStream::new(1), shared.clone());
+        let b = Link::with_stats(lossless(98_000.0, 0, 1), RngStream::new(2), shared.clone());
+        // Each link admits one packet and tail-drops the second.
+        for link in [&a, &b, &a, &b] {
+            link.send(&mut sim, pkt(40), |_, _| {});
+        }
+        assert_eq!(shared.in_flight.get(), 2);
+        sim.run();
+        assert_eq!(shared.offered.get(), 4);
+        assert_eq!(shared.delivered.get(), 2);
+        assert_eq!(shared.dropped_queue.get(), 2);
+        assert_eq!(shared.in_flight.get(), 0);
+        assert_eq!(a.stats().offered.get(), 4, "a link's stats are the bundle");
     }
 
     #[test]

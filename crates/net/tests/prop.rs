@@ -407,6 +407,7 @@ fn link_admission_matches_brute_force_reference() {
         let mut sim = Simulator::new();
         let arrivals = Rc::new(RefCell::new(Vec::new()));
         let mut expected = Vec::new();
+        let mut sent_at = Vec::new();
         let n = g.usize_in(1..200);
         let mut now = SimTime::ZERO;
         for i in 0..n {
@@ -425,6 +426,7 @@ fn link_admission_matches_brute_force_reference() {
             let pkt = gen_packet(g, i as u32, Direction::Inbound, now);
             let depart = reference.offer(now, config.tx_time(pkt.wire_len()));
             expected.push(depart.map(|depart| depart + config.propagation));
+            sent_at.push(now);
             let (link, arrivals) = (link.clone(), arrivals.clone());
             sim.schedule_at(now, move |sim| {
                 link.send(sim, pkt, move |sim, _| {
@@ -432,6 +434,35 @@ fn link_admission_matches_brute_force_reference() {
                 });
             });
         }
+        // Stop at a random instant before the drain: every offer and
+        // arrival strictly before it has run, and the stats conserve.
+        let last = expected.iter().flatten().chain(&sent_at).max().copied();
+        let horizon = last.unwrap_or(SimTime::ZERO).as_nanos();
+        let stop = SimTime::from_nanos(g.u64_in(0..horizon + 1));
+        sim.run_until(stop);
+        let stats = link.stats();
+        let before = |t: &SimTime| *t < stop;
+        let offered = sent_at.iter().filter(|t| before(t)).count() as u64;
+        let mut in_flight = 0;
+        let mut delivered = 0;
+        for (sent, arrival) in sent_at.iter().zip(&expected) {
+            match arrival {
+                Some(at) if before(at) => delivered += 1,
+                Some(_) if before(sent) => in_flight += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(stats.offered.get(), offered);
+        assert_eq!(stats.delivered.get(), delivered);
+        assert_eq!(stats.in_flight.get(), in_flight);
+        assert_eq!(
+            stats.offered.get(),
+            stats.delivered.get()
+                + stats.dropped_queue.get()
+                + stats.dropped_random.get()
+                + u64::try_from(stats.in_flight.get()).expect("non-negative"),
+        );
+
         sim.run();
         let mut got = vec![None; n];
         for &(i, at) in arrivals.borrow().iter() {
@@ -439,10 +470,10 @@ fn link_admission_matches_brute_force_reference() {
         }
         assert_eq!(got, expected);
         let admitted = expected.iter().flatten().count() as u64;
-        let stats = link.stats();
         assert_eq!(stats.offered.get(), n as u64);
         assert_eq!(stats.delivered.get(), admitted);
         assert_eq!(stats.dropped_queue.get(), n as u64 - admitted);
         assert_eq!(stats.dropped_random.get(), 0);
+        assert_eq!(stats.in_flight.get(), 0);
     });
 }

@@ -5,6 +5,13 @@
 //! registry costs one pointer copy to update; the registry keeps the same
 //! shared storage and renders snapshots from it on demand.
 //!
+//! Simulated components (links, fault injectors, the NAT device) keep their
+//! own per-instance counters and gauges, which their reports read. To show
+//! up in a registry they *report into* its instruments rather than being
+//! them: after `report_to`, each update moves the component's handle and the
+//! registry total once, so several runs folded into one registry sum there
+//! while each component still counts only its own events.
+//!
 //! Instruments carry a *wall* flag separating the deterministic domain
 //! (anything derived from sim time, event counts, packet counts) from the
 //! wall-clock domain (span durations measured with `Instant`). Deterministic
@@ -15,61 +22,113 @@ use crate::histogram::LogHistogram;
 use crate::json::escape as json_str;
 use crate::profile::Profile;
 use crate::span::Span;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Monotonic event counter.
+///
+/// A component keeps its own counter and can make it feed a registry total
+/// with [`Counter::report_to`]: from then on one `incr`/`add` moves both the
+/// component's tally and the total. Counters the registry hands out report
+/// nowhere.
 #[derive(Clone, Debug, Default)]
-pub struct Counter(Rc<Cell<u64>>);
+pub struct Counter(Rc<CounterCell>);
+
+#[derive(Debug, Default)]
+struct CounterCell {
+    value: Cell<u64>,
+    total: OnceCell<Counter>,
+}
 
 impl Counter {
     /// Adds one.
+    #[inline]
     pub fn incr(&self) {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`, here and in the total this counter reports to.
+    #[inline]
     pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
+        let cell = &*self.0;
+        cell.value.set(cell.value.get().wrapping_add(n));
+        if let Some(total) = cell.total.get() {
+            total.add(n);
+        }
     }
 
     /// Current value.
+    #[inline]
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.0.value.get()
+    }
+
+    /// Makes every later `incr`/`add` of this counter (through any clone)
+    /// also move `total`; counts made before the call are not carried
+    /// over. A handle reports to at most one total: a second call is
+    /// ignored. The total must not report back into this counter.
+    pub fn report_to(&self, total: &Counter) {
+        let _ = self.0.total.set(total.clone());
     }
 }
 
 /// Instantaneous level with a high-water mark.
+///
+/// Like [`Counter`], a gauge can feed a registry total with
+/// [`Gauge::report_to`]; the total receives each change as a delta, so it
+/// reads the sum of the levels reporting to it and keeps its own high-water
+/// mark.
 #[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    value: Rc<Cell<i64>>,
-    high: Rc<Cell<i64>>,
+pub struct Gauge(Rc<GaugeCell>);
+
+#[derive(Debug, Default)]
+struct GaugeCell {
+    value: Cell<i64>,
+    high: Cell<i64>,
+    total: OnceCell<Gauge>,
 }
 
 impl Gauge {
-    /// Sets the level, advancing the high-water mark when exceeded.
+    /// Sets the level, advancing the high-water mark when exceeded, and
+    /// moves the total this gauge reports to by the change.
+    #[inline]
     pub fn set(&self, v: i64) {
-        self.value.set(v);
-        if v > self.high.get() {
-            self.high.set(v);
+        let cell = &*self.0;
+        let delta = v.wrapping_sub(cell.value.get());
+        cell.value.set(v);
+        if v > cell.high.get() {
+            cell.high.set(v);
+        }
+        if let Some(total) = cell.total.get() {
+            total.adjust(delta);
         }
     }
 
     /// Adjusts the level by a signed delta.
+    #[inline]
     pub fn adjust(&self, delta: i64) {
-        self.set(self.value.get() + delta);
+        self.set(self.get() + delta);
     }
 
     /// Current level.
+    #[inline]
     pub fn get(&self) -> i64 {
-        self.value.get()
+        self.0.value.get()
     }
 
     /// Largest level ever set.
     pub fn high_water(&self) -> i64 {
-        self.high.get()
+        self.0.high.get()
+    }
+
+    /// Makes every later change of this gauge (through any clone) move
+    /// `total` by the same delta; the level reached before the call is not
+    /// carried over. A handle reports to at most one total: a second call
+    /// is ignored. The total must not report back into this gauge.
+    pub fn report_to(&self, total: &Gauge) {
+        let _ = self.0.total.set(total.clone());
     }
 }
 
@@ -507,6 +566,85 @@ mod tests {
         h.record(100);
         assert_eq!(reg.histogram("a.size").snapshot().count(), 1);
         assert_eq!(reg.len(), 3);
+    }
+
+    #[test]
+    fn counter_accumulates_and_shares() {
+        let c = Counter::default();
+        let c2 = c.clone();
+        c.incr();
+        c2.add(4);
+        assert_eq!((c.get(), c2.get()), (5, 5));
+    }
+
+    #[test]
+    fn gauge_moves_both_ways() {
+        let g = Gauge::default();
+        g.adjust(3);
+        g.clone().adjust(-5);
+        assert_eq!(g.get(), -2);
+        assert_eq!(g.high_water(), 3);
+        g.set(10);
+        assert_eq!((g.get(), g.high_water()), (10, 10));
+    }
+
+    #[test]
+    fn counters_reporting_to_one_total_sum_into_it() {
+        let reg = MetricsRegistry::new();
+        let (a, b) = (Counter::default(), Counter::default());
+        a.report_to(&reg.counter("net.offered"));
+        b.report_to(&reg.counter("net.offered"));
+        a.add(3);
+        b.incr();
+        a.clone().incr();
+        assert_eq!((a.get(), b.get()), (4, 1));
+        assert_eq!(reg.counter("net.offered").get(), 5);
+        assert!(reg.render_text().contains("net.offered counter 5"));
+    }
+
+    #[test]
+    fn a_gauge_passes_on_deltas_and_its_total_keeps_its_own_high_water() {
+        let reg = MetricsRegistry::new();
+        let total = reg.gauge("queue.depth");
+        let (a, b) = (Gauge::default(), Gauge::default());
+        a.report_to(&total);
+        b.report_to(&total);
+        a.set(4);
+        b.adjust(3);
+        assert_eq!(total.get(), 7);
+        a.adjust(-4);
+        b.set(1);
+        assert_eq!((a.get(), b.get(), total.get()), (0, 1, 1));
+        assert_eq!((a.high_water(), b.high_water()), (4, 3));
+        assert_eq!(total.high_water(), 7, "both levels peaked together");
+    }
+
+    #[test]
+    fn a_second_report_to_is_ignored() {
+        let reg = MetricsRegistry::new();
+        let c = Counter::default();
+        c.report_to(&reg.counter("first"));
+        c.report_to(&reg.counter("second"));
+        c.add(2);
+        assert_eq!(reg.counter("first").get(), 2);
+        assert_eq!(reg.counter("second").get(), 0);
+
+        let g = Gauge::default();
+        g.report_to(&reg.gauge("first.level"));
+        g.report_to(&reg.gauge("second.level"));
+        g.set(6);
+        assert_eq!(reg.gauge("first.level").get(), 6);
+        assert_eq!(reg.gauge("second.level").get(), 0);
+    }
+
+    #[test]
+    fn counts_before_report_to_are_not_carried_over() {
+        let reg = MetricsRegistry::new();
+        let c = Counter::default();
+        c.add(10);
+        c.report_to(&reg.counter("late"));
+        c.incr();
+        assert_eq!((c.get(), reg.counter("late").get()), (11, 1));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! WAN-side queue overflows — exactly the paper's explanation for inbound
 //! loss exceeding outbound.
 
-use crate::metrics::RouterMetrics;
 use csprov_net::{Direction, Packet};
-use csprov_sim::{Counter, SimDuration, SimTime, Simulator};
+use csprov_obs::{Counter, Gauge, MetricsRegistry};
+use csprov_sim::{SimDuration, SimTime, Simulator};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -101,7 +101,13 @@ impl DelayStats {
     }
 }
 
-/// Per-direction offered/forwarded/dropped counters.
+/// Per-direction offered/forwarded/dropped counters, plus the lookup CPU's
+/// busy time and the shared FIFO's depth. Shared handles.
+///
+/// The interesting provisioning quantity is the *lookup CPU busy
+/// fraction*: `busy_ns` accumulates simulated CPU time spent on lookups and
+/// housekeeping stalls, so `busy_ns / run_ns` is the utilization the paper's
+/// capacity analysis reasons about.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Packets offered, `[inbound, outbound]`.
@@ -112,6 +118,11 @@ pub struct EngineStats {
     pub dropped: [Counter; 2],
     /// Sojourn-time statistics of forwarded packets, `[inbound, outbound]`.
     pub delay: [DelayStats; 2],
+    /// Simulated CPU time spent serving lookups and housekeeping stalls.
+    pub busy_ns: Counter,
+    /// Packets waiting in the shared FIFO (not the one in service), with
+    /// high-water mark.
+    pub queue_depth: Gauge,
 }
 
 impl EngineStats {
@@ -132,6 +143,24 @@ impl EngineStats {
             self.dropped[i].get() as f64 / offered as f64
         }
     }
+
+    /// Reports the counters and the queue depth into `registry`'s
+    /// `router.engine.*` totals (`offered_in`, `offered_out`, ...).
+    pub fn report_to(&self, registry: &MetricsRegistry) {
+        for (i, dir) in ["in", "out"].into_iter().enumerate() {
+            for (what, counters) in [
+                ("offered", &self.offered),
+                ("forwarded", &self.forwarded),
+                ("dropped", &self.dropped),
+            ] {
+                counters[i].report_to(&registry.counter(&format!("router.engine.{what}_{dir}")));
+            }
+        }
+        self.busy_ns
+            .report_to(&registry.counter("router.engine.busy_ns"));
+        self.queue_depth
+            .report_to(&registry.gauge("router.engine.queue_depth"));
+    }
 }
 
 type Deliver = Box<dyn FnOnce(&mut Simulator, Packet)>;
@@ -143,7 +172,6 @@ struct EngineState {
     busy: bool,
     next_housekeeping: csprov_sim::SimTime,
     stats: EngineStats,
-    metrics: Option<RouterMetrics>,
 }
 
 /// A shared-CPU store-and-forward engine. Clone shares state.
@@ -163,7 +191,6 @@ impl ForwardingEngine {
                 occupancy: [0, 0],
                 busy: false,
                 stats: EngineStats::default(),
-                metrics: None,
             })),
         }
     }
@@ -171,12 +198,6 @@ impl ForwardingEngine {
     /// Handles to the counters.
     pub fn stats(&self) -> EngineStats {
         self.state.borrow().stats.clone()
-    }
-
-    /// Attaches [`RouterMetrics`]; purely observational — service order,
-    /// queue limits and timing are unchanged.
-    pub fn attach_metrics(&self, metrics: RouterMetrics) {
-        self.state.borrow_mut().metrics = Some(metrics);
     }
 
     /// The engine's configuration.
@@ -199,26 +220,18 @@ impl ForwardingEngine {
             let mut st = self.state.borrow_mut();
             let dir = EngineStats::idx(pkt.direction);
             st.stats.offered[dir].incr();
-            if let Some(m) = &st.metrics {
-                m.offered(dir).incr();
-            }
             let limit = match pkt.direction {
                 Direction::Inbound => st.config.wan_queue,
                 Direction::Outbound => st.config.lan_queue,
             };
             if st.occupancy[dir] >= limit {
                 st.stats.dropped[dir].incr();
-                if let Some(m) = &st.metrics {
-                    m.dropped(dir).incr();
-                }
                 return;
             }
             st.occupancy[dir] += 1;
             let arrived = sim.now();
             st.queue.push_back((pkt, arrived, Box::new(deliver)));
-            if let Some(m) = &st.metrics {
-                m.queue_depth.adjust(1);
-            }
+            st.stats.queue_depth.adjust(1);
             if st.busy {
                 false
             } else {
@@ -244,10 +257,8 @@ impl ForwardingEngine {
                 Some((pkt, arrived, deliver)) => {
                     let dir = EngineStats::idx(pkt.direction);
                     st.occupancy[dir] -= 1;
-                    if let Some(m) = &st.metrics {
-                        m.queue_depth.adjust(-1);
-                        m.busy_ns.add(service.as_nanos());
-                    }
+                    st.stats.queue_depth.adjust(-1);
+                    st.stats.busy_ns.add(service.as_nanos());
                     (service, Some((pkt, arrived, deliver)))
                 }
                 None => {
@@ -264,9 +275,6 @@ impl ForwardingEngine {
                     let dir = EngineStats::idx(pkt.direction);
                     st.stats.forwarded[dir].incr();
                     st.stats.delay[dir].record(sim.now().saturating_since(arrived));
-                    if let Some(m) = &st.metrics {
-                        m.forwarded(dir).incr();
-                    }
                 }
                 deliver(sim, pkt);
                 this.serve_next(sim);

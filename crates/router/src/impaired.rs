@@ -14,7 +14,7 @@
 //! replayable bit-for-bit.
 
 use csprov_game::{Deliver, Middlebox};
-use csprov_net::{Direction, Fate, FaultConfig, FaultInjector, FaultMetrics, FaultStats, Packet};
+use csprov_net::{Direction, Fate, FaultConfig, FaultInjector, FaultStats, Packet};
 use csprov_sim::{RngStream, Simulator};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,7 +25,6 @@ pub struct ImpairedPath {
     inbound: RefCell<FaultInjector>,
     outbound: RefCell<FaultInjector>,
     inner: Option<Rc<dyn Middlebox>>,
-    metrics: RefCell<Option<FaultMetrics>>,
 }
 
 impl ImpairedPath {
@@ -56,7 +55,6 @@ impl ImpairedPath {
                 stats,
             )),
             inner,
-            metrics: RefCell::new(None),
         }
     }
 
@@ -65,34 +63,12 @@ impl ImpairedPath {
         self.inbound.borrow().stats()
     }
 
-    /// Attaches registry-backed instruments mirroring the fate counters.
-    /// Observe-only: fate decisions never read them back.
-    pub fn attach_metrics(&self, metrics: FaultMetrics) {
-        *self.metrics.borrow_mut() = Some(metrics);
-    }
-
     /// Attaches a trace journal to both directional injectors: every
     /// impairment decision (reorder, duplicate, drop) becomes a
     /// `net.fault.*` event. Write-only — fates are drawn exactly as before.
     pub fn attach_journal(&self, journal: csprov_obs::Journal) {
         self.inbound.borrow_mut().attach_journal(journal.clone());
         self.outbound.borrow_mut().attach_journal(journal);
-    }
-
-    fn mirror(&self, fate: Fate) {
-        if let Some(m) = self.metrics.borrow().as_ref() {
-            m.offered.incr();
-            use csprov_net::DropCause;
-            match fate {
-                Fate::Deliver => m.passed.incr(),
-                Fate::DeliverDelayed(_) => m.reordered.incr(),
-                Fate::Duplicate(_) => m.duplicated.incr(),
-                Fate::Drop(DropCause::Random) => m.dropped_random.incr(),
-                Fate::Drop(DropCause::Burst) => m.dropped_burst.incr(),
-                Fate::Drop(DropCause::Corrupt) => m.corrupted.incr(),
-                Fate::Drop(DropCause::Shaped) => m.shaped.incr(),
-            }
-        }
     }
 }
 
@@ -112,7 +88,6 @@ impl Middlebox for ImpairedPath {
             Direction::Outbound => &self.outbound,
         };
         let fate = injector.borrow_mut().decide(sim.now(), &pkt);
-        self.mirror(fate);
         match fate {
             Fate::Drop(_) => {}
             Fate::Deliver => pass_on(&self.inner, sim, pkt, deliver),
@@ -276,6 +251,40 @@ mod tests {
         // Both copies crossed the inner NAT device.
         assert_eq!(nat.stats().offered[0].get(), 2);
         assert!(path.stats().conservation_holds());
+    }
+
+    #[test]
+    fn two_paths_report_into_one_registry() {
+        let reg = csprov_obs::MetricsRegistry::new();
+        let lossy = FaultConfig {
+            drop_chance: 0.5,
+            ..Default::default()
+        };
+        let a = ImpairedPath::new(lossy.clone(), RngStream::new(7), None);
+        let b = ImpairedPath::new(lossy, RngStream::new(8), None);
+        a.stats().report_to(&reg);
+        b.stats().report_to(&reg);
+        let mut sim = Simulator::new();
+        for i in 0..100 {
+            a.forward(&mut sim, pkt(i), Box::new(|_, _| {}));
+        }
+        for i in 0..40 {
+            b.forward(&mut sim, pkt(i), Box::new(|_, _| {}));
+        }
+        sim.run();
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!(sa.offered.get(), 100, "a counts only its own packets");
+        assert_eq!(sb.offered.get(), 40, "b counts only its own packets");
+        assert!(sa.conservation_holds() && sb.conservation_holds());
+        assert_eq!(reg.counter("net.fault.offered").get(), 140);
+        assert_eq!(
+            reg.counter("net.fault.dropped_random").get(),
+            sa.dropped.get() + sb.dropped.get()
+        );
+        assert_eq!(
+            reg.counter("net.fault.passed").get(),
+            sa.passed.get() + sb.passed.get()
+        );
     }
 
     #[test]

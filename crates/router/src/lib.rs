@@ -15,8 +15,6 @@
 //!   policies (by packet size / frequency), the paper's §IV-B proposal.
 //! - [`impaired`] — fault-injection wrapper composing background loss /
 //!   shaping with any middlebox.
-//! - [`metrics`] — optional `csprov-obs` instrumentation (lookup-CPU busy
-//!   time, queue depth, NAT table size); attaching it changes nothing.
 //! - [`provision`] — the analytical provisioning model the paper's title
 //!   promises: closed-form drain-window loss and delay estimates, validated
 //!   against the discrete-event engine.
@@ -24,7 +22,6 @@
 pub mod cache;
 pub mod engine;
 pub mod impaired;
-pub mod metrics;
 pub mod nat;
 pub mod provision;
 pub mod table;
@@ -34,7 +31,6 @@ pub use cache::{
 };
 pub use engine::{EngineConfig, EngineStats, ForwardingEngine};
 pub use impaired::ImpairedPath;
-pub use metrics::RouterMetrics;
 pub use nat::{NatDevice, NatEntry, NatStats, NatTable, NatTableConfig, NatTaps, TouchOutcome};
 pub use provision::{provision, required_capacity, servers_supported, GameLoad, Provisioning};
 pub use table::{NextHop, RouteTable};

@@ -6,9 +6,9 @@
 //! `NAT → clients` (outbound pair).
 
 use crate::engine::{EngineConfig, EngineStats, ForwardingEngine};
-use crate::metrics::RouterMetrics;
 use csprov_game::{Deliver, Middlebox};
 use csprov_net::{Direction, Packet, TraceRecord, TraceSink};
+use csprov_obs::{Counter, Gauge, MetricsRegistry};
 use csprov_sim::{SimDuration, SimTime, Simulator};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -189,18 +189,35 @@ fn tap(t: &Option<Rc<RefCell<dyn TraceSink>>>, now: SimTime, pkt: &Packet) {
 pub struct NatStats {
     /// Packets refused for want of a mapping, per direction
     /// (`[inbound, outbound]`).
-    pub table_drops: [csprov_sim::Counter; 2],
+    pub table_drops: [Counter; 2],
     /// Idle entries reclaimed under pressure.
-    pub evictions: csprov_sim::Counter,
+    pub evictions: Counter,
     /// Mappings created only after reclaiming idle entries (graceful
     /// recovery from a full table).
-    pub recoveries: csprov_sim::Counter,
+    pub recoveries: Counter,
+    /// Live translation-table size, with high-water mark.
+    pub table_size: Gauge,
 }
 
 impl NatStats {
     /// Total refused packets across both directions.
     pub fn table_drops_total(&self) -> u64 {
         self.table_drops[0].get() + self.table_drops[1].get()
+    }
+
+    /// Reports into `registry`'s `router.nat.*` totals; both directions of
+    /// `table_drops` feed the one `router.nat.table_drops`.
+    pub fn report_to(&self, registry: &MetricsRegistry) {
+        let drops = registry.counter("router.nat.table_drops");
+        for counter in &self.table_drops {
+            counter.report_to(&drops);
+        }
+        self.evictions
+            .report_to(&registry.counter("router.nat.evictions"));
+        self.recoveries
+            .report_to(&registry.counter("router.nat.recoveries"));
+        self.table_size
+            .report_to(&registry.gauge("router.nat.table_size"));
     }
 }
 
@@ -209,11 +226,7 @@ pub struct NatDevice {
     engine: ForwardingEngine,
     table: RefCell<NatTable>,
     taps: NatTaps,
-    /// Packets dropped because the translation table was full (legacy
-    /// total; [`NatDevice::nat_stats`] splits this by direction).
-    pub table_drops: csprov_sim::Counter,
     nat_stats: NatStats,
-    metrics: RefCell<Option<RouterMetrics>>,
     journal: RefCell<Option<csprov_obs::Journal>>,
 }
 
@@ -231,18 +244,9 @@ impl NatDevice {
             engine: ForwardingEngine::new(config),
             table: RefCell::new(NatTable::from_config(table)),
             taps,
-            table_drops: csprov_sim::Counter::new(),
             nat_stats: NatStats::default(),
-            metrics: RefCell::new(None),
             journal: RefCell::new(None),
         }
-    }
-
-    /// Attaches [`RouterMetrics`] to this device and its engine; purely
-    /// observational.
-    pub fn attach_metrics(&self, metrics: RouterMetrics) {
-        self.engine.attach_metrics(metrics.clone());
-        *self.metrics.borrow_mut() = Some(metrics);
     }
 
     /// Attaches a trace [`csprov_obs::Journal`]: translation-table inserts,
@@ -286,11 +290,7 @@ impl Middlebox for NatDevice {
             let session = u64::from(pkt.session);
             match outcome {
                 TouchOutcome::Refused => {
-                    self.table_drops.incr();
                     self.nat_stats.table_drops[dir_idx].incr();
-                    if let Some(m) = &*self.metrics.borrow() {
-                        m.nat_table_drops.incr();
-                    }
                     if let Some(j) = &*self.journal.borrow() {
                         let len = self.table.borrow().len() as u64;
                         j.emit(now.as_nanos(), "router.nat.refuse", session, len);
@@ -300,10 +300,6 @@ impl Middlebox for NatDevice {
                 TouchOutcome::Recovered { evicted, .. } => {
                     self.nat_stats.evictions.add(evicted as u64);
                     self.nat_stats.recoveries.incr();
-                    if let Some(m) = &*self.metrics.borrow() {
-                        m.nat_evictions.add(evicted as u64);
-                        m.nat_recoveries.incr();
-                    }
                     if let Some(j) = &*self.journal.borrow() {
                         j.emit(now.as_nanos(), "router.nat.evict", session, evicted as u64);
                         j.emit(now.as_nanos(), "router.nat.insert", session, 1);
@@ -316,12 +312,12 @@ impl Middlebox for NatDevice {
                 }
                 TouchOutcome::Existing(_) => {}
             }
-            if let Some(m) = &*self.metrics.borrow() {
-                m.nat_table_size.set(self.table.borrow().len() as i64);
-            }
-            if let Some(j) = &*self.journal.borrow() {
-                if !matches!(outcome, TouchOutcome::Existing(_)) {
-                    let len = self.table.borrow().len() as u64;
+            // Only a new mapping changes the table: a refusal has returned
+            // above, and a refused touch never evicts.
+            if !matches!(outcome, TouchOutcome::Existing(_)) {
+                let len = self.table.borrow().len() as u64;
+                self.nat_stats.table_size.set(len as i64);
+                if let Some(j) = &*self.journal.borrow() {
                     j.emit(now.as_nanos(), "router.nat.table.level", 0, len);
                 }
             }
@@ -447,10 +443,9 @@ mod tests {
         assert_eq!(dev.stats().dropped[1].get(), 0);
     }
 
-    #[test]
-    fn attached_metrics_mirror_engine_stats() {
-        let reg = csprov_obs::MetricsRegistry::new();
-        let dev = NatDevice::new(
+    /// A device with 500 µs lookups and two-slot queues.
+    fn small_queue_device() -> NatDevice {
+        NatDevice::new(
             EngineConfig {
                 lookup_time: SimDuration::from_micros(500),
                 wan_queue: 2,
@@ -458,24 +453,120 @@ mod tests {
                 ..EngineConfig::default()
             },
             NatTaps::default(),
-        );
-        dev.attach_metrics(RouterMetrics::register(&reg));
+        )
+    }
+
+    /// Offers six simultaneous inbound packets from sessions
+    /// `first_session..+6` to a [`small_queue_device`]: one is served at
+    /// once, two wait, three are dropped. Returns the delivery times.
+    fn offer_six(dev: &NatDevice, first_session: u32) -> Vec<SimTime> {
         let mut sim = Simulator::new();
+        let delivered = Rc::new(RefCell::new(Vec::new()));
         for i in 0..6 {
-            dev.forward(&mut sim, pkt(i, Direction::Inbound), Box::new(|_, _| {}));
+            let d = delivered.clone();
+            dev.forward(
+                &mut sim,
+                pkt(first_session + i, Direction::Inbound),
+                Box::new(move |sim, _| d.borrow_mut().push(sim.now())),
+            );
         }
         sim.run();
-        let m = RouterMetrics::register(&reg);
-        assert_eq!(m.offered_in.get(), 6);
-        assert_eq!(m.forwarded_in.get(), 3);
-        assert_eq!(m.dropped_in.get(), 3);
+        delivered.take()
+    }
+
+    #[test]
+    fn reported_totals_match_engine_and_table_stats() {
+        let reg = MetricsRegistry::new();
+        let dev = small_queue_device();
+        dev.stats().report_to(&reg);
+        dev.nat_stats().report_to(&reg);
+        let delivered = offer_six(&dev, 0);
+        assert_eq!(
+            delivered,
+            offer_six(&small_queue_device(), 0),
+            "reporting must not perturb the device"
+        );
+
+        let (stats, nat) = (dev.stats(), dev.nat_stats());
+        assert_eq!(stats.offered[0].get(), 6);
+        assert_eq!(stats.forwarded[0].get(), 3);
+        assert_eq!(stats.dropped[0].get(), 3);
         // Three lookups at 500 µs each.
-        assert_eq!(m.busy_ns.get(), 3 * 500_000);
-        assert_eq!(m.queue_depth.get(), 0);
+        assert_eq!(stats.busy_ns.get(), 3 * 500_000);
+        assert_eq!(stats.queue_depth.get(), 0);
         // One packet is in service (popped) while two wait in the FIFO.
-        assert_eq!(m.queue_depth.high_water(), 2);
-        assert_eq!(m.nat_table_size.get(), 6);
-        assert_eq!(m.nat_table_drops.get(), 0);
+        assert_eq!(stats.queue_depth.high_water(), 2);
+        assert_eq!(nat.table_size.get(), 6);
+        assert_eq!(nat.table_drops_total(), 0);
+
+        for (name, stat) in [
+            ("router.engine.offered_in", &stats.offered[0]),
+            ("router.engine.forwarded_in", &stats.forwarded[0]),
+            ("router.engine.dropped_in", &stats.dropped[0]),
+            ("router.engine.offered_out", &stats.offered[1]),
+            ("router.engine.busy_ns", &stats.busy_ns),
+            ("router.nat.evictions", &nat.evictions),
+            ("router.nat.recoveries", &nat.recoveries),
+        ] {
+            assert_eq!(reg.counter(name).get(), stat.get(), "{name}");
+        }
+        assert_eq!(reg.counter("router.nat.table_drops").get(), 0);
+        for (name, stat) in [
+            ("router.engine.queue_depth", &stats.queue_depth),
+            ("router.nat.table_size", &nat.table_size),
+        ] {
+            let total = reg.gauge(name);
+            assert_eq!(total.get(), stat.get(), "{name}");
+            assert_eq!(total.high_water(), stat.high_water(), "{name}");
+        }
+    }
+
+    #[test]
+    fn two_devices_report_into_one_registry() {
+        let reg = MetricsRegistry::new();
+        let (a, b) = (small_queue_device(), small_queue_device());
+        for dev in [&a, &b] {
+            dev.stats().report_to(&reg);
+            dev.nat_stats().report_to(&reg);
+        }
+        offer_six(&a, 0);
+        offer_six(&b, 10);
+        offer_six(&b, 20);
+        assert_eq!(a.stats().offered[0].get(), 6, "a counts only its own");
+        assert_eq!(b.stats().offered[0].get(), 12, "b counts only its own");
+        assert_eq!(a.nat_stats().table_size.get(), 6);
+        assert_eq!(b.nat_stats().table_size.get(), 12);
+        assert_eq!(reg.counter("router.engine.offered_in").get(), 18);
+        assert_eq!(reg.counter("router.engine.dropped_in").get(), 9);
+        assert_eq!(reg.counter("router.engine.busy_ns").get(), 9 * 500_000);
+        assert_eq!(reg.gauge("router.nat.table_size").get(), 18);
+    }
+
+    #[test]
+    fn both_directions_of_table_drops_feed_one_total() {
+        let reg = MetricsRegistry::new();
+        let dev = NatDevice::with_table(
+            EngineConfig::default(),
+            NatTableConfig {
+                capacity: 1,
+                idle_timeout: SimDuration::from_secs(10),
+            },
+            NatTaps::default(),
+        );
+        dev.nat_stats().report_to(&reg);
+        let mut sim = Simulator::new();
+        for p in [
+            pkt(0, Direction::Inbound),
+            pkt(1, Direction::Inbound),
+            pkt(2, Direction::Outbound),
+        ] {
+            dev.forward(&mut sim, p, Box::new(|_, _| {}));
+        }
+        sim.run();
+        let nat = dev.nat_stats();
+        assert_eq!(nat.table_drops[0].get(), 1);
+        assert_eq!(nat.table_drops[1].get(), 1);
+        assert_eq!(reg.counter("router.nat.table_drops").get(), 2);
     }
 
     #[test]
@@ -527,7 +618,6 @@ mod tests {
         sim.run();
         let stats = dev.nat_stats();
         assert_eq!(stats.table_drops[0].get(), 1, "refused while table hot");
-        assert_eq!(dev.table_drops.get(), 1, "legacy total tracks");
         assert_eq!(stats.recoveries.get(), 0);
 
         // 30 simulated seconds later both mappings are idle.

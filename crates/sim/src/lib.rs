@@ -40,7 +40,6 @@ pub mod pacing;
 pub mod process;
 pub mod rate;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use engine::{Action, Observer, Simulator};
@@ -49,5 +48,4 @@ pub use pacing::{Pacer, PacerStats, Speed};
 pub use process::{spawn_periodic, spawn_poisson, StopFlag};
 pub use rate::TokenBucket;
 pub use rng::RngStream;
-pub use stats::{Counter, Gauge, TrafficTotals};
 pub use time::{SimDuration, SimTime};

@@ -10,7 +10,7 @@ use csprov::experiments::nat::{run_nat_experiment, run_nat_experiment_instrument
 use csprov::experiments::tables;
 use csprov::pipeline::{FullAnalysis, MainRun};
 use csprov_game::{GameMetrics, ScenarioConfig, World, WorldInstruments};
-use csprov_net::{LinkMetrics, TraceRecord, TraceSink};
+use csprov_net::{TraceRecord, TraceSink};
 use csprov_obs::{Journal, MetricsRegistry, SeriesSampler};
 use csprov_router::EngineConfig;
 use csprov_sim::{SimDuration, SimTime};
@@ -21,7 +21,7 @@ use std::rc::Rc;
 fn instruments(registry: &MetricsRegistry) -> WorldInstruments {
     WorldInstruments {
         metrics: Some(GameMetrics::register(registry)),
-        link_metrics: Some(LinkMetrics::register(registry)),
+        registry: Some(registry.clone()),
         observer: None,
         journal: None,
         pacer: None,
@@ -174,6 +174,47 @@ fn registry_renders_identically_across_same_seed_runs() {
         render(),
         "same seed must produce an identical deterministic snapshot"
     );
+}
+
+#[test]
+fn link_totals_conserve_and_sum_across_runs_folded_into_one_registry() {
+    // Each world's client links share one stats bundle that reports into
+    // the registry's `net.link.*` totals; two runs folded into one
+    // registry read the sum of two separate runs, gauge included.
+    let run = |registry: &MetricsRegistry, seed: u64| {
+        let _ = MainRun::execute_instrumented(
+            ScenarioConfig::new(seed, SimDuration::from_mins(2)),
+            instruments(registry),
+            Some(registry),
+        );
+    };
+    let totals = |registry: &MetricsRegistry| {
+        let c = |name: &str| registry.counter(&format!("net.link.{name}")).get();
+        let in_flight = registry.gauge("net.link.in_flight").get();
+        let in_flight = u64::try_from(in_flight).expect("non-negative");
+        let t = [
+            c("offered"),
+            c("delivered"),
+            c("dropped_queue"),
+            c("dropped_random"),
+            in_flight,
+        ];
+        assert_eq!(t[0], t[1] + t[2] + t[3] + t[4], "conservation: {t:?}");
+        t
+    };
+    let (a, b, both) = (
+        MetricsRegistry::new(),
+        MetricsRegistry::new(),
+        MetricsRegistry::new(),
+    );
+    run(&a, 21);
+    run(&b, 22);
+    run(&both, 21);
+    run(&both, 22);
+    let (ta, tb) = (totals(&a), totals(&b));
+    assert!(ta[0] > 1_000 && tb[0] > 1_000, "busy runs: {ta:?} {tb:?}");
+    let summed: Vec<u64> = ta.iter().zip(&tb).map(|(x, y)| x + y).collect();
+    assert_eq!(totals(&both).to_vec(), summed);
 }
 
 #[test]

@@ -8,7 +8,6 @@
 
 use csprov::pipeline::MainRun;
 use csprov_game::{GameMetrics, ScenarioConfig, WorldInstruments};
-use csprov_net::LinkMetrics;
 use csprov_obs::{BroadcastBus, BusEvent, BusSubscriber, Journal, Json, MetricsRegistry};
 use csprov_serve::{serve, sse, ServeShared};
 use csprov_sim::{Pacer, SimDuration, Speed};
@@ -30,7 +29,7 @@ fn run_with_journal(seed: u64, bus: Option<&BroadcastBus>, speed: Speed) -> (Mai
     }
     let instruments = WorldInstruments {
         metrics: Some(GameMetrics::register(&registry)),
-        link_metrics: Some(LinkMetrics::register(&registry)),
+        registry: Some(registry.clone()),
         observer: None,
         journal: Some(journal.clone()),
         pacer: speed.is_paced().then(|| Pacer::new(speed)),

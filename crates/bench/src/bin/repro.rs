@@ -1,58 +1,16 @@
 //! Regenerates every table and figure of "Provisioning On-line Games".
 //!
 //! ```text
-//! repro [OPTIONS] <ARTIFACT>...
-//!
-//! ARTIFACT:  table1 table2 table3 table4 fig1..fig15
-//!            ablate-tick ablate-population ablate-nat-capacity
-//!            ablate-nat-buffer route-cache source-model web-vs-game
-//!            all        every artifact above
-//!            main       tables I-III and figures 1-13
-//!            nat        table IV and figures 14-15
-//!
-//! OPTIONS:
-//!   --seed N           RNG seed (default 2002)
-//!   --hours H          main-trace length in hours (default 24)
-//!   --full-week        use the paper's full 626,477 s trace (~7.25 days)
-//!   --csv DIR          also write key figures' data series as CSV into DIR
-//!   --progress         heartbeat on stderr (sim/wall ratio, ev/s, ETA)
-//!   --metrics-out FILE metrics snapshot per artifact (text + JSON lines)
-//!   --metrics-format F metrics-out format: text, json, or prom
-//!                      (default: commented text + JSON lines combined)
-//!   --trace-out FILE   event journal per world run, written as
-//!                      FILE -> <stem>.<run>.<ext>; a .json extension
-//!                      selects Chrome trace-event format (open in
-//!                      Perfetto / chrome://tracing), anything else JSONL
-//!   --series-out DIR   sim-time metric series per world run (DIR/main.csv,
-//!                      DIR/nat.csv), sampled on the sim clock
-//!   --series-interval MS  series sampling period in sim-ms (default 1000)
-//!   --profile-out DIR  hierarchical wall-time profile per world run:
-//!                      DIR/<run>.folded (collapsed stacks, flamegraph-
-//!                      ready) and DIR/<run>.trace.json (journal merged
-//!                      with profile spans, Perfetto-openable), plus a
-//!                      ranked self-time table on stderr
-//!   --chaos PROFILE    run under a fault-injection campaign:
-//!                      none modem-burst reorder-dup last-mile-loss nat-exhaust
-//!   --chaos-seed N     impairment seed (default: same as --seed)
-//!   --fleet N          simulate a facility of N independent servers on the
-//!                      work-stealing pool, merge their analysis state, and
-//!                      print the provisioning report (pps/bandwidth mean
-//!                      and p95/p99, per-player slope, aggregate Hurst,
-//!                      uplink sizing); may be used without artifacts
-//!   --fleet-minutes M  simulated minutes per fleet server (default 30)
-//!   --serve ADDR       stream the run live over HTTP (GET /metrics,
-//!                      /events (SSE), /series, /status, /report,
-//!                      /healthz, /shards, /profile); the server runs
-//!                      for the duration of the repro
-//!   --serve-linger S   keep serving S seconds after the run finishes
-//!                      (requires --serve)
-//!   --speed S          replay speed: a multiplier (1 = wall clock,
-//!                      8 = 8x fast-forward) or "max" (default: unpaced)
-//!
+//! repro [OPTIONS] <ARTIFACT|all|main|nat>...
 //! repro fleet merge OUT_REPORT STATE_FILE...
-//! repro fleet work --shards LO:HI --fleet N --fleet-state-dir DIR [...]
-//! repro fleet coordinate --fleet N --fleet-state-dir DIR [--workers W] [...]
+//! repro fleet work --shards LO:HI --fleet N --fleet-state-dir DIR [OPTIONS]
+//! repro fleet coordinate --fleet N --fleet-state-dir DIR [OPTIONS]
 //! ```
+//!
+//! `repro --help`, `repro fleet work --help` and `repro fleet coordinate
+//! --help` list that command's options (the first also lists the
+//! artifacts and chaos profiles). All three parse against one flag table,
+//! [`FLAGS`]; a command given a flag it does not take exits 1 naming it.
 //!
 //! `fleet work` runs one shard range against a shared state directory;
 //! `fleet coordinate` spawns `fleet work` children over that directory,
@@ -68,6 +26,7 @@
 
 use csprov::chaos::{self, ChaosReport, ChaosSpec};
 use csprov::experiments::{ablations, aggregate, figures, nat, tables, web, ExperimentId};
+use csprov::fleet::coord::ShardRange;
 use csprov::fleet::ShardState;
 use csprov::fleet::{self, FleetConfig};
 use csprov::pipeline::MainRun;
@@ -104,6 +63,70 @@ enum MetricsFormat {
     Prom,
 }
 
+/// The commands that take flags, each one bit of a [`FLAGS`] row's mask.
+/// `fleet merge` takes positional arguments only.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Cmd {
+    Run = 1,
+    Work = 2,
+    Coordinate = 4,
+}
+
+const RUN: u8 = Cmd::Run as u8;
+const WORK: u8 = Cmd::Work as u8;
+const COORD: u8 = Cmd::Coordinate as u8;
+
+impl Cmd {
+    /// The command's name and its argument synopsis.
+    fn synopsis(self) -> (&'static str, &'static str) {
+        match self {
+            Cmd::Run => ("repro", "[OPTIONS] <ARTIFACT|all|main|nat>..."),
+            Cmd::Work => (
+                "repro fleet work",
+                "--shards LO:HI --fleet N --fleet-state-dir DIR [OPTIONS]",
+            ),
+            Cmd::Coordinate => (
+                "repro fleet coordinate",
+                "--fleet N --fleet-state-dir DIR [OPTIONS]",
+            ),
+        }
+    }
+}
+
+const MERGE_SYNOPSIS: &str = "repro fleet merge OUT_REPORT STATE_FILE...";
+
+/// Every flag of the three commands: its name, its value placeholder
+/// (empty for a switch), the mask of commands that take it, and its help
+/// line. [`parse`] accepts a command's rows and no others, [`set_flag`]
+/// applies one, and [`usage`] lists them.
+#[rustfmt::skip]
+const FLAGS: &[(&str, &str, u8, &str)] = &[
+    ("--seed", "N", RUN | WORK | COORD, "RNG seed (default 2002)"),
+    ("--hours", "H", RUN, "main-trace length in hours (default 24)"),
+    ("--full-week", "", RUN, "use the paper's full 626,477 s trace (~7.25 days)"),
+    ("--csv", "DIR", RUN, "also write key figures' data series as CSV into DIR"),
+    ("--progress", "", RUN, "heartbeat on stderr (sim/wall ratio, ev/s, ETA)"),
+    ("--metrics-out", "FILE", RUN, "metrics snapshot per artifact (text + JSON lines)"),
+    ("--metrics-format", "F", RUN, "--metrics-out as text, json or prom (default: text + JSON lines)"),
+    ("--trace-out", "FILE", RUN, "per-run event journal <stem>.<run>.<ext>; .json = Chrome trace, else JSONL"),
+    ("--series-out", "DIR", RUN, "sim-time metric series per world run (DIR/main.csv, DIR/nat.csv)"),
+    ("--series-interval", "MS", RUN, "series sampling period in sim-ms (default 1000)"),
+    ("--profile-out", "DIR", RUN, "per-run wall profile (DIR/<run>.folded, .trace.json; table on stderr)"),
+    ("--chaos", "PROFILE", RUN, "run under a fault-injection campaign (profiles below)"),
+    ("--chaos-seed", "N", RUN, "impairment seed (default: same as --seed)"),
+    ("--fleet", "N", RUN | WORK | COORD, "servers in the fleet; repro prints their provisioning report (artifacts optional)"),
+    ("--fleet-minutes", "M", RUN | WORK | COORD, "simulated minutes per fleet server (default 30)"),
+    ("--fleet-state-dir", "DIR", RUN | WORK | COORD, "shard checkpoint directory (fleet work and coordinate share it)"),
+    ("--resume", "", RUN, "restore finished shards from --fleet-state-dir"),
+    ("--fleet-retries", "N", RUN | WORK | COORD, "attempts per shard before it is lost (default 3)"),
+    ("--fleet-fail", "SPEC", RUN | WORK | COORD, "inject shard faults: SHARD:COUNT|SHARD:forever|SHARD:stall=MS,..."),
+    ("--shards", "LO:HI", WORK, "the half-open shard range this worker runs"),
+    ("--workers", "W", COORD, "worker processes to spawn (default 2)"),
+    ("--serve", "ADDR", RUN | COORD, "live HTTP: /metrics /events /series /status /report /healthz /shards /profile"),
+    ("--serve-linger", "S", RUN | COORD, "keep serving S seconds after the run finishes (requires --serve)"),
+    ("--speed", "N|max", RUN, "replay speed: a multiplier (1 = wall clock, 8 = 8x) or max (default: unpaced)"),
+];
+
 struct Options {
     seed: u64,
     hours: f64,
@@ -124,189 +147,95 @@ struct Options {
     fleet_resume: bool,
     fleet_retries: Option<u32>,
     fleet_fail: Vec<fleet::FailSpec>,
+    shards: Option<ShardRange>,
+    workers: usize,
     serve: Option<String>,
     serve_linger_secs: u64,
     speed: Speed,
     artifacts: Vec<ExperimentId>,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        seed: 2002,
-        hours: 24.0,
-        full_week: false,
-        csv_dir: None,
-        progress: false,
-        metrics_out: None,
-        metrics_format: MetricsFormat::Combined,
-        trace_out: None,
-        series_out: None,
-        series_interval_ms: 1000,
-        profile_out: None,
-        chaos: None,
-        chaos_seed: None,
-        fleet: None,
-        fleet_minutes: 30,
-        fleet_state_dir: None,
-        fleet_resume: false,
-        fleet_retries: None,
-        fleet_fail: Vec::new(),
-        serve: None,
-        serve_linger_secs: 0,
-        speed: Speed::Max,
-        artifacts: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--hours" => {
-                opts.hours = args
-                    .next()
-                    .ok_or("--hours needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad hours: {e}"))?;
-            }
-            "--full-week" => opts.full_week = true,
-            "--csv" => opts.csv_dir = Some(args.next().ok_or("--csv needs a directory")?),
-            "--progress" => opts.progress = true,
-            "--metrics-out" => {
-                opts.metrics_out = Some(args.next().ok_or("--metrics-out needs a file")?)
-            }
-            "--metrics-format" => {
-                let f = args.next().ok_or("--metrics-format needs a value")?;
-                opts.metrics_format = match f.as_str() {
-                    "text" => MetricsFormat::Text,
-                    "json" => MetricsFormat::Json,
-                    "prom" => MetricsFormat::Prom,
-                    other => {
-                        return Err(format!(
-                            "unknown metrics format '{other}' (known: text, json, prom)"
-                        ))
-                    }
-                };
-            }
-            "--trace-out" => opts.trace_out = Some(args.next().ok_or("--trace-out needs a file")?),
-            "--series-out" => {
-                opts.series_out = Some(args.next().ok_or("--series-out needs a directory")?)
-            }
-            "--series-interval" => {
-                opts.series_interval_ms = args
-                    .next()
-                    .ok_or("--series-interval needs a value in ms")?
-                    .parse()
-                    .map_err(|e| format!("bad series interval: {e}"))?;
-                if opts.series_interval_ms == 0 {
-                    return Err("--series-interval must be > 0".into());
-                }
-            }
-            "--profile-out" => {
-                opts.profile_out = Some(args.next().ok_or("--profile-out needs a directory")?)
-            }
-            "--chaos" => {
-                let name = args.next().ok_or("--chaos needs a profile name")?;
-                opts.chaos = Some(chaos::by_name(&name).ok_or_else(|| {
-                    format!(
-                        "unknown chaos profile '{name}' (known: {})",
-                        chaos::names().join(", ")
-                    )
-                })?);
-            }
-            "--chaos-seed" => {
-                opts.chaos_seed = Some(
-                    args.next()
-                        .ok_or("--chaos-seed needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad chaos seed: {e}"))?,
-                );
-            }
-            "--fleet" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--fleet needs a server count")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet size: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet must be > 0".into());
-                }
-                opts.fleet = Some(n);
-            }
-            "--fleet-minutes" => {
-                opts.fleet_minutes = args
-                    .next()
-                    .ok_or("--fleet-minutes needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet minutes: {e}"))?;
-                if opts.fleet_minutes == 0 {
-                    return Err("--fleet-minutes must be > 0".into());
-                }
-            }
-            "--fleet-state-dir" => {
-                opts.fleet_state_dir =
-                    Some(args.next().ok_or("--fleet-state-dir needs a directory")?)
-            }
-            "--resume" => opts.fleet_resume = true,
-            "--fleet-retries" => {
-                let n: u32 = args
-                    .next()
-                    .ok_or("--fleet-retries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet retries: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet-retries must be > 0".into());
-                }
-                opts.fleet_retries = Some(n);
-            }
-            "--fleet-fail" => {
-                let spec = args.next().ok_or("--fleet-fail needs SHARD:COUNT,...")?;
-                opts.fleet_fail = parse_fail_plan(&spec)?;
-            }
-            "--serve" => {
-                opts.serve = Some(args.next().ok_or("--serve needs an address (host:port)")?)
-            }
-            "--serve-linger" => {
-                opts.serve_linger_secs = args
-                    .next()
-                    .ok_or("--serve-linger needs seconds")?
-                    .parse()
-                    .map_err(|e| format!("bad linger seconds: {e}"))?;
-            }
-            "--speed" => {
-                opts.speed = args.next().ok_or("--speed needs a value")?.parse()?;
-            }
-            "-h" | "--help" => return Err(String::new()),
-            "all" => opts.artifacts = ExperimentId::all(),
-            "main" => {
-                opts.artifacts.extend([
-                    ExperimentId::Table1,
-                    ExperimentId::Table2,
-                    ExperimentId::Table3,
-                ]);
-                opts.artifacts.extend((1..=13).map(ExperimentId::Fig));
-            }
-            "nat" => {
-                opts.artifacts.extend([
-                    ExperimentId::Table4,
-                    ExperimentId::Fig14,
-                    ExperimentId::Fig15,
-                ]);
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option: {other}"));
-            }
-            other => {
-                let id: ExperimentId = other.parse()?;
-                opts.artifacts.push(id);
-            }
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            seed: 2002,
+            hours: 24.0,
+            full_week: false,
+            csv_dir: None,
+            progress: false,
+            metrics_out: None,
+            metrics_format: MetricsFormat::Combined,
+            trace_out: None,
+            series_out: None,
+            series_interval_ms: 1000,
+            profile_out: None,
+            chaos: None,
+            chaos_seed: None,
+            fleet: None,
+            fleet_minutes: 30,
+            fleet_state_dir: None,
+            fleet_resume: false,
+            fleet_retries: None,
+            fleet_fail: Vec::new(),
+            shards: None,
+            workers: 2,
+            serve: None,
+            serve_linger_secs: 0,
+            speed: Speed::Max,
+            artifacts: Vec::new(),
         }
     }
-    if opts.artifacts.is_empty() && opts.fleet.is_none() {
+}
+
+/// Parses `cmd`'s arguments against [`FLAGS`], then checks the rules that
+/// span flags. `Err("")` asks for the usage alone (`--help`).
+fn parse(cmd: Cmd, args: &[String]) -> Result<Options, String> {
+    let mut opts = Options::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let arg = arg.as_str();
+        if arg == "-h" || arg == "--help" {
+            return Err(String::new());
+        }
+        if !arg.starts_with('-') {
+            if cmd != Cmd::Run {
+                return Err(format!("unexpected argument '{arg}'"));
+            }
+            match arg {
+                "all" => opts.artifacts = ExperimentId::all(),
+                "main" => {
+                    opts.artifacts.extend([
+                        ExperimentId::Table1,
+                        ExperimentId::Table2,
+                        ExperimentId::Table3,
+                    ]);
+                    opts.artifacts.extend((1..=13).map(ExperimentId::Fig));
+                }
+                "nat" => {
+                    opts.artifacts.extend([
+                        ExperimentId::Table4,
+                        ExperimentId::Fig14,
+                        ExperimentId::Fig15,
+                    ]);
+                }
+                other => opts.artifacts.push(other.parse()?),
+            }
+            continue;
+        }
+        let &(name, value, cmds, _) = FLAGS
+            .iter()
+            .find(|f| f.0 == arg)
+            .ok_or_else(|| format!("unknown option: {arg}"))?;
+        if cmds & cmd as u8 == 0 {
+            return Err(format!("{} does not take {name}", cmd.synopsis().0));
+        }
+        let value = match value {
+            "" => "",
+            _ => args.next().ok_or_else(|| format!("{name} needs {value}"))?,
+        };
+        set_flag(&mut opts, name, value)?;
+    }
+    if cmd == Cmd::Run && opts.artifacts.is_empty() && opts.fleet.is_none() {
         return Err("no artifacts requested".into());
     }
     if opts.metrics_format != MetricsFormat::Combined && opts.metrics_out.is_none() {
@@ -315,7 +244,8 @@ fn parse_args() -> Result<Options, String> {
     if opts.serve_linger_secs > 0 && opts.serve.is_none() {
         return Err("--serve-linger requires --serve".into());
     }
-    if opts.fleet.is_none()
+    if cmd == Cmd::Run
+        && opts.fleet.is_none()
         && (opts.fleet_state_dir.is_some()
             || opts.fleet_resume
             || opts.fleet_retries.is_some()
@@ -328,7 +258,95 @@ fn parse_args() -> Result<Options, String> {
     if opts.fleet_resume && opts.fleet_state_dir.is_none() {
         return Err("--resume requires --fleet-state-dir".into());
     }
+    if cmd != Cmd::Run {
+        if opts.fleet.is_none() {
+            return Err("--fleet N is required".into());
+        }
+        if opts.fleet_state_dir.is_none() {
+            return Err("--fleet-state-dir DIR is required".into());
+        }
+    }
+    if cmd == Cmd::Work && opts.shards.is_none() {
+        return Err("fleet work requires --shards LO:HI".into());
+    }
     Ok(opts)
+}
+
+/// Applies one [`FLAGS`] row: sets the field flag `name` controls from
+/// its `value` (empty for a switch).
+fn set_flag(opts: &mut Options, name: &str, value: &str) -> Result<(), String> {
+    fn num<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        value
+            .parse()
+            .map_err(|e| format!("bad {name} '{value}': {e}"))
+    }
+    fn positive<T: std::str::FromStr + Default + PartialEq>(
+        name: &str,
+        value: &str,
+    ) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let n = num(name, value)?;
+        if n == T::default() {
+            return Err(format!("{name} must be > 0"));
+        }
+        Ok(n)
+    }
+    match name {
+        "--seed" => opts.seed = num(name, value)?,
+        "--hours" => opts.hours = num(name, value)?,
+        "--full-week" => opts.full_week = true,
+        "--csv" => opts.csv_dir = Some(value.into()),
+        "--progress" => opts.progress = true,
+        "--metrics-out" => opts.metrics_out = Some(value.into()),
+        "--metrics-format" => {
+            opts.metrics_format = match value {
+                "text" => MetricsFormat::Text,
+                "json" => MetricsFormat::Json,
+                "prom" => MetricsFormat::Prom,
+                other => {
+                    return Err(format!(
+                        "unknown metrics format '{other}' (known: text, json, prom)"
+                    ))
+                }
+            };
+        }
+        "--trace-out" => opts.trace_out = Some(value.into()),
+        "--series-out" => opts.series_out = Some(value.into()),
+        "--series-interval" => opts.series_interval_ms = positive(name, value)?,
+        "--profile-out" => opts.profile_out = Some(value.into()),
+        "--chaos" => {
+            opts.chaos = Some(chaos::by_name(value).ok_or_else(|| {
+                format!(
+                    "unknown chaos profile '{value}' (known: {})",
+                    chaos::names().join(", ")
+                )
+            })?);
+        }
+        "--chaos-seed" => opts.chaos_seed = Some(num(name, value)?),
+        "--fleet" => opts.fleet = Some(positive(name, value)?),
+        "--fleet-minutes" => opts.fleet_minutes = positive(name, value)?,
+        "--fleet-state-dir" => opts.fleet_state_dir = Some(value.into()),
+        "--resume" => opts.fleet_resume = true,
+        "--fleet-retries" => opts.fleet_retries = Some(positive(name, value)?),
+        "--fleet-fail" => opts.fleet_fail = parse_fail_plan(value)?,
+        "--shards" => {
+            opts.shards = Some(
+                ShardRange::parse(value)
+                    .ok_or_else(|| format!("bad --shards '{value}' (want LO:HI, HI > LO)"))?,
+            );
+        }
+        "--workers" => opts.workers = positive(name, value)?,
+        "--serve" => opts.serve = Some(value.into()),
+        "--serve-linger" => opts.serve_linger_secs = num(name, value)?,
+        "--speed" => opts.speed = value.parse()?,
+        _ => return Err(format!("unknown option: {name}")),
+    }
+    Ok(())
 }
 
 /// Parses `--fleet-fail SHARD:COUNT,...` — the deterministic fault plan
@@ -373,150 +391,305 @@ fn parse_fail_plan(spec: &str) -> Result<Vec<fleet::FailSpec>, String> {
     Ok(plan)
 }
 
-fn usage() {
-    eprintln!(
-        "usage: repro [--seed N] [--hours H] [--full-week] [--csv DIR] [--progress] \
-         [--metrics-out FILE] [--metrics-format text|json|prom] [--trace-out FILE] \
-         [--series-out DIR] [--series-interval MS] [--profile-out DIR] \
-         [--chaos PROFILE] [--chaos-seed N] \
-         [--fleet N [--fleet-minutes M] [--fleet-state-dir DIR] [--resume] \
-         [--fleet-retries N] [--fleet-fail SHARD:COUNT|SHARD:stall=MS,...]] \
-         [--serve ADDR [--serve-linger S]] \
-         [--speed N|max] <artifact|all|main|nat>..."
-    );
-    eprintln!("       repro fleet merge OUT_REPORT STATE_FILE...");
-    eprintln!(
-        "       repro fleet work --shards LO:HI --fleet N --fleet-state-dir DIR \
-         [--seed S] [--fleet-minutes M] [--fleet-retries N] [--fleet-fail SPEC]"
-    );
-    eprintln!(
-        "       repro fleet coordinate --fleet N --fleet-state-dir DIR [--seed S] \
-         [--fleet-minutes M] [--workers W] [--fleet-retries N] \
-         [--fleet-fail SPEC] [--serve ADDR [--serve-linger S]]"
-    );
-    eprintln!("artifacts: table1..table4, fig1..fig15, ablate-tick, ablate-population,");
-    eprintln!("           ablate-nat-capacity, ablate-nat-buffer, route-cache, source-model,");
-    eprintln!("           web-vs-game");
-    eprintln!("chaos profiles: {}", chaos::names().join(", "));
-}
-
-/// Builds the observe-only side channels for one world run: metric handles
-/// registered against `registry` (when a metrics file was requested), an
-/// event journal (when `--trace-out` or `--serve` is on), a wall-clock
-/// pacer (`--speed`), and a kernel observer driving a [`ProgressReporter`]
-/// (`--progress`), a [`SeriesSampler`] (`--series-out`/`--serve`) and the
-/// live snapshot refresh (`--serve`) — all sharing the one observer slot
-/// and stride.
-///
-/// The reporter and sampler are also returned so the caller can emit the
-/// final summary line / flush the series after the run.
-type RunTelemetry = (
-    WorldInstruments,
-    Option<Rc<ProgressReporter>>,
-    Option<Rc<RefCell<SeriesSampler>>>,
-);
-
-/// Everything one world run's telemetry needs, bundled so each run site
-/// states only what differs (label, horizon, journal).
-struct TelemetrySpec<'a> {
-    label: &'static str,
-    horizon_ns: u64,
-    registry: Option<&'a MetricsRegistry>,
-    progress: bool,
-    journal: Option<Journal>,
-    series_interval_ns: Option<u64>,
-    speed: Speed,
-    serve: Option<Arc<ServeShared>>,
-}
-
-fn instruments_for(spec: TelemetrySpec<'_>) -> RunTelemetry {
-    let TelemetrySpec {
-        label,
-        horizon_ns,
-        registry,
-        progress,
-        journal,
-        series_interval_ns,
-        speed,
-        serve,
-    } = spec;
-    let mut instruments = WorldInstruments::default();
-    if let Some(registry) = registry {
-        instruments.metrics = Some(GameMetrics::register(registry));
-        instruments.registry = Some(registry.clone());
+/// `cmd`'s help, rendered from [`FLAGS`]: its synopsis and options, and
+/// for the main run the fleet synopses, artifacts and chaos profiles.
+fn usage(cmd: Cmd) -> String {
+    let (name, args) = cmd.synopsis();
+    let mut out = format!("usage: {name} {args}\n");
+    if cmd == Cmd::Run {
+        out.push_str(&format!("       {MERGE_SYNOPSIS}\n"));
+        for fleet_cmd in [Cmd::Work, Cmd::Coordinate] {
+            let (name, args) = fleet_cmd.synopsis();
+            out.push_str(&format!("       {name} {args}\n"));
+        }
+        out.push_str("       (--help after a fleet command lists its options)\n");
     }
-    instruments.journal = journal.clone();
-    let pacer_stats: Option<Arc<PacerStats>> = speed.is_paced().then(|| {
-        let pacer = Pacer::new(speed);
-        let stats = pacer.stats();
-        instruments.pacer = Some(pacer);
-        stats
-    });
-    let reporter = progress.then(|| Rc::new(ProgressReporter::new(label, Some(horizon_ns))));
-    let sampler = match (series_interval_ns, registry) {
-        (Some(interval_ns), Some(registry)) => Some(Rc::new(RefCell::new(SeriesSampler::new(
-            registry.clone(),
-            interval_ns,
-        )))),
-        _ => None,
-    };
-    if reporter.is_some() || sampler.is_some() || serve.is_some() {
-        let reporter_cb = reporter.clone();
-        let sampler_cb = sampler.clone();
-        let registry_cb = registry.cloned();
-        let last_refresh = Cell::new(Instant::now());
-        // The sampler needs to see the sim clock often enough to hit its
-        // interval boundaries; the progress reporter rate-limits itself on
-        // wall time, so the finer stride costs only the callback dispatch.
-        let stride = if sampler.is_some() {
-            OBSERVER_STRIDE / 8
-        } else {
-            OBSERVER_STRIDE
-        };
-        instruments.observer = Some((
-            stride,
-            Box::new(move |sim: &Simulator| {
-                if let Some(reporter) = &reporter_cb {
-                    reporter.maybe_report(
-                        sim.now().as_nanos(),
-                        sim.events_executed(),
-                        sim.pending_events(),
-                    );
-                }
-                if let Some(sampler) = &sampler_cb {
-                    sampler.borrow_mut().observe(sim.now().as_nanos());
-                }
-                // Live snapshot refresh: render the (single-threaded)
-                // registry and sampler here on the sim thread and swap the
-                // strings into the shared state. Wall-rate-limited so a
-                // max-speed run spends its time simulating, not rendering.
-                if let Some(serve) = &serve {
-                    let now = Instant::now();
-                    if now.duration_since(last_refresh.get()) >= SERVE_REFRESH {
-                        last_refresh.set(now);
-                        let sim_ns = sim.now().as_nanos();
-                        let events = sim.events_executed();
-                        let lag_ns = pacer_stats.as_ref().map_or(0, |s| s.lag_ns());
-                        let journal_dropped = journal.as_ref().map_or(0, Journal::dropped);
-                        serve.update_status(|s| {
-                            s.sim_ns = sim_ns;
-                            s.events = events;
-                            s.lag_ns = lag_ns;
-                            s.journal_dropped = journal_dropped;
-                        });
-                        if let Some(registry) = &registry_cb {
-                            serve.export_metrics(registry);
-                            serve.set_metrics(registry.render_prometheus());
-                        }
-                        if let Some(sampler) = &sampler_cb {
-                            serve.set_series(sampler.borrow().to_csv());
+    out.push_str("options:\n");
+    for &(flag, value, _, help) in FLAGS.iter().filter(|f| f.2 & cmd as u8 != 0) {
+        let flag = format!("{flag} {value}");
+        out.push_str(&format!("  {:<23} {help}\n", flag.trim_end()));
+    }
+    if cmd == Cmd::Run {
+        let mut line = String::from("artifacts:");
+        for id in ExperimentId::all() {
+            let id = id.to_string();
+            if line.len() + 1 + id.len() > 78 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(10);
+            }
+            line.push(' ');
+            line.push_str(&id);
+        }
+        out.push_str(&line);
+        out.push_str(
+            "\n           all (every artifact), main (tables I-III, figures 1-13),\n           \
+             nat (table IV, figures 14-15)\n",
+        );
+        out.push_str(&format!("chaos profiles: {}\n", chaos::names().join(", ")));
+    }
+    out
+}
+
+/// A wall-clock phase for the exit-time `[time]` report and
+/// BENCH_repro.json (single runs: median == min).
+fn phase(name: &str, secs: f64, rate_per_sec: Option<f64>) -> BenchResult {
+    BenchResult {
+        name: name.to_string(),
+        median_ns: secs * 1e9,
+        min_ns: secs * 1e9,
+        rate_per_sec,
+    }
+}
+
+/// What every run of one `repro` invocation shares: the metrics registry,
+/// the serving plane, the cross-run profile cumulative and the wall-clock
+/// phases. [`RunDriver::world_run`] runs the main and NAT worlds; the
+/// `--fleet` block borrows its journal, profile fold and side-file writer.
+struct RunDriver<'a> {
+    opts: &'a Options,
+    registry: Option<MetricsRegistry>,
+    serve: Option<Arc<ServeShared>>,
+    profile_total: Option<ProfileSnapshot>,
+    timings: Vec<BenchResult>,
+}
+
+impl RunDriver<'_> {
+    /// A run's event journal (when `--trace-out` or `--serve` is on),
+    /// tapped into the serving plane's bus.
+    fn journal(&self) -> Option<Journal> {
+        let journal = (self.opts.trace_out.is_some() || self.serve.is_some()).then(Journal::new);
+        if let (Some(journal), Some(shared)) = (&journal, &self.serve) {
+            journal.set_tap(shared.bus().clone());
+        }
+        journal
+    }
+
+    /// Profiling is on for `--profile-out` (files + table) and for
+    /// `--serve` (the /profile endpoint); both are wall-domain-only
+    /// consumers.
+    fn profiling(&self) -> bool {
+        self.opts.profile_out.is_some() || self.serve.is_some()
+    }
+
+    /// Builds one world run's observe-only hooks: metric handles against
+    /// the registry, the journal and profile, a wall-clock pacer
+    /// (`--speed`), and a kernel observer driving the progress reporter,
+    /// the series sampler and the live snapshot refresh (`--serve`) — all
+    /// sharing the one observer slot and stride.
+    fn instruments(
+        &self,
+        journal: Option<&Journal>,
+        profile: Option<&Profile>,
+        reporter: Option<&Rc<ProgressReporter>>,
+        sampler: Option<&Rc<RefCell<SeriesSampler>>>,
+    ) -> WorldInstruments {
+        let mut instruments = WorldInstruments::default();
+        if let Some(registry) = &self.registry {
+            instruments.metrics = Some(GameMetrics::register(registry));
+            instruments.registry = Some(registry.clone());
+        }
+        instruments.journal = journal.cloned();
+        instruments.profile = profile.cloned();
+        let speed = self.opts.speed;
+        let pacer_stats: Option<Arc<PacerStats>> = speed.is_paced().then(|| {
+            let pacer = Pacer::new(speed);
+            let stats = pacer.stats();
+            instruments.pacer = Some(pacer);
+            stats
+        });
+        if reporter.is_some() || sampler.is_some() || self.serve.is_some() {
+            let reporter_cb = reporter.cloned();
+            let sampler_cb = sampler.cloned();
+            let registry_cb = self.registry.clone();
+            let serve = self.serve.clone();
+            let journal = journal.cloned();
+            let last_refresh = Cell::new(Instant::now());
+            // The sampler needs to see the sim clock often enough to hit its
+            // interval boundaries; the progress reporter rate-limits itself on
+            // wall time, so the finer stride costs only the callback dispatch.
+            let stride = if sampler.is_some() {
+                OBSERVER_STRIDE / 8
+            } else {
+                OBSERVER_STRIDE
+            };
+            instruments.observer = Some((
+                stride,
+                Box::new(move |sim: &Simulator| {
+                    if let Some(reporter) = &reporter_cb {
+                        reporter.maybe_report(
+                            sim.now().as_nanos(),
+                            sim.events_executed(),
+                            sim.pending_events(),
+                        );
+                    }
+                    if let Some(sampler) = &sampler_cb {
+                        sampler.borrow_mut().observe(sim.now().as_nanos());
+                    }
+                    // Live snapshot refresh: render the (single-threaded)
+                    // registry and sampler here on the sim thread and swap the
+                    // strings into the shared state. Wall-rate-limited so a
+                    // max-speed run spends its time simulating, not rendering.
+                    if let Some(serve) = &serve {
+                        let now = Instant::now();
+                        if now.duration_since(last_refresh.get()) >= SERVE_REFRESH {
+                            last_refresh.set(now);
+                            let sim_ns = sim.now().as_nanos();
+                            let events = sim.events_executed();
+                            let lag_ns = pacer_stats.as_ref().map_or(0, |s| s.lag_ns());
+                            let journal_dropped = journal.as_ref().map_or(0, Journal::dropped);
+                            serve.update_status(|s| {
+                                s.sim_ns = sim_ns;
+                                s.events = events;
+                                s.lag_ns = lag_ns;
+                                s.journal_dropped = journal_dropped;
+                            });
+                            if let Some(registry) = &registry_cb {
+                                serve.export_metrics(registry);
+                                serve.set_metrics(registry.render_prometheus());
+                            }
+                            if let Some(sampler) = &sampler_cb {
+                                serve.set_series(sampler.borrow().to_csv());
+                            }
                         }
                     }
-                }
-            }),
-        ));
+                }),
+            ));
+        }
+        instruments
     }
-    (instruments, reporter, sampler)
+
+    /// Runs one labelled world run with every side channel the options
+    /// ask for, and records its `<label>_run` phase. `run` receives the
+    /// instruments and the registry, runs the world (chaos or plain) and
+    /// returns its result with its kernel event count. Returns the result
+    /// and the run's wall seconds.
+    fn world_run<R>(
+        &mut self,
+        label: &'static str,
+        horizon_ns: u64,
+        run: impl FnOnce(WorldInstruments, Option<&MetricsRegistry>) -> (R, u64),
+    ) -> (R, f64) {
+        let opts = self.opts;
+        let t0 = Instant::now();
+        let journal = self.journal();
+        // A fresh profile per run (frame trees are per-run), attached to
+        // the registry before the instruments are built: spans capture the
+        // profile at creation time.
+        let profile = self.profiling().then(Profile::new);
+        if let (Some(registry), Some(profile)) = (&self.registry, &profile) {
+            registry.attach_profile(Some(profile.clone()));
+        }
+        let reporter = opts
+            .progress
+            .then(|| Rc::new(ProgressReporter::new(label, Some(horizon_ns))));
+        let sampler = match &self.registry {
+            Some(registry) if opts.series_out.is_some() || self.serve.is_some() => {
+                Some(Rc::new(RefCell::new(SeriesSampler::new(
+                    registry.clone(),
+                    opts.series_interval_ms * 1_000_000,
+                ))))
+            }
+            _ => None,
+        };
+        let instruments = self.instruments(
+            journal.as_ref(),
+            profile.as_ref(),
+            reporter.as_ref(),
+            sampler.as_ref(),
+        );
+        if let Some(shared) = &self.serve {
+            shared.update_status(|s| {
+                s.state = "running";
+                s.horizon_ns = horizon_ns;
+                s.sim_ns = 0;
+            });
+            shared.bus().publish(BusEvent::RunStarted {
+                label: label.into(),
+                horizon_ns,
+            });
+        }
+        let (result, events) = run(instruments, self.registry.as_ref());
+        if let Some(reporter) = reporter {
+            reporter.finish(horizon_ns, events);
+        }
+        if let (Some(journal), Some(base)) = (&journal, &opts.trace_out) {
+            write_journal(journal, base, label);
+        }
+        if let (Some(sampler), Some(dir)) = (&sampler, &opts.series_out) {
+            let mut sampler = sampler.borrow_mut();
+            sampler.finish(horizon_ns);
+            let detail = format!("{} samples", sampler.len());
+            write_side(
+                "[series]",
+                &format!("{dir}/{label}.csv"),
+                sampler.to_csv(),
+                &detail,
+            );
+        }
+        // The profile is wall-domain: it reaches only stderr, side files
+        // and wall instruments, never stdout or the determinism artifacts.
+        if let Some(profile) = &profile {
+            if let Some(registry) = &self.registry {
+                registry.attach_profile(None);
+                export_profile_metrics(registry, profile);
+            }
+            if let Some(dir) = &opts.profile_out {
+                let detail = format!("{} frames, {} enters", profile.frames(), profile.enters());
+                let folded = format!("{dir}/{label}.folded");
+                write_side("[profile]", &folded, profile.render_folded(), &detail);
+                if let Some(journal) = &journal {
+                    let data = journal.export_chrome_trace_with(&profile.chrome_rows(2));
+                    let path = format!("{dir}/{label}.trace.json");
+                    write_side("[profile]", &path, data, "journal + profile spans");
+                }
+            }
+            self.absorb_profile(&profile.snapshot());
+        }
+        // End-of-run refresh for the serving plane: final status, a closing
+        // series row (unless `--series-out` already flushed one), fresh
+        // `/metrics` + `/series` snapshots, and the run-finished bus event.
+        if let Some(shared) = &self.serve {
+            shared.update_status(|s| {
+                s.sim_ns = horizon_ns;
+                s.events = events;
+                s.lag_ns = 0;
+            });
+            if let Some(sampler) = &sampler {
+                if opts.series_out.is_none() {
+                    sampler.borrow_mut().finish(horizon_ns);
+                }
+                shared.set_series(sampler.borrow().to_csv());
+            }
+            if let Some(registry) = &self.registry {
+                shared.export_metrics(registry);
+                shared.set_metrics(registry.render_prometheus());
+            }
+            shared.bus().publish(BusEvent::RunFinished {
+                label: label.into(),
+                sim_ns: horizon_ns,
+                events,
+            });
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        let rate = events as f64 / secs.max(1e-9);
+        self.timings
+            .push(phase(&format!("{label}_run"), secs, Some(rate)));
+        (result, secs)
+    }
+
+    /// Folds a run's profile snapshot into the cross-run cumulative behind
+    /// the ranked table and `/profile`.
+    fn absorb_profile(&mut self, snap: &ProfileSnapshot) {
+        if let Some(total) = &mut self.profile_total {
+            total.absorb(snap);
+        } else {
+            self.profile_total = Some(snap.clone());
+        }
+        if let (Some(shared), Some(total)) = (&self.serve, &self.profile_total) {
+            shared.set_profile(total.render_table());
+        }
+    }
 }
 
 /// `base` with the run label spliced in before the extension:
@@ -544,89 +717,21 @@ fn write_journal(journal: &Journal, base: &str, label: &str) {
     } else {
         journal.export_jsonl()
     };
-    match std::fs::write(&path, data) {
-        Ok(()) => eprintln!(
-            "[trace] wrote {path} ({} events, {} dropped)",
-            journal.len(),
-            journal.dropped()
-        ),
+    let detail = format!("{} events, {} dropped", journal.len(), journal.dropped());
+    write_side("[trace]", &path, data, &detail);
+}
+
+/// Writes one side file of a run, creating its directory, and narrates it
+/// on stderr as `<tag> wrote <path> (<detail>)`. A failed write is a
+/// warning, not a failed run.
+fn write_side(tag: &str, path: &str, data: String, detail: &str) {
+    let dir = std::path::Path::new(path).parent();
+    let write = dir
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, data));
+    match write {
+        Ok(()) => eprintln!("{tag} wrote {path} ({detail})"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
-}
-
-/// Flushes one run's series (adding the horizon row) and writes its CSV.
-fn write_series(sampler: &RefCell<SeriesSampler>, dir: &str, label: &str, horizon_ns: u64) {
-    let mut sampler = sampler.borrow_mut();
-    sampler.finish(horizon_ns);
-    let path = format!("{dir}/{label}.csv");
-    match std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, sampler.to_csv())) {
-        Ok(()) => eprintln!("[series] wrote {path} ({} samples)", sampler.len()),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
-}
-
-/// Starts wall-time profiling for one world run: a fresh [`Profile`]
-/// (frame trees are per-run), attached to the registry so spans created
-/// for this run frame themselves. Must run before the run's instruments
-/// are built — spans capture the profile at creation time.
-fn start_profile(enabled: bool, registry: Option<&MetricsRegistry>) -> Option<Profile> {
-    if !enabled {
-        return None;
-    }
-    let profile = Profile::new();
-    if let Some(registry) = registry {
-        registry.attach_profile(Some(profile.clone()));
-    }
-    Some(profile)
-}
-
-/// Finishes one run's profile: detaches it from the registry, exports
-/// the `profile.*` wall counters, writes the collapsed-stack and merged
-/// Chrome-trace views (`--profile-out`), and folds the run's snapshot
-/// into the cross-run cumulative behind the ranked table / `/profile`.
-/// Everything here is wall-domain — stderr and side files only, so the
-/// byte-identity of stdout and determinism artifacts is untouched.
-fn finish_profile(
-    profile: &Profile,
-    label: &str,
-    out_dir: Option<&str>,
-    journal: Option<&Journal>,
-    registry: Option<&MetricsRegistry>,
-    total: &mut Option<ProfileSnapshot>,
-) {
-    if let Some(registry) = registry {
-        registry.attach_profile(None);
-        export_profile_metrics(registry, profile);
-    }
-    if let Some(dir) = out_dir {
-        let folded_path = format!("{dir}/{label}.folded");
-        let write = std::fs::create_dir_all(dir)
-            .and_then(|_| std::fs::write(&folded_path, profile.render_folded()));
-        match write {
-            Ok(()) => eprintln!(
-                "[profile] wrote {folded_path} ({} frames, {} enters)",
-                profile.frames(),
-                profile.enters()
-            ),
-            Err(e) => eprintln!("warning: could not write {folded_path}: {e}"),
-        }
-        if let Some(journal) = journal {
-            let trace_path = format!("{dir}/{label}.trace.json");
-            let data = journal.export_chrome_trace_with(&profile.chrome_rows(2));
-            match std::fs::write(&trace_path, data) {
-                Ok(()) => eprintln!("[profile] wrote {trace_path} (journal + profile spans)"),
-                Err(e) => eprintln!("warning: could not write {trace_path}: {e}"),
-            }
-        }
-    }
-    absorb_profile(total, &profile.snapshot());
-}
-
-/// Folds a run's profile snapshot into the cross-run cumulative.
-fn absorb_profile(total: &mut Option<ProfileSnapshot>, snap: &ProfileSnapshot) {
-    match total {
-        Some(total) => total.absorb(snap),
-        None => *total = Some(snap.clone()),
     }
 }
 
@@ -655,40 +760,6 @@ fn export_profile_metrics(registry: &MetricsRegistry, profile: &Profile) {
         "profile.dropped",
         "profile events dropped at the bounded ring capacity",
     );
-}
-
-/// End-of-run refresh for the serving plane: final status, a closing
-/// series row (unless `--series-out` already flushed one), fresh
-/// `/metrics` + `/series` snapshots, and the run-finished bus event.
-fn finish_serve_run(
-    shared: &Arc<ServeShared>,
-    registry: &Option<MetricsRegistry>,
-    sampler: &Option<Rc<RefCell<SeriesSampler>>>,
-    finish_series: bool,
-    horizon_ns: u64,
-    events: u64,
-    label: &str,
-) {
-    shared.update_status(|s| {
-        s.sim_ns = horizon_ns;
-        s.events = events;
-        s.lag_ns = 0;
-    });
-    if let Some(sampler) = sampler {
-        if finish_series {
-            sampler.borrow_mut().finish(horizon_ns);
-        }
-        shared.set_series(sampler.borrow().to_csv());
-    }
-    if let Some(registry) = registry {
-        shared.export_metrics(registry);
-        shared.set_metrics(registry.render_prometheus());
-    }
-    shared.bus().publish(BusEvent::RunFinished {
-        label: label.into(),
-        sim_ns: horizon_ns,
-        events,
-    });
 }
 
 /// Binds the live serving plane on `addr` (nothing without `--serve`).
@@ -912,7 +983,7 @@ fn write_csv(dir: &str, name: &str, headers: &[&str], cols: &[&[f64]]) {
 /// state at a time.
 fn fleet_merge_command(args: &[String]) -> ExitCode {
     if args.len() < 2 {
-        eprintln!("usage: repro fleet merge OUT_REPORT STATE_FILE...");
+        eprintln!("usage: {MERGE_SYNOPSIS}");
         return ExitCode::FAILURE;
     }
     let out = &args[0];
@@ -962,142 +1033,49 @@ fn fleet_merge_command(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Flags shared by `repro fleet work` and `repro fleet coordinate`.
-/// Both subcommands describe the *same* fleet (`--seed`, `--fleet`,
-/// `--fleet-minutes`, `--fleet-retries`, `--fleet-fail`) so shard seeds
-/// derive identically no matter which process runs a shard; the rest is
-/// role-specific (an assigned `--shards` range for a worker, a worker
-/// count plus an optional serving plane for the coordinator).
-struct CoordCli {
-    seed: u64,
-    servers: Option<usize>,
-    minutes: u64,
-    state_dir: Option<String>,
-    retries: Option<u32>,
-    fail_spec: Option<String>,
-    shards: Option<fleet::coord::ShardRange>,
-    workers: usize,
-    serve: Option<String>,
-    serve_linger_secs: u64,
-}
-
-fn parse_coord_cli(args: &[String]) -> Result<CoordCli, String> {
-    let mut o = CoordCli {
-        seed: 2002,
-        servers: None,
-        minutes: 30,
-        state_dir: None,
-        retries: None,
-        fail_spec: None,
-        shards: None,
-        workers: 2,
-        serve: None,
-        serve_linger_secs: 0,
-    };
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                o.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--fleet" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--fleet needs a server count")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet size: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet must be > 0".into());
-                }
-                o.servers = Some(n);
-            }
-            "--fleet-minutes" => {
-                o.minutes = args
-                    .next()
-                    .ok_or("--fleet-minutes needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet minutes: {e}"))?;
-                if o.minutes == 0 {
-                    return Err("--fleet-minutes must be > 0".into());
-                }
-            }
-            "--fleet-state-dir" => {
-                o.state_dir = Some(
-                    args.next()
-                        .ok_or("--fleet-state-dir needs a directory")?
-                        .clone(),
-                );
-            }
-            "--fleet-retries" => {
-                let n: u32 = args
-                    .next()
-                    .ok_or("--fleet-retries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet retries: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet-retries must be > 0".into());
-                }
-                o.retries = Some(n);
-            }
-            "--fleet-fail" => {
-                let spec = args.next().ok_or("--fleet-fail needs SHARD:COUNT,...")?;
-                parse_fail_plan(spec)?;
-                o.fail_spec = Some(spec.clone());
-            }
-            "--shards" => {
-                let spec = args.next().ok_or("--shards needs LO:HI")?;
-                o.shards = Some(
-                    fleet::coord::ShardRange::parse(spec)
-                        .ok_or_else(|| format!("bad --shards '{spec}' (want LO:HI, HI > LO)"))?,
-                );
-            }
-            "--workers" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--workers needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad worker count: {e}"))?;
-                if n == 0 {
-                    return Err("--workers must be > 0".into());
-                }
-                o.workers = n;
-            }
-            "--serve" => o.serve = Some(args.next().ok_or("--serve needs HOST:PORT")?.clone()),
-            "--serve-linger" => {
-                o.serve_linger_secs = args
-                    .next()
-                    .ok_or("--serve-linger needs seconds")?
-                    .parse()
-                    .map_err(|e| format!("bad linger: {e}"))?;
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if o.servers.is_none() {
-        return Err("--fleet N is required".into());
-    }
-    if o.state_dir.is_none() {
-        return Err("--fleet-state-dir DIR is required".into());
-    }
-    Ok(o)
-}
-
-/// Builds the fleet config both subcommands agree on. Shard traffic is a
-/// pure function of (seed, shard index), so a worker and the coordinator
-/// constructing this independently stay byte-compatible.
-fn coord_fleet_config(o: &CoordCli) -> Result<FleetConfig, String> {
-    let mut config = FleetConfig::new("fleet", o.seed, o.servers.unwrap(), o.minutes);
-    if let Some(attempts) = o.retries {
+/// The fleet `--fleet`, `fleet work` and `fleet coordinate` run. Shard
+/// traffic is a pure function of (seed, shard index), so a worker and the
+/// coordinator building this independently stay byte-compatible.
+fn fleet_config(opts: &Options, servers: usize) -> FleetConfig {
+    let mut config = FleetConfig::new("fleet", opts.seed, servers, opts.fleet_minutes);
+    config.speed = opts.speed;
+    if let Some(attempts) = opts.fleet_retries {
         config.retry.attempts = attempts;
     }
-    if let Some(spec) = &o.fail_spec {
-        config.fail_plan = parse_fail_plan(spec)?;
+    config.fail_plan = opts.fleet_fail.clone();
+    config
+}
+
+/// The `repro fleet work` argv the coordinator launches for `range`: the
+/// same fleet as `opts`, over the same state directory. The subcommand and
+/// its `--shards` lead, so a worker is findable as `fleet work --shards
+/// LO:HI` in a process list.
+fn worker_args(opts: &Options, servers: usize, state_dir: &str, range: ShardRange) -> Vec<String> {
+    let mut args: Vec<String> = ["fleet", "work", "--shards"].map(String::from).to_vec();
+    args.push(range.to_string());
+    for (flag, value) in [
+        ("--seed", opts.seed.to_string()),
+        ("--fleet", servers.to_string()),
+        ("--fleet-minutes", opts.fleet_minutes.to_string()),
+        ("--fleet-state-dir", state_dir.to_string()),
+    ] {
+        args.extend([flag.to_string(), value]);
     }
-    Ok(config)
+    if let Some(attempts) = opts.fleet_retries {
+        args.extend(["--fleet-retries".to_string(), attempts.to_string()]);
+    }
+    if !opts.fleet_fail.is_empty() {
+        let spec: Vec<String> = opts
+            .fleet_fail
+            .iter()
+            .map(|f| match f.stall_ms {
+                0 => format!("{}:{}", f.shard, f.failures),
+                ms => format!("{}:stall={ms}", f.shard),
+            })
+            .collect();
+        args.extend(["--fleet-fail".to_string(), spec.join(",")]);
+    }
+    args
 }
 
 /// `repro fleet work --shards LO:HI ...` — the worker half of the
@@ -1106,30 +1084,14 @@ fn coord_fleet_config(o: &CoordCli) -> Result<FleetConfig, String> {
 /// the coordinator watches. Narrates to stderr only (stdout belongs to
 /// the coordinator's report). Exits 0 even when shards were lost after
 /// exhausting retries — loss is coverage accounting, not a worker crash.
-fn fleet_work_command(args: &[String]) -> ExitCode {
-    let opts = match parse_coord_cli(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: repro fleet work --shards LO:HI --fleet N --fleet-state-dir DIR \
-                 [--seed S] [--fleet-minutes M] [--fleet-retries N] [--fleet-fail SPEC]"
-            );
-            return ExitCode::FAILURE;
-        }
+fn fleet_work_command(opts: &Options) -> ExitCode {
+    let (Some(servers), Some(state_dir), Some(range)) =
+        (opts.fleet, &opts.fleet_state_dir, opts.shards)
+    else {
+        unreachable!("parse requires --fleet, --fleet-state-dir and --shards of fleet work");
     };
-    let Some(range) = opts.shards else {
-        eprintln!("error: fleet work requires --shards LO:HI");
-        return ExitCode::FAILURE;
-    };
-    let config = match coord_fleet_config(&opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let state_dir = std::path::PathBuf::from(opts.state_dir.as_deref().unwrap());
+    let config = fleet_config(opts, servers);
+    let state_dir = std::path::Path::new(state_dir);
     eprintln!(
         "[worker] shards {range} of a {}-shard fleet (seed {}, state dir {})",
         config.servers,
@@ -1138,7 +1100,7 @@ fn fleet_work_command(args: &[String]) -> ExitCode {
     );
     let t0 = Instant::now();
     let on_event = |ev: &fleet::FleetEvent<'_>| narrate("[worker]", ev);
-    match fleet::coord::run_worker_range(&config, range, &state_dir, Some(&on_event)) {
+    match fleet::coord::run_worker_range(&config, range, state_dir, Some(&on_event)) {
         Ok(summary) => {
             eprintln!(
                 "[worker] range {range} finished in {:.1} s wall: {} done, {} resumed, \
@@ -1181,32 +1143,11 @@ impl fleet::coord::WorkerHandle for ProcessWorker {
 /// byte-identical report as an in-process `--fleet` run. With `--serve`,
 /// `/shards` and `/report` watch a fleet this process never executes —
 /// the board is fed purely from sidecars.
-fn fleet_coordinate_command(args: &[String]) -> ExitCode {
-    let opts = match parse_coord_cli(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: repro fleet coordinate --fleet N --fleet-state-dir DIR [--seed S] \
-                 [--fleet-minutes M] [--workers W] [--fleet-retries N] \
-                 [--fleet-fail SPEC] [--serve HOST:PORT [--serve-linger S]]"
-            );
-            return ExitCode::FAILURE;
-        }
+fn fleet_coordinate_command(opts: &Options) -> ExitCode {
+    let (Some(servers), Some(state_dir)) = (opts.fleet, opts.fleet_state_dir.as_deref()) else {
+        unreachable!("parse requires --fleet and --fleet-state-dir of fleet coordinate");
     };
-    if opts.shards.is_some() {
-        eprintln!("error: --shards belongs to fleet work (the coordinator plans ranges)");
-        return ExitCode::FAILURE;
-    }
-    let mut config = match coord_fleet_config(&opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let servers = config.servers;
-    let state_dir = std::path::PathBuf::from(opts.state_dir.as_deref().unwrap());
+    let mut config = fleet_config(opts, servers);
     config.health = Some(health_board(servers));
 
     // The optional serving plane: this process executes nothing, so every
@@ -1229,10 +1170,7 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
     eprintln!(
         "[coord] fleet: {servers} servers x {} simulated min (seed {}), {} workers, \
          state dir {}",
-        opts.minutes,
-        opts.seed,
-        opts.workers,
-        state_dir.display()
+        opts.fleet_minutes, opts.seed, opts.workers, state_dir
     );
     let t0 = Instant::now();
     let exe = match std::env::current_exe() {
@@ -1242,26 +1180,9 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let launch = |worker: usize, range: fleet::coord::ShardRange| {
+    let launch = |worker: usize, range: ShardRange| {
         let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("fleet")
-            .arg("work")
-            .arg("--shards")
-            .arg(range.to_string())
-            .arg("--seed")
-            .arg(opts.seed.to_string())
-            .arg("--fleet")
-            .arg(servers.to_string())
-            .arg("--fleet-minutes")
-            .arg(opts.minutes.to_string())
-            .arg("--fleet-state-dir")
-            .arg(&state_dir);
-        if let Some(attempts) = opts.retries {
-            cmd.arg("--fleet-retries").arg(attempts.to_string());
-        }
-        if let Some(spec) = &opts.fail_spec {
-            cmd.arg("--fleet-fail").arg(spec);
-        }
+        cmd.args(worker_args(opts, servers, state_dir, range));
         // Worker stdout is the coordinator's: only the coordinator may
         // print to it (the report must stay byte-identical to --fleet).
         cmd.stdout(std::process::Stdio::null());
@@ -1318,8 +1239,13 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
         workers: opts.workers,
         ..fleet::coord::CoordOptions::default()
     };
-    let result =
-        fleet::coord::coordinate(&config, &state_dir, &coord_opts, launch, Some(&on_event));
+    let result = fleet::coord::coordinate(
+        &config,
+        state_dir.as_ref(),
+        &coord_opts,
+        launch,
+        Some(&on_event),
+    );
     let run = match result {
         Ok(run) => run,
         Err(e) => {
@@ -1340,27 +1266,37 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        if argv.len() >= 2 && argv[0] == "fleet" {
-            match argv[1].as_str() {
-                "merge" => return fleet_merge_command(&argv[2..]),
-                "work" => return fleet_work_command(&argv[2..]),
-                "coordinate" => return fleet_coordinate_command(&argv[2..]),
-                _ => {}
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, args) = match (argv.first().map(String::as_str), argv.get(1)) {
+        (Some("fleet"), sub) => match sub.map(String::as_str) {
+            Some("merge") => return fleet_merge_command(&argv[2..]),
+            Some("work") => (Cmd::Work, &argv[2..]),
+            Some("coordinate") => (Cmd::Coordinate, &argv[2..]),
+            other => {
+                eprintln!(
+                    "error: unknown fleet subcommand '{}' (known: merge, work, coordinate)",
+                    other.unwrap_or_default()
+                );
+                return ExitCode::FAILURE;
             }
-        }
-    }
-    let opts = match parse_args() {
+        },
+        _ => (Cmd::Run, &argv[..]),
+    };
+    let opts = match parse(cmd, args) {
         Ok(o) => o,
         Err(e) => {
             if !e.is_empty() {
                 eprintln!("error: {e}");
             }
-            usage();
+            eprint!("{}", usage(cmd));
             return ExitCode::FAILURE;
         }
     };
+    match cmd {
+        Cmd::Work => return fleet_work_command(&opts),
+        Cmd::Coordinate => return fleet_coordinate_command(&opts),
+        Cmd::Run => {}
+    }
 
     let duration = if opts.full_week {
         SimDuration::from_secs(PAPER_TRACE_SECS)
@@ -1370,22 +1306,10 @@ fn main() -> ExitCode {
 
     let needs_main = opts.artifacts.iter().any(|a| a.needs_main_run());
     let needs_nat = opts.artifacts.iter().any(|a| a.needs_nat_run());
-
-    // The registry backs the snapshot dump (--metrics-out), the sim-time
-    // series (--series-out), the live /metrics + /series endpoints, and
-    // span->profile framing (--profile-out needs spans to attribute
-    // tick/flush time, so it implies a registry).
-    let registry = (opts.metrics_out.is_some()
-        || opts.series_out.is_some()
-        || opts.serve.is_some()
-        || opts.profile_out.is_some())
-    .then(MetricsRegistry::new);
-    // Profiling is on for --profile-out (files + table) and for --serve
-    // (the /profile endpoint); both are wall-domain-only consumers.
-    let profile_enabled = opts.profile_out.is_some() || opts.serve.is_some();
-    let mut profile_total: Option<ProfileSnapshot> = None;
-    let series_interval_ns = (opts.series_out.is_some() || opts.serve.is_some())
-        .then(|| opts.series_interval_ms * 1_000_000);
+    let mut labels: Vec<String> = opts.artifacts.iter().map(|id| id.to_string()).collect();
+    if opts.fleet.is_some() {
+        labels.push("fleet".to_string());
+    }
 
     // The live serving plane: shared snapshot state plus the broadcast bus
     // every run's journal taps into.
@@ -1394,10 +1318,6 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
     if let Some(shared) = &serve_state {
-        let mut labels: Vec<String> = opts.artifacts.iter().map(|id| id.to_string()).collect();
-        if opts.fleet.is_some() {
-            labels.push("fleet".to_string());
-        }
         shared.update_status(|s| {
             s.seed = opts.seed;
             s.speed = opts.speed.to_string();
@@ -1407,17 +1327,23 @@ fn main() -> ExitCode {
 
     // Wall-clock phases, reported at exit in the same `[time]` format the
     // per-artifact lines use and exported as BENCH_repro.json when
-    // CSPROV_BENCH_OUT is set (single runs: median == min).
+    // CSPROV_BENCH_OUT is set.
     let total_t0 = Instant::now();
-    let mut timings: Vec<BenchResult> = Vec::new();
-    fn phase(name: &str, secs: f64, rate_per_sec: Option<f64>) -> BenchResult {
-        BenchResult {
-            name: name.to_string(),
-            median_ns: secs * 1e9,
-            min_ns: secs * 1e9,
-            rate_per_sec,
-        }
-    }
+    let mut driver = RunDriver {
+        opts: &opts,
+        // The registry backs the snapshot dump (--metrics-out), the
+        // sim-time series (--series-out), the live /metrics + /series
+        // endpoints, and span->profile framing (--profile-out needs spans
+        // to attribute tick/flush time, so it implies a registry).
+        registry: (opts.metrics_out.is_some()
+            || opts.series_out.is_some()
+            || opts.serve.is_some()
+            || opts.profile_out.is_some())
+        .then(MetricsRegistry::new),
+        serve: serve_state,
+        profile_total: None,
+        timings: Vec::new(),
+    };
 
     let chaos_seed = opts.chaos_seed.unwrap_or(opts.seed);
     let mut chaos_reports: Vec<ChaosReport> = Vec::new();
@@ -1428,194 +1354,63 @@ fn main() -> ExitCode {
             duration.as_secs_f64() / 3600.0,
             opts.seed
         );
-        let t0 = Instant::now();
-        let journal = (opts.trace_out.is_some() || serve_state.is_some()).then(Journal::new);
-        if let (Some(journal), Some(shared)) = (&journal, &serve_state) {
-            journal.set_tap(shared.bus().clone());
-        }
-        let profile = start_profile(profile_enabled, registry.as_ref());
-        let (mut instruments, reporter, sampler) = instruments_for(TelemetrySpec {
-            label: "main",
-            horizon_ns: duration.as_nanos(),
-            registry: registry.as_ref(),
-            progress: opts.progress,
-            journal: journal.clone(),
-            series_interval_ns,
-            speed: opts.speed,
-            serve: serve_state.clone(),
+        let (run, secs) = driver.world_run("main", duration.as_nanos(), |instruments, registry| {
+            let scenario = ScenarioConfig::scaled(opts.seed, duration);
+            let run = match &opts.chaos {
+                Some(spec) => {
+                    eprintln!(
+                        "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
+                        spec.name
+                    );
+                    let (run, report) =
+                        chaos::run_chaos_main(spec, scenario, chaos_seed, instruments, registry);
+                    chaos_reports.push(report);
+                    run
+                }
+                None => MainRun::execute_instrumented(scenario, instruments, registry),
+            };
+            let events = run.outcome.events_executed;
+            (run, events)
         });
-        instruments.profile = profile.clone();
-        if let Some(shared) = &serve_state {
-            shared.update_status(|s| {
-                s.state = "running";
-                s.horizon_ns = duration.as_nanos();
-                s.sim_ns = 0;
-            });
-            shared.bus().publish(BusEvent::RunStarted {
-                label: "main".into(),
-                horizon_ns: duration.as_nanos(),
-            });
-        }
-        let scenario = ScenarioConfig::scaled(opts.seed, duration);
-        let run = match &opts.chaos {
-            Some(spec) => {
-                eprintln!(
-                    "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
-                    spec.name
-                );
-                let (run, report) = chaos::run_chaos_main(
-                    spec,
-                    scenario,
-                    chaos_seed,
-                    instruments,
-                    registry.as_ref(),
-                );
-                chaos_reports.push(report);
-                run
-            }
-            None => MainRun::execute_instrumented(scenario, instruments, registry.as_ref()),
-        };
-        if let Some(reporter) = reporter {
-            reporter.finish(duration.as_nanos(), run.outcome.events_executed);
-        }
-        if let (Some(journal), Some(base)) = (&journal, &opts.trace_out) {
-            write_journal(journal, base, "main");
-        }
-        if let (Some(sampler), Some(dir)) = (&sampler, &opts.series_out) {
-            write_series(sampler, dir, "main", duration.as_nanos());
-        }
-        if let Some(profile) = &profile {
-            finish_profile(
-                profile,
-                "main",
-                opts.profile_out.as_deref(),
-                journal.as_ref(),
-                registry.as_ref(),
-                &mut profile_total,
-            );
-            if let (Some(shared), Some(total)) = (&serve_state, &profile_total) {
-                shared.set_profile(total.render_table());
-            }
-        }
-        if let Some(shared) = &serve_state {
-            finish_serve_run(
-                shared,
-                &registry,
-                &sampler,
-                opts.series_out.is_none(),
-                duration.as_nanos(),
-                run.outcome.events_executed,
-                "main",
-            );
-        }
-        let secs = t0.elapsed().as_secs_f64();
         eprintln!(
             "[run] done: {} packets in {:.1} s wall ({} events)",
             run.analysis.counts.total_packets(),
             secs,
             run.outcome.events_executed
         );
-        timings.push(phase(
-            "main_run",
-            secs,
-            Some(run.outcome.events_executed as f64 / secs.max(1e-9)),
-        ));
         run
     });
     let nat_run = needs_nat.then(|| {
         eprintln!("[run] NAT experiment: one 30-minute map through the device...");
-        let t0 = Instant::now();
         let nat_horizon = SimDuration::from_mins(30).as_nanos();
-        let journal = (opts.trace_out.is_some() || serve_state.is_some()).then(Journal::new);
-        if let (Some(journal), Some(shared)) = (&journal, &serve_state) {
-            journal.set_tap(shared.bus().clone());
-        }
-        let profile = start_profile(profile_enabled, registry.as_ref());
-        let (mut instruments, reporter, sampler) = instruments_for(TelemetrySpec {
-            label: "nat",
-            horizon_ns: nat_horizon,
-            registry: registry.as_ref(),
-            progress: opts.progress,
-            journal: journal.clone(),
-            series_interval_ns,
-            speed: opts.speed,
-            serve: serve_state.clone(),
-        });
-        instruments.profile = profile.clone();
-        if let Some(shared) = &serve_state {
-            shared.update_status(|s| {
-                s.state = "running";
-                s.horizon_ns = nat_horizon;
-                s.sim_ns = 0;
-            });
-            shared.bus().publish(BusEvent::RunStarted {
-                label: "nat".into(),
-                horizon_ns: nat_horizon,
-            });
-        }
-        let run = match &opts.chaos {
-            Some(spec) => {
-                eprintln!(
-                    "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
-                    spec.name
-                );
-                let (run, report) = nat::run_nat_experiment_chaos(
+        let (run, _) = driver.world_run("nat", nat_horizon, |instruments, registry| {
+            let run = match &opts.chaos {
+                Some(spec) => {
+                    eprintln!(
+                        "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
+                        spec.name
+                    );
+                    let (run, report) = nat::run_nat_experiment_chaos(
+                        opts.seed,
+                        EngineConfig::default(),
+                        spec,
+                        chaos_seed,
+                        instruments,
+                        registry,
+                    );
+                    chaos_reports.push(report);
+                    run
+                }
+                None => nat::run_nat_experiment_instrumented(
                     opts.seed,
                     EngineConfig::default(),
-                    spec,
-                    chaos_seed,
                     instruments,
-                    registry.as_ref(),
-                );
-                chaos_reports.push(report);
-                run
-            }
-            None => nat::run_nat_experiment_instrumented(
-                opts.seed,
-                EngineConfig::default(),
-                instruments,
-                registry.as_ref(),
-            ),
-        };
-        if let Some(reporter) = reporter {
-            reporter.finish(nat_horizon, run.outcome.events_executed);
-        }
-        if let (Some(journal), Some(base)) = (&journal, &opts.trace_out) {
-            write_journal(journal, base, "nat");
-        }
-        if let (Some(sampler), Some(dir)) = (&sampler, &opts.series_out) {
-            write_series(sampler, dir, "nat", nat_horizon);
-        }
-        if let Some(profile) = &profile {
-            finish_profile(
-                profile,
-                "nat",
-                opts.profile_out.as_deref(),
-                journal.as_ref(),
-                registry.as_ref(),
-                &mut profile_total,
-            );
-            if let (Some(shared), Some(total)) = (&serve_state, &profile_total) {
-                shared.set_profile(total.render_table());
-            }
-        }
-        if let Some(shared) = &serve_state {
-            finish_serve_run(
-                shared,
-                &registry,
-                &sampler,
-                opts.series_out.is_none(),
-                nat_horizon,
-                run.outcome.events_executed,
-                "nat",
-            );
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        timings.push(phase(
-            "nat_run",
-            secs,
-            Some(run.outcome.events_executed as f64 / secs.max(1e-9)),
-        ));
+                    registry,
+                ),
+            };
+            let events = run.outcome.events_executed;
+            (run, events)
+        });
         run
     });
 
@@ -1661,7 +1456,7 @@ fn main() -> ExitCode {
             ExperimentId::AggregateServers => aggregate::aggregate_servers(opts.seed, 120).render(),
         };
         println!("{out}");
-        if let Some(shared) = &serve_state {
+        if let Some(shared) = &driver.serve {
             shared.append_report(&format!(
                 "\n================ {id} ================\n{out}\n"
             ));
@@ -1723,7 +1518,7 @@ fn main() -> ExitCode {
         }
         let secs = artifact_t0.elapsed().as_secs_f64();
         eprintln!("[time] {id}: {secs:.3} s wall");
-        timings.push(phase(&id.to_string(), secs, None));
+        driver.timings.push(phase(&id.to_string(), secs, None));
     }
 
     if let Some(servers) = opts.fleet {
@@ -1732,38 +1527,34 @@ fn main() -> ExitCode {
             opts.fleet_minutes, opts.seed
         );
         let t0 = Instant::now();
-        let mut config = FleetConfig::new("fleet", opts.seed, servers, opts.fleet_minutes);
-        config.speed = opts.speed;
-        if let Some(attempts) = opts.fleet_retries {
-            config.retry.attempts = attempts;
-        }
-        config.fail_plan = opts.fleet_fail.clone();
-        config.profile = profile_enabled;
+        let mut config = fleet_config(&opts, servers);
+        config.profile = driver.profiling();
         // The health board behind /shards: workers beat it in-process;
         // a scanner thread folds in .hb sidecars so externally-written
         // heartbeats (other processes sharing the state dir) are seen
         // too.
-        config.health = serve_state.as_ref().map(|_| health_board(servers));
+        config.health = driver.serve.as_ref().map(|_| health_board(servers));
         let persistence = match (&opts.fleet_state_dir, opts.fleet_resume) {
             (Some(dir), true) => fleet::FleetPersistence::resume_from(dir),
             (Some(dir), false) => fleet::FleetPersistence::checkpoint_to(dir),
             (None, _) => fleet::FleetPersistence::none(),
         };
-        let driver = FleetDriver::start(&config, serve_state.as_deref());
+        let serve = driver.serve.clone();
+        let fleet_driver = FleetDriver::start(&config, serve.as_deref());
         // Execution-plane event hook: shard completions feed the serving
         // plane and every event narrates to stderr. The canonical merge
         // happens inside the engine, so none of this affects the answer.
         let on_event = |ev: &fleet::FleetEvent<'_>| {
             narrate("[fleet]", ev);
             if let fleet::FleetEvent::ShardDone { state, .. } = ev {
-                driver.shard_done(state);
+                fleet_driver.shard_done(state);
             }
         };
         // Heartbeat sidecar scanner: while the fleet runs, fold any .hb
         // files in the state dir into the board and narrate fresh beats
         // onto the bus. Reads only; undecodable files are skipped.
         let scan_stop = Arc::new(AtomicBool::new(false));
-        let scanner = match (&config.health, &opts.fleet_state_dir, &serve_state) {
+        let scanner = match (&config.health, &opts.fleet_state_dir, &serve) {
             (Some(board), Some(dir), Some(shared)) => {
                 let board = board.clone();
                 let shared = shared.clone();
@@ -1805,7 +1596,7 @@ fn main() -> ExitCode {
         match fleet_result {
             Ok(run) => {
                 let secs = t0.elapsed().as_secs_f64();
-                if let Some(registry) = &registry {
+                if let Some(registry) = &driver.registry {
                     run.export_metrics(registry);
                     if let Some(board) = &config.health {
                         board.export_metrics(registry);
@@ -1813,34 +1604,19 @@ fn main() -> ExitCode {
                 }
                 if let Some(snap) = &run.profile {
                     if let Some(dir) = &opts.profile_out {
-                        let folded_path = format!("{dir}/fleet.folded");
-                        let write = std::fs::create_dir_all(dir)
-                            .and_then(|_| std::fs::write(&folded_path, snap.render_folded()));
-                        match write {
-                            Ok(()) => eprintln!(
-                                "[profile] wrote {folded_path} ({} frames)",
-                                snap.entries().len()
-                            ),
-                            Err(e) => eprintln!("warning: could not write {folded_path}: {e}"),
-                        }
+                        let detail = format!("{} frames", snap.entries().len());
+                        let folded = format!("{dir}/fleet.folded");
+                        write_side("[profile]", &folded, snap.render_folded(), &detail);
                     }
-                    absorb_profile(&mut profile_total, snap);
-                    if let (Some(shared), Some(total)) = (&serve_state, &profile_total) {
-                        shared.set_profile(total.render_table());
-                    }
+                    driver.absorb_profile(snap);
                 }
-                let journal =
-                    (opts.trace_out.is_some() || serve_state.is_some()).then(Journal::new);
-                if let Some(journal) = &journal {
-                    if let Some(shared) = &serve_state {
-                        journal.set_tap(shared.bus().clone());
-                    }
-                    run.emit_journal(journal);
+                if let Some(journal) = driver.journal() {
+                    run.emit_journal(&journal);
                     if let Some(base) = &opts.trace_out {
-                        write_journal(journal, base, "fleet");
+                        write_journal(&journal, base, "fleet");
                     }
                 }
-                driver.finish(&run);
+                fleet_driver.finish(&run);
                 eprintln!(
                     "[run] fleet done: {} packets across {} shards in {:.1} s wall",
                     run.facility.counts.total_packets(),
@@ -1856,7 +1632,7 @@ fn main() -> ExitCode {
                     );
                 }
                 eprintln!("[time] fleet: {secs:.3} s wall");
-                timings.push(phase(
+                driver.timings.push(phase(
                     "fleet",
                     secs,
                     Some(run.facility.counts.total_packets() as f64 / secs.max(1e-9)),
@@ -1877,7 +1653,7 @@ fn main() -> ExitCode {
     // The cumulative wall-time attribution across every run this
     // invocation performed, ranked by self time. Stderr, not stdout —
     // wall timings must never contaminate the determinism artifacts.
-    if let Some(total) = &profile_total {
+    if let Some(total) = &driver.profile_total {
         eprintln!("[profile] wall-time attribution (self-time ranked):");
         for line in total.render_table().lines() {
             eprintln!("  {line}");
@@ -1886,11 +1662,11 @@ fn main() -> ExitCode {
 
     let total_secs = total_t0.elapsed().as_secs_f64();
     eprintln!("[time] total: {total_secs:.3} s wall");
-    timings.push(phase("total", total_secs, None));
+    driver.timings.push(phase("total", total_secs, None));
     if let Ok(dir) = std::env::var("CSPROV_BENCH_OUT") {
         if !dir.is_empty() {
             let path = std::path::Path::new(&dir).join("BENCH_repro.json");
-            let json = render_bench_json("repro", &timings);
+            let json = render_bench_json("repro", &driver.timings);
             match std::fs::write(&path, json) {
                 Ok(()) => eprintln!("[bench] wrote {}", path.display()),
                 Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
@@ -1898,11 +1674,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let (Some(path), Some(registry)) = (&opts.metrics_out, &registry) {
-        let mut labels: Vec<String> = opts.artifacts.iter().map(|id| id.to_string()).collect();
-        if opts.fleet.is_some() {
-            labels.push("fleet".to_string());
-        }
+    if let (Some(path), Some(registry)) = (&opts.metrics_out, &driver.registry) {
         let out = match opts.metrics_format {
             MetricsFormat::Combined => {
                 let mut out = String::new();
@@ -1949,10 +1721,121 @@ fn main() -> ExitCode {
     }
 
     // Wind the serving plane down after one last metrics snapshot.
-    if let (Some(shared), Some(registry)) = (&serve_state, &registry) {
+    if let (Some(shared), Some(registry)) = (&driver.serve, &driver.registry) {
         shared.export_metrics(registry);
         shared.set_metrics(registry.render_prometheus());
     }
-    close_serve(serve_state.as_deref(), serve_handle, opts.serve_linger_secs);
+    close_serve(
+        driver.serve.as_deref(),
+        serve_handle,
+        opts.serve_linger_secs,
+    );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse_err(cmd: Cmd, line: &str) -> String {
+        match parse(cmd, &argv(line)) {
+            Ok(_) => panic!("{cmd:?} {line} must be rejected"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn every_flag_row_has_a_setter() {
+        for &(name, value, _, _) in FLAGS {
+            let sample = match value {
+                "" => "",
+                "DIR" | "FILE" | "ADDR" => "x",
+                "F" => "text",
+                "PROFILE" => "none",
+                "SPEC" => "1:1",
+                "LO:HI" => "0:1",
+                "N|max" => "max",
+                _ => "1",
+            };
+            let mut opts = Options::default();
+            assert_eq!(set_flag(&mut opts, name, sample), Ok(()), "{name} {sample}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_artifact_and_exactly_each_commands_flags() {
+        let run = usage(Cmd::Run);
+        for id in ExperimentId::all() {
+            let id = id.to_string();
+            assert!(run.split_whitespace().any(|w| w == id), "{id} missing");
+        }
+        for cmd in [Cmd::Run, Cmd::Work, Cmd::Coordinate] {
+            let text = usage(cmd);
+            let listed: Vec<&str> = text
+                .lines()
+                .filter(|l| l.starts_with("  --"))
+                .filter_map(|l| l.split_whitespace().next())
+                .collect();
+            let taken: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.2 & cmd as u8 != 0)
+                .map(|f| f.0)
+                .collect();
+            assert_eq!(listed, taken, "{cmd:?}");
+        }
+    }
+
+    #[test]
+    fn coordinator_worker_argv_parses_back_to_the_same_fleet() {
+        for extra in [
+            "",
+            "--fleet-retries 4 --fleet-fail 1:2,3:stall=50,5:forever",
+        ] {
+            let line =
+                format!("--seed 7 --fleet 16 --fleet-minutes 10 --fleet-state-dir st {extra}");
+            let coord = parse(Cmd::Coordinate, &argv(&line)).unwrap();
+            let range = ShardRange { start: 6, end: 11 };
+            let args = worker_args(&coord, 16, "st", range);
+            assert_eq!(args[..4], ["fleet", "work", "--shards", "6:11"]);
+            let work = parse(Cmd::Work, &args[2..]).unwrap();
+            assert_eq!(work.shards, Some(range));
+            assert_eq!(work.fleet_state_dir.as_deref(), Some("st"));
+            let c = fleet_config(&coord, 16);
+            let w = fleet_config(&work, work.fleet.unwrap());
+            assert_eq!(
+                (w.seed, w.servers, w.minutes, w.retry, &w.fail_plan),
+                (c.seed, c.servers, c.minutes, c.retry, &c.fail_plan),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn validation_rules_reject_each_bad_invocation() {
+        #[rustfmt::skip]
+        let cases = [
+            (Cmd::Run, "--fleet 0", "--fleet must be > 0"),
+            (Cmd::Run, "--fleet 2 --fleet-minutes 0", "--fleet-minutes must be > 0"),
+            (Cmd::Coordinate, "--fleet 2 --fleet-state-dir d --workers 0", "--workers must be > 0"),
+            (Cmd::Run, "--series-interval 0 table1", "--series-interval must be > 0"),
+            (Cmd::Work, "--fleet 2 --fleet-state-dir d --shards 0:1 --fleet-retries 0", "--fleet-retries must be > 0"),
+            (Cmd::Run, "--fleet 2 --resume", "--resume requires --fleet-state-dir"),
+            (Cmd::Run, "--metrics-format prom table1", "--metrics-format requires --metrics-out"),
+            (Cmd::Work, "--fleet 2 --fleet-state-dir d", "fleet work requires --shards"),
+            (Cmd::Coordinate, "--fleet 2 --fleet-state-dir d --serve-linger 2", "--serve-linger requires --serve"),
+            (Cmd::Work, "--fleet 2 --fleet-state-dir d --shards 0:1 --workers 9", "repro fleet work does not take --workers"),
+            (Cmd::Coordinate, "--fleet 2 --fleet-state-dir d --shards 0:1", "repro fleet coordinate does not take --shards"),
+            (Cmd::Run, "table1 --fleet-fail 1:1", "require --fleet"),
+            (Cmd::Run, "", "no artifacts requested"),
+        ];
+        for (cmd, line, needle) in cases {
+            let e = parse_err(cmd, line);
+            assert!(e.contains(needle), "{cmd:?} {line}: {e}");
+        }
+        assert_eq!(parse_err(Cmd::Work, "--help"), "");
+    }
 }

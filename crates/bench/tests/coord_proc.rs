@@ -99,3 +99,46 @@ fn malformed_subcommands_fail_without_touching_disk() {
     }
     assert!(!dir.exists());
 }
+
+#[test]
+fn flags_a_command_does_not_take_are_rejected_by_name() {
+    let dir = temp_dir("scope");
+    let state = dir.to_str().expect("temp dir path is UTF-8");
+    let work = ["fleet", "work", "--shards", "0:1", "--fleet", "2"];
+    let coordinate = ["fleet", "coordinate", "--fleet", "2"];
+    for (args, needle) in [
+        (
+            [&work[..], &["--workers", "9"]].concat(),
+            "does not take --workers",
+        ),
+        (
+            [&work[..], &["--serve", "127.0.0.1:1"]].concat(),
+            "does not take --serve",
+        ),
+        (
+            [&work[..], &["--serve-linger", "3"]].concat(),
+            "does not take --serve-linger",
+        ),
+        (
+            [&coordinate[..], &["--serve-linger", "2"]].concat(),
+            "--serve-linger requires --serve",
+        ),
+        (
+            vec!["fleet", "bogus"],
+            "unknown fleet subcommand 'bogus' (known: merge, work, coordinate)",
+        ),
+    ] {
+        let out = repro()
+            .args(&args)
+            .args(["--fleet-state-dir", state])
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            stderr.contains(needle),
+            "{args:?} must say {needle:?}:\n{stderr}"
+        );
+    }
+    assert!(!dir.exists(), "a rejected command touches no disk");
+}

@@ -126,7 +126,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn consume(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -158,7 +158,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+        self.consume(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -169,7 +169,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.consume(b':')?;
             self.skip_ws();
             let value = self.value()?;
             members.push((key, value));
@@ -186,7 +186,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+        self.consume(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -209,7 +209,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.consume(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -260,7 +260,7 @@ impl<'a> Parser<'a> {
                     // on char boundaries is safe via the chars iterator).
                     let rest = &self.bytes[self.pos..];
                     let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().unwrap();
+                    let ch = s.chars().next().ok_or("unterminated string")?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }

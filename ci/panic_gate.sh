@@ -10,7 +10,10 @@
 # engine, its checkpoint codec, and the csprov-state/1 container layer
 # (state files are foreign bytes: corruption must surface as typed
 # StateError/CheckpointError values, shard failures as FleetError), the
-# aggregate experiment, the columnar ingest pipeline in crates/core,
+# columnar ingest pipeline in crates/core, the experiment layer every
+# paper number comes out of (crates/core lib.rs and chaos.rs, and
+# experiments/ mod, nat, tables, web, ablations and aggregate;
+# figures.rs, whose renderers still unwrap `writeln!`, is not yet clean),
 # every module of crates/analysis (the analyzer folds the pipeline
 # feeds — a replayed trace hands them foreign sizes — the checkpoint
 # codec, and the renderers every artifact goes through), every module of
@@ -38,8 +41,11 @@ for f in crates/net/src/*.rs crates/router/src/*.rs \
     crates/core/src/fleet/mod.rs crates/core/src/fleet/persist.rs \
     crates/core/src/fleet/coord.rs \
     crates/analysis/src/*.rs \
+    crates/core/src/lib.rs crates/core/src/chaos.rs crates/core/src/pipeline.rs \
+    crates/core/src/experiments/mod.rs crates/core/src/experiments/nat.rs \
+    crates/core/src/experiments/tables.rs crates/core/src/experiments/web.rs \
+    crates/core/src/experiments/ablations.rs \
     crates/core/src/experiments/aggregate.rs \
-    crates/core/src/pipeline.rs \
     crates/sim/src/*.rs crates/game/src/*.rs \
     crates/model/src/*.rs crates/serve/src/*.rs \
     crates/web/src/lib.rs crates/web/src/tcp.rs crates/obs/src/*.rs; do
@@ -58,6 +64,6 @@ done
 if [ "$status" -ne 0 ]; then
     echo "panic gate FAILED: use typed csprov_net::Error instead" >&2
 else
-    echo "panic gate OK: no unwrap/expect/panic! in net+router+fleet+analysis+sim+game+model+serve+web+obs library code"
+    echo "panic gate OK: no unwrap/expect/panic! in net+router+fleet+experiments+analysis+sim+game+model+serve+web+obs library code"
 fi
 exit "$status"

@@ -14,9 +14,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 /// What rides along on the kernel workload. `Plain` is also the
-/// "journal hooks compiled but unexported" case: the journal tap is an
-/// `Option` that stays `None`, so the guard budget covers the branch the
-/// hooks add to every step.
+/// "hooks compiled but unused" case: the observer list stays empty, so the
+/// guard budget covers the one branch the list adds to every step.
 enum KernelObs {
     Plain,
     Observed,
@@ -39,23 +38,35 @@ fn run_kernel(obs: KernelObs) -> u64 {
             |_, _| {},
         );
     }
-    match obs {
-        KernelObs::Plain => {}
+    let _frame = match obs {
+        KernelObs::Plain => None,
         KernelObs::Observed => {
             let last = Rc::new(Cell::new(0u64));
             let sink = last.clone();
-            sim.set_observer(8192, move |s: &Simulator| sink.set(s.events_executed()));
+            sim.add_observer(
+                8192,
+                Box::new(move |s: &Simulator| sink.set(s.events_executed())),
+            );
+            None
         }
-        KernelObs::Journaled => sim.set_journal(8192, Journal::new()),
-        // `--speed max` keeps the pacer installed but on its no-op branch;
-        // this row is the whole price of `--serve`'s pacing hook on an
-        // unpaced run (budget: <2% vs Plain).
-        KernelObs::PacedMax => sim.set_pacer(Pacer::new(Speed::Max)),
+        // The journal observer runs at stride 1 (it checks for scheduler
+        // overflow on every event) and samples dispatch every 8192.
+        KernelObs::Journaled => {
+            let (every, tap) = csprov_sim::journal_observer(8192, Journal::new());
+            sim.add_observer(every, tap);
+            None
+        }
+        // A `Speed::Max` pacer installed as its stride-1 observer, on its
+        // no-op branch: the price of the pacing hook on an unpaced run.
+        KernelObs::PacedMax => {
+            let (every, pacer) = Pacer::new(Speed::Max).into_observer();
+            sim.add_observer(every, pacer);
+            None
+        }
         // `--profile-out`'s price on the dispatch loop: one wall-time
-        // frame around the whole run plus the per-dispatch branch
-        // (budget: <2% vs Plain, same as every other obs hook).
-        KernelObs::Profiled => sim.set_profile(Profile::new()),
-    }
+        // frame around the whole run, as `World::run_instrumented` opens it.
+        KernelObs::Profiled => Some(Profile::new().enter("sim.dispatch")),
+    };
     sim.run_until(SimTime::from_secs(1));
     sim.events_executed()
 }

@@ -8,9 +8,11 @@
 //! ```
 //!
 //! `repro --help`, `repro fleet work --help` and `repro fleet coordinate
-//! --help` list that command's options (the first also lists the
-//! artifacts and chaos profiles). All three parse against one flag table,
-//! [`FLAGS`]; a command given a flag it does not take exits 1 naming it.
+//! --help` list that command's options on stdout and exit 0 (the first
+//! also lists the artifacts and chaos profiles); `repro fleet merge
+//! --help` prints its synopsis. The first three parse against one flag
+//! table, [`FLAGS`]; a command given a flag it does not take exits 1
+//! naming it, with the usage on stderr.
 //!
 //! `fleet work` runs one shard range against a shared state directory;
 //! `fleet coordinate` spawns `fleet work` children over that directory,
@@ -188,7 +190,8 @@ impl Default for Options {
 }
 
 /// Parses `cmd`'s arguments against [`FLAGS`], then checks the rules that
-/// span flags. `Err("")` asks for the usage alone (`--help`).
+/// span flags. `Err("")` asks for the usage alone (`--help`), which `main`
+/// prints to stdout with exit 0.
 fn parse(cmd: Cmd, args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut args = args.iter();
@@ -473,10 +476,10 @@ impl RunDriver<'_> {
     }
 
     /// Builds one world run's observe-only hooks: metric handles against
-    /// the registry, the journal and profile, a wall-clock pacer
-    /// (`--speed`), and a kernel observer driving the progress reporter,
-    /// the series sampler and the live snapshot refresh (`--serve`) — all
-    /// sharing the one observer slot and stride.
+    /// the registry, the journal and profile, and two kernel observers: one
+    /// driving the progress reporter, the series sampler and the live
+    /// snapshot refresh (`--serve`) at one stride, then a wall-clock pacer
+    /// (`--speed`).
     fn instruments(
         &self,
         journal: Option<&Journal>,
@@ -492,12 +495,8 @@ impl RunDriver<'_> {
         instruments.journal = journal.cloned();
         instruments.profile = profile.cloned();
         let speed = self.opts.speed;
-        let pacer_stats: Option<Arc<PacerStats>> = speed.is_paced().then(|| {
-            let pacer = Pacer::new(speed);
-            let stats = pacer.stats();
-            instruments.pacer = Some(pacer);
-            stats
-        });
+        let pacer = speed.is_paced().then(|| Pacer::new(speed));
+        let pacer_stats: Option<Arc<PacerStats>> = pacer.as_ref().map(Pacer::stats);
         if reporter.is_some() || sampler.is_some() || self.serve.is_some() {
             let reporter_cb = reporter.cloned();
             let sampler_cb = sampler.cloned();
@@ -513,7 +512,7 @@ impl RunDriver<'_> {
             } else {
                 OBSERVER_STRIDE
             };
-            instruments.observer = Some((
+            instruments.observers.push((
                 stride,
                 Box::new(move |sim: &Simulator| {
                     if let Some(reporter) = &reporter_cb {
@@ -557,18 +556,21 @@ impl RunDriver<'_> {
             ));
         }
         instruments
+            .observers
+            .extend(pacer.map(Pacer::into_observer));
+        instruments
     }
 
     /// Runs one labelled world run with every side channel the options
     /// ask for, and records its `<label>_run` phase. `run` receives the
-    /// instruments and the registry, runs the world (chaos or plain) and
-    /// returns its result with its kernel event count. Returns the result
-    /// and the run's wall seconds.
+    /// instruments, runs the world (chaos or plain) and returns its result
+    /// with its kernel event count. Returns the result and the run's wall
+    /// seconds.
     fn world_run<R>(
         &mut self,
         label: &'static str,
         horizon_ns: u64,
-        run: impl FnOnce(WorldInstruments, Option<&MetricsRegistry>) -> (R, u64),
+        run: impl FnOnce(WorldInstruments) -> (R, u64),
     ) -> (R, f64) {
         let opts = self.opts;
         let t0 = Instant::now();
@@ -609,7 +611,7 @@ impl RunDriver<'_> {
                 horizon_ns,
             });
         }
-        let (result, events) = run(instruments, self.registry.as_ref());
+        let (result, events) = run(instruments);
         if let Some(reporter) = reporter {
             reporter.finish(horizon_ns, events);
         }
@@ -982,11 +984,22 @@ fn write_csv(dir: &str, name: &str, headers: &[&str], cols: &[&[f64]]) {
 /// order, so merging 10k+ states never holds more than one decoded
 /// state at a time.
 fn fleet_merge_command(args: &[String]) -> ExitCode {
-    if args.len() < 2 {
-        eprintln!("usage: {MERGE_SYNOPSIS}");
-        return ExitCode::FAILURE;
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("usage: {MERGE_SYNOPSIS}");
+        return ExitCode::SUCCESS;
     }
-    let out = &args[0];
+    let out = match args {
+        [out, ..] if out.starts_with('-') => {
+            eprintln!("error: fleet merge takes no options; output path '{out}' starts with '-'");
+            eprintln!("usage: {MERGE_SYNOPSIS}");
+            return ExitCode::FAILURE;
+        }
+        [out, _, ..] => out,
+        _ => {
+            eprintln!("usage: {MERGE_SYNOPSIS}");
+            return ExitCode::FAILURE;
+        }
+    };
     let paths: Vec<std::path::PathBuf> = args[1..].iter().map(std::path::PathBuf::from).collect();
     // The report header's run length comes from the first shard's recorded
     // duration (every shard of one fleet runs the same horizon).
@@ -1265,6 +1278,14 @@ fn fleet_coordinate_command(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Narrates on stderr the chaos campaign a world run is about to run.
+fn announce_chaos(spec: &ChaosSpec, chaos_seed: u64) {
+    eprintln!(
+        "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
+        spec.name
+    );
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, args) = match (argv.first().map(String::as_str), argv.get(1)) {
@@ -1284,10 +1305,12 @@ fn main() -> ExitCode {
     };
     let opts = match parse(cmd, args) {
         Ok(o) => o,
+        Err(e) if e.is_empty() => {
+            print!("{}", usage(cmd));
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}");
-            }
+            eprintln!("error: {e}");
             eprint!("{}", usage(cmd));
             return ExitCode::FAILURE;
         }
@@ -1354,20 +1377,17 @@ fn main() -> ExitCode {
             duration.as_secs_f64() / 3600.0,
             opts.seed
         );
-        let (run, secs) = driver.world_run("main", duration.as_nanos(), |instruments, registry| {
+        let (run, secs) = driver.world_run("main", duration.as_nanos(), |instruments| {
             let scenario = ScenarioConfig::scaled(opts.seed, duration);
             let run = match &opts.chaos {
                 Some(spec) => {
-                    eprintln!(
-                        "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
-                        spec.name
-                    );
+                    announce_chaos(spec, chaos_seed);
                     let (run, report) =
-                        chaos::run_chaos_main(spec, scenario, chaos_seed, instruments, registry);
+                        chaos::run_chaos_main(spec, scenario, chaos_seed, instruments);
                     chaos_reports.push(report);
                     run
                 }
-                None => MainRun::execute_instrumented(scenario, instruments, registry),
+                None => MainRun::execute_instrumented(scenario, instruments),
             };
             let events = run.outcome.events_executed;
             (run, events)
@@ -1383,31 +1403,18 @@ fn main() -> ExitCode {
     let nat_run = needs_nat.then(|| {
         eprintln!("[run] NAT experiment: one 30-minute map through the device...");
         let nat_horizon = SimDuration::from_mins(30).as_nanos();
-        let (run, _) = driver.world_run("nat", nat_horizon, |instruments, registry| {
-            let run = match &opts.chaos {
-                Some(spec) => {
-                    eprintln!(
-                        "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
-                        spec.name
-                    );
-                    let (run, report) = nat::run_nat_experiment_chaos(
-                        opts.seed,
-                        EngineConfig::default(),
-                        spec,
-                        chaos_seed,
-                        instruments,
-                        registry,
-                    );
-                    chaos_reports.push(report);
-                    run
-                }
-                None => nat::run_nat_experiment_instrumented(
-                    opts.seed,
-                    EngineConfig::default(),
-                    instruments,
-                    registry,
-                ),
-            };
+        let (run, _) = driver.world_run("nat", nat_horizon, |instruments| {
+            let chaos = opts.chaos.as_ref().map(|spec| (spec, chaos_seed));
+            if let Some((spec, chaos_seed)) = chaos {
+                announce_chaos(spec, chaos_seed);
+            }
+            let (run, report) = nat::run_nat(
+                nat::paper_config(opts.seed),
+                EngineConfig::default(),
+                chaos,
+                instruments,
+            );
+            chaos_reports.extend(report);
             let events = run.outcome.events_executed;
             (run, events)
         });

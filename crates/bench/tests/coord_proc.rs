@@ -142,3 +142,60 @@ fn flags_a_command_does_not_take_are_rejected_by_name() {
     }
     assert!(!dir.exists(), "a rejected command touches no disk");
 }
+
+#[test]
+fn help_is_a_success_and_merge_never_writes_to_a_flag() {
+    let dir = temp_dir("help");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for args in [
+        vec!["--help"],
+        vec!["fleet", "work", "--help"],
+        vec!["fleet", "coordinate", "-h"],
+        vec!["fleet", "merge", "--help"],
+        vec!["fleet", "merge", "--help", "st/shard-00000.state"],
+    ] {
+        let out = repro()
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro runs");
+        assert!(out.status.success(), "{args:?} must exit 0");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).starts_with("usage: repro"),
+            "{args:?} prints its usage on stdout"
+        );
+        assert!(out.stderr.is_empty(), "{args:?} writes nothing to stderr");
+    }
+    for (args, needle) in [
+        (vec!["--bogus"], "unknown option: --bogus"),
+        (
+            vec![
+                "fleet",
+                "merge",
+                "--out",
+                "report.txt",
+                "st/shard-00000.state",
+            ],
+            "output path '--out' starts with '-'",
+        ),
+    ] {
+        let out = repro()
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} prints nothing on stdout");
+        assert!(
+            stderr.contains(needle) && stderr.contains("usage: repro"),
+            "{args:?} must say {needle:?} and show the usage:\n{stderr}"
+        );
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("temp dir readable")
+        .map(|e| e.map(|e| e.file_name()))
+        .collect();
+    assert!(left.is_empty(), "nothing may be written: {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

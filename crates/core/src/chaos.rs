@@ -11,8 +11,7 @@
 use crate::pipeline::MainRun;
 use csprov_game::{Middlebox, ScenarioConfig, WorldInstruments};
 use csprov_net::{BurstLoss, DuplicateConfig, FaultConfig, FaultStats, ReorderConfig};
-use csprov_obs::MetricsRegistry;
-use csprov_router::{NatStats, NatTableConfig};
+use csprov_router::{ImpairedPath, NatStats, NatTableConfig};
 use csprov_sim::{RngStream, SimDuration};
 use std::rc::Rc;
 
@@ -200,34 +199,30 @@ impl ChaosReport {
     }
 }
 
-/// Builds the impairment middlebox for a spec (no inner device).
+/// Builds the impairment middlebox for a spec around an optional inner
+/// device (e.g. a NAT), reporting its fate counters into the run's
+/// registry and its impairments into the run's journal.
 ///
 /// The injector RNG is derived from `chaos_seed` alone, so the same spec
 /// and seed produce the same impairment schedule regardless of workload.
 pub fn build_path(
     spec: &ChaosSpec,
     chaos_seed: u64,
-    registry: Option<&MetricsRegistry>,
-) -> Rc<csprov_router::ImpairedPath> {
-    build_path_around(spec, chaos_seed, None, registry)
-}
-
-/// [`build_path`], wrapping an inner middlebox (e.g. a NAT device).
-pub fn build_path_around(
-    spec: &ChaosSpec,
-    chaos_seed: u64,
     inner: Option<Rc<dyn Middlebox>>,
-    registry: Option<&MetricsRegistry>,
-) -> Rc<csprov_router::ImpairedPath> {
+    instruments: &WorldInstruments,
+) -> Rc<ImpairedPath> {
     let rng = RngStream::new(chaos_seed).derive("chaos");
-    let path = Rc::new(csprov_router::ImpairedPath::with_directions(
+    let path = Rc::new(ImpairedPath::with_directions(
         spec.inbound.clone(),
         spec.outbound.clone(),
         rng,
         inner,
     ));
-    if let Some(registry) = registry {
+    if let Some(registry) = &instruments.registry {
         path.stats().report_to(registry);
+    }
+    if let Some(journal) = &instruments.journal {
+        path.attach_journal(journal.clone());
     }
     path
 }
@@ -238,18 +233,9 @@ pub fn run_chaos_main(
     config: ScenarioConfig,
     chaos_seed: u64,
     instruments: WorldInstruments,
-    registry: Option<&MetricsRegistry>,
 ) -> (MainRun, ChaosReport) {
-    let path = build_path(spec, chaos_seed, registry);
-    if let Some(journal) = &instruments.journal {
-        path.attach_journal(journal.clone());
-    }
-    let run = MainRun::execute_with_middlebox(
-        config,
-        Some(path.clone() as Rc<dyn Middlebox>),
-        instruments,
-        registry,
-    );
+    let path = build_path(spec, chaos_seed, None, &instruments);
+    let run = MainRun::execute_with_middlebox(config, Some(path.clone()), instruments);
     let report = ChaosReport {
         profile: spec.name.to_string(),
         chaos_seed,
@@ -284,8 +270,8 @@ mod tests {
     fn report_renders_deterministically() {
         let spec = by_name("last-mile-loss").unwrap();
         let cfg = ScenarioConfig::new(5, SimDuration::from_mins(1));
-        let (_, r1) = run_chaos_main(&spec, cfg.clone(), 9, WorldInstruments::default(), None);
-        let (_, r2) = run_chaos_main(&spec, cfg, 9, WorldInstruments::default(), None);
+        let (_, r1) = run_chaos_main(&spec, cfg.clone(), 9, WorldInstruments::default());
+        let (_, r2) = run_chaos_main(&spec, cfg, 9, WorldInstruments::default());
         assert_eq!(r1.render(), r2.render());
         assert!(r1.stats.conservation_holds());
         assert!(r1.stats.dropped.get() > 0, "1% loss over a minute");
@@ -297,8 +283,8 @@ mod tests {
         // campaign stays conservation-consistent either way.
         let spec = by_name("modem-burst").unwrap();
         let cfg = ScenarioConfig::new(5, SimDuration::from_mins(1));
-        let (_, r1) = run_chaos_main(&spec, cfg.clone(), 1, WorldInstruments::default(), None);
-        let (_, r2) = run_chaos_main(&spec, cfg, 2, WorldInstruments::default(), None);
+        let (_, r1) = run_chaos_main(&spec, cfg.clone(), 1, WorldInstruments::default());
+        let (_, r2) = run_chaos_main(&spec, cfg, 2, WorldInstruments::default());
         assert!(r1.stats.conservation_holds() && r2.stats.conservation_holds());
         assert_ne!(
             (r1.stats.dropped_burst.get(), r1.stats.passed.get()),

@@ -300,12 +300,18 @@ pub fn route_cache_experiment_journaled(
 pub fn source_model_experiment(seed: u64, minutes: u64) -> TextTable {
     let cfg = ScenarioConfig::new(seed, SimDuration::from_mins(minutes));
     let duration = cfg.duration;
-    let fit = Rc::new(RefCell::new(Fitter {
+    let fresh = || Fitter {
         fit: SourceModelFit::new(),
         counts: CountingSink::new(),
-    }));
+    };
+    let fit = Rc::new(RefCell::new(fresh()));
     let outcome = csprov_game::World::run(cfg, fit.clone());
-    let Fitter { fit, counts } = Rc::try_unwrap(fit).map_err(|_| ()).unwrap().into_inner();
+    // The world releases its sink handle when the run returns; a handle
+    // still shared is swapped out rather than unwrapped.
+    let Fitter { fit, counts } = match Rc::try_unwrap(fit) {
+        Ok(cell) => cell.into_inner(),
+        Err(shared) => shared.replace(fresh()),
+    };
     let mut model = fit.finish();
 
     let mut regen = CountingSink::new();

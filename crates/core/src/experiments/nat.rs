@@ -6,9 +6,8 @@ use crate::chaos::{self, ChaosReport, ChaosSpec};
 use csprov_analysis::RateSeries;
 use csprov_game::{Middlebox, ScenarioConfig, TraceOutcome, World, WorldInstruments};
 use csprov_net::{Direction, NullSink, TraceSink};
-use csprov_obs::MetricsRegistry;
 use csprov_router::{EngineConfig, EngineStats, NatDevice, NatTaps};
-use csprov_sim::SimDuration;
+use csprov_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -44,182 +43,118 @@ impl NatRun {
 /// 30-minute map (plus a 5-minute warm-up, matching the paper's "after a
 /// brief warm-up period").
 pub fn run_nat_experiment(seed: u64, engine: EngineConfig) -> NatRun {
-    run_nat_experiment_instrumented(seed, engine, WorldInstruments::default(), None)
-}
-
-/// [`run_nat_experiment`] with observability attached: world/sim
-/// instruments ride along, the NAT device reports `router.*` metrics, and
-/// the four measurement-point taps export their accepted totals as
-/// `pipeline.records.*` counters.
-pub fn run_nat_experiment_instrumented(
-    seed: u64,
-    engine: EngineConfig,
-    instruments: WorldInstruments,
-    registry: Option<&MetricsRegistry>,
-) -> NatRun {
-    // One 30-minute map, exactly the paper's window. The warm-up happened
-    // before the trace: the scenario starts with the player count the
-    // paper's Table IV packet totals imply (853k inbound packets over
-    // 1800 s ≈ 474 pps ≈ 19 players' command streams).
-    let cfg = paper_nat_config(seed); // churn holds occupancy near 19
-
-    let second = SimDuration::from_secs(1);
-    let mk = || Rc::new(RefCell::new(RateSeries::new(second)));
-    let (a, b, c, d) = (mk(), mk(), mk(), mk());
-    let taps = NatTaps {
-        clients_to_nat: Some(a.clone()),
-        nat_to_server: Some(b.clone()),
-        server_to_nat: Some(c.clone()),
-        nat_to_clients: Some(d.clone()),
-    };
-    let device = Rc::new(NatDevice::new(engine.clone(), taps));
-    if let Some(registry) = registry {
-        device.stats().report_to(registry);
-        device.nat_stats().report_to(registry);
-    }
-    if let Some(journal) = &instruments.journal {
-        device.attach_journal(journal.clone());
-    }
-    let sink = Rc::new(RefCell::new(NullSink));
-    let duration = cfg.duration;
-    let outcome = World::run_instrumented(cfg, sink, Some(device.clone()), instruments);
-    // Close the tap series so their final partial bins are flushed.
-    for tap in [&a, &b, &c, &d] {
-        tap.borrow_mut()
-            .on_end(csprov_sim::SimTime::ZERO + duration);
-    }
-    if let Some(registry) = registry {
-        let total = |s: &Rc<RefCell<RateSeries>>| -> u64 {
-            s.borrow().bins().iter().map(|b| b.packets).sum()
-        };
-        for (name, tap) in [
-            ("pipeline.records.clients_to_nat", &a),
-            ("pipeline.records.nat_to_server", &b),
-            ("pipeline.records.server_to_nat", &c),
-            ("pipeline.records.nat_to_clients", &d),
-        ] {
-            registry.counter(name).add(total(tap));
-        }
-    }
-
-    let unwrap = |s: Rc<RefCell<RateSeries>>| {
-        Rc::try_unwrap(s)
-            .map_err(|_| ())
-            .expect("taps released after run")
-            .into_inner()
-    };
-    let stats = device.stats();
-    drop(device);
-    NatRun {
-        clients_to_nat: unwrap(a),
-        nat_to_server: unwrap(b),
-        server_to_nat: unwrap(c),
-        nat_to_clients: unwrap(d),
-        stats,
-        outcome,
+    run_nat(
+        paper_config(seed),
         engine,
-    }
+        None,
+        WorldInstruments::default(),
+    )
+    .0
 }
 
-/// The paper's NAT scenario: 30 minutes, 19 players held by churn.
-fn paper_nat_config(seed: u64) -> ScenarioConfig {
+/// The paper's NAT scenario: one 30-minute map, exactly the paper's
+/// window. The warm-up happened before the trace: the scenario starts with
+/// the player count the paper's Table IV packet totals imply (853k inbound
+/// packets over 1800 s ≈ 474 pps ≈ 19 players' command streams), and
+/// churn holds occupancy near 19.
+pub fn paper_config(seed: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::new(seed, SimDuration::from_mins(30));
     cfg.initial_players = 19;
     cfg.workload.arrival_rate = 0.035;
     cfg
 }
 
-/// [`run_nat_experiment`] under a chaos profile: the NAT device (built with
-/// the spec's table override when one is present) sits inside an
+/// Runs `cfg` behind the NAT device, tapped at the four measurement
+/// points. Instruments ride along: the device reports `router.*` metrics
+/// and journals into the run's journal, and the four taps export their
+/// accepted totals as `pipeline.records.*` counters.
+///
+/// Under `chaos` (a spec and its impairment seed) the device, built with
+/// the spec's table override when one is present, sits inside an
 /// [`csprov_router::ImpairedPath`], so link impairments compose with the
-/// device's own queueing loss and table pressure.
-pub fn run_nat_experiment_chaos(
-    seed: u64,
-    engine: EngineConfig,
-    spec: &ChaosSpec,
-    chaos_seed: u64,
-    instruments: WorldInstruments,
-    registry: Option<&MetricsRegistry>,
-) -> (NatRun, ChaosReport) {
-    run_nat_campaign(
-        paper_nat_config(seed),
-        engine,
-        spec,
-        chaos_seed,
-        instruments,
-        registry,
-    )
-}
-
-/// [`run_nat_experiment_chaos`] with an explicit scenario — the campaign
-/// core, also used by shorter test horizons.
-pub fn run_nat_campaign(
+/// device's own queueing loss and table pressure, and the campaign is
+/// reported. Without it the device is the world's middlebox itself.
+pub fn run_nat(
     cfg: ScenarioConfig,
     engine: EngineConfig,
-    spec: &ChaosSpec,
-    chaos_seed: u64,
+    chaos: Option<(&ChaosSpec, u64)>,
     instruments: WorldInstruments,
-    registry: Option<&MetricsRegistry>,
-) -> (NatRun, ChaosReport) {
+) -> (NatRun, Option<ChaosReport>) {
     let second = SimDuration::from_secs(1);
-    let mk = || Rc::new(RefCell::new(RateSeries::new(second)));
-    let (a, b, c, d) = (mk(), mk(), mk(), mk());
-    let taps = NatTaps {
-        clients_to_nat: Some(a.clone()),
-        nat_to_server: Some(b.clone()),
-        server_to_nat: Some(c.clone()),
-        nat_to_clients: Some(d.clone()),
-    };
-    let device = Rc::new(match spec.nat_table {
-        Some(table) => NatDevice::with_table(engine.clone(), table, taps),
-        None => NatDevice::new(engine.clone(), taps),
-    });
-    if let Some(registry) = registry {
+    let taps: [Rc<RefCell<RateSeries>>; 4] =
+        std::array::from_fn(|_| Rc::new(RefCell::new(RateSeries::new(second))));
+    let [a, b, c, d] = &taps;
+    let table = chaos
+        .and_then(|(spec, _)| spec.nat_table)
+        .unwrap_or_default();
+    let device = Rc::new(NatDevice::with_table(
+        engine.clone(),
+        table,
+        NatTaps {
+            clients_to_nat: Some(a.clone()),
+            nat_to_server: Some(b.clone()),
+            server_to_nat: Some(c.clone()),
+            nat_to_clients: Some(d.clone()),
+        },
+    ));
+    if let Some(registry) = &instruments.registry {
         device.stats().report_to(registry);
         device.nat_stats().report_to(registry);
     }
     if let Some(journal) = &instruments.journal {
         device.attach_journal(journal.clone());
     }
-    let path = chaos::build_path_around(
-        spec,
-        chaos_seed,
-        Some(device.clone() as Rc<dyn Middlebox>),
-        registry,
-    );
-    if let Some(journal) = &instruments.journal {
-        path.attach_journal(journal.clone());
-    }
-    let sink = Rc::new(RefCell::new(NullSink));
+    let path = chaos.map(|(spec, chaos_seed)| {
+        let inner = device.clone() as Rc<dyn Middlebox>;
+        chaos::build_path(spec, chaos_seed, Some(inner), &instruments)
+    });
+    let middlebox: Rc<dyn Middlebox> = match &path {
+        Some(path) => path.clone(),
+        None => device.clone(),
+    };
+    let registry = instruments.registry.clone();
     let duration = cfg.duration;
-    let outcome = World::run_instrumented(cfg, sink, Some(path.clone()), instruments);
-    for tap in [&a, &b, &c, &d] {
-        tap.borrow_mut()
-            .on_end(csprov_sim::SimTime::ZERO + duration);
+    let sink = Rc::new(RefCell::new(NullSink));
+    let outcome = World::run_instrumented(cfg, sink, Some(middlebox), instruments);
+    // Close the tap series so their final partial bins are flushed.
+    for tap in &taps {
+        tap.borrow_mut().on_end(SimTime::ZERO + duration);
     }
-
+    if let Some(registry) = &registry {
+        let names = [
+            "pipeline.records.clients_to_nat",
+            "pipeline.records.nat_to_server",
+            "pipeline.records.server_to_nat",
+            "pipeline.records.nat_to_clients",
+        ];
+        for (name, tap) in names.into_iter().zip(&taps) {
+            let total: u64 = tap.borrow().bins().iter().map(|b| b.packets).sum();
+            registry.counter(name).add(total);
+        }
+    }
+    let report = chaos
+        .zip(path)
+        .map(|((spec, chaos_seed), path)| ChaosReport {
+            profile: spec.name.to_string(),
+            chaos_seed,
+            stats: path.stats(),
+            nat: Some(device.nat_stats()),
+        });
     let stats = device.stats();
-    let report = ChaosReport {
-        profile: spec.name.to_string(),
-        chaos_seed,
-        stats: path.stats(),
-        nat: Some(device.nat_stats()),
-    };
-    // The impaired path owns the device edge; drop both before the taps
-    // can be unwrapped.
-    drop(path);
+    // The device (and the path around it) hold the tap edges; with them
+    // dropped each tap is released. A tap still shared is swapped out for
+    // an empty series rather than unwrapped.
     drop(device);
-    let unwrap = |s: Rc<RefCell<RateSeries>>| {
-        Rc::try_unwrap(s)
-            .map_err(|_| ())
-            .expect("taps released after run")
-            .into_inner()
-    };
+    let [clients_to_nat, nat_to_server, server_to_nat, nat_to_clients] =
+        taps.map(|tap| match Rc::try_unwrap(tap) {
+            Ok(cell) => cell.into_inner(),
+            Err(shared) => shared.replace(RateSeries::new(second)),
+        });
     let run = NatRun {
-        clients_to_nat: unwrap(a),
-        nat_to_server: unwrap(b),
-        server_to_nat: unwrap(c),
-        nat_to_clients: unwrap(d),
+        clients_to_nat,
+        nat_to_server,
+        server_to_nat,
+        nat_to_clients,
         stats,
         outcome,
         engine,
@@ -231,48 +166,27 @@ pub fn run_nat_campaign(
 mod tests {
     use super::*;
 
-    fn quick_run() -> NatRun {
-        // A shorter horizon keeps the test fast; loss emerges within
-        // minutes once the server is busy.
+    /// A shorter horizon keeps the tests fast; loss emerges within
+    /// minutes once the server is busy.
+    fn short_config() -> ScenarioConfig {
         let mut cfg = ScenarioConfig::new(11, SimDuration::from_mins(8));
         cfg.workload.arrival_rate = 0.2;
-        let second = SimDuration::from_secs(1);
-        let mk = || Rc::new(RefCell::new(RateSeries::new(second)));
-        let (a, b, c, d) = (mk(), mk(), mk(), mk());
-        let device = Rc::new(NatDevice::new(
+        cfg
+    }
+
+    fn short_run() -> NatRun {
+        run_nat(
+            short_config(),
             EngineConfig::default(),
-            NatTaps {
-                clients_to_nat: Some(a.clone()),
-                nat_to_server: Some(b.clone()),
-                server_to_nat: Some(c.clone()),
-                nat_to_clients: Some(d.clone()),
-            },
-        ));
-        let duration = cfg.duration;
-        let outcome =
-            World::run_with_middlebox(cfg, Rc::new(RefCell::new(NullSink)), Some(device.clone()));
-        for tap in [&a, &b, &c, &d] {
-            tap.borrow_mut()
-                .on_end(csprov_sim::SimTime::ZERO + duration);
-        }
-        let unwrap =
-            |s: Rc<RefCell<RateSeries>>| Rc::try_unwrap(s).map_err(|_| ()).unwrap().into_inner();
-        let stats = device.stats();
-        drop(device);
-        NatRun {
-            clients_to_nat: unwrap(a),
-            nat_to_server: unwrap(b),
-            server_to_nat: unwrap(c),
-            nat_to_clients: unwrap(d),
-            stats,
-            outcome,
-            engine: EngineConfig::default(),
-        }
+            None,
+            WorldInstruments::default(),
+        )
+        .0
     }
 
     #[test]
     fn loss_asymmetry_matches_paper() {
-        let run = quick_run();
+        let run = short_run();
         let (in_loss, out_loss) = run.loss_rates();
         // Table IV: 1.3% in, 0.046% out. The shape: inbound loss is real
         // (order 1%) and far exceeds outbound.
@@ -288,7 +202,7 @@ mod tests {
 
     #[test]
     fn taps_are_conservation_consistent() {
-        let run = quick_run();
+        let run = short_run();
         // Packets after the NAT = packets before − drops − those still in
         // the device when the horizon cut the run (at most a queue's worth).
         let pre_in: u64 = run.clients_to_nat.bins().iter().map(|b| b.packets).sum();
@@ -311,17 +225,15 @@ mod tests {
     #[test]
     fn nat_exhaust_campaign_refuses_and_recovers() {
         let spec = chaos::by_name("nat-exhaust").expect("built-in profile");
-        let mut cfg = ScenarioConfig::new(11, SimDuration::from_mins(8));
+        let mut cfg = short_config();
         cfg.initial_players = 19;
-        cfg.workload.arrival_rate = 0.2;
-        let (run, report) = run_nat_campaign(
+        let (run, report) = run_nat(
             cfg,
             EngineConfig::default(),
-            &spec,
-            11,
+            Some((&spec, 11)),
             WorldInstruments::default(),
-            None,
         );
+        let report = report.expect("a chaos run reports its campaign");
         let nat = report.nat.as_ref().expect("NAT campaign reports NAT stats");
         // 19 players on a 16-entry table: mappings are refused while the
         // table is hot, and new sessions only map via idle reclamation.
@@ -339,7 +251,7 @@ mod tests {
     #[test]
     fn inbound_offered_exceeds_outbound() {
         // The paper's Table IV: more packets from clients than from server.
-        let run = quick_run();
+        let run = short_run();
         assert!(run.stats.offered[0].get() > run.stats.offered[1].get());
     }
 }

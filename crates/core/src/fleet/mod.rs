@@ -1363,7 +1363,7 @@ fn run_one_shard(
             Err(format!("injected fault (attempt {attempt} of {attempts})"))
         } else {
             let speed = config.speed;
-            let observer = config.health.as_ref().map(|board| {
+            let heartbeat = config.health.as_ref().map(|board| {
                 (
                     HEARTBEAT_STRIDE,
                     heartbeat_observer(
@@ -1382,13 +1382,13 @@ fn run_one_shard(
                     let _scope = worker_profile
                         .as_ref()
                         .map(|p| p.enter("fleet.shard.execute"));
+                    let pacer = speed.is_paced().then(|| Pacer::new(speed).into_observer());
                     let instruments = WorldInstruments {
-                        pacer: speed.is_paced().then(|| Pacer::new(speed)),
-                        observer,
+                        observers: heartbeat.into_iter().chain(pacer).collect(),
                         profile: worker_profile.clone(),
                         ..WorldInstruments::default()
                     };
-                    MainRun::execute_instrumented(cfg.clone(), instruments, None)
+                    MainRun::execute_instrumented(cfg.clone(), instruments)
                 };
                 let _scope = worker_profile
                     .as_ref()

@@ -299,18 +299,15 @@ pub struct MainRun {
 impl MainRun {
     /// Runs the scenario and collects the full analysis.
     pub fn execute(config: ScenarioConfig) -> MainRun {
-        Self::execute_instrumented(config, WorldInstruments::default(), None)
+        Self::execute_instrumented(config, WorldInstruments::default())
     }
 
     /// [`MainRun::execute`] with observability attached: world/sim
-    /// instruments ride along, and if a registry is given the pipeline's
-    /// per-analyzer ingestion totals are exported into it after the run.
-    pub fn execute_instrumented(
-        config: ScenarioConfig,
-        instruments: WorldInstruments,
-        registry: Option<&MetricsRegistry>,
-    ) -> MainRun {
-        Self::execute_with_middlebox(config, None, instruments, registry)
+    /// instruments ride along, and if they carry a registry the
+    /// pipeline's per-analyzer ingestion totals are exported into it after
+    /// the run.
+    pub fn execute_instrumented(config: ScenarioConfig, instruments: WorldInstruments) -> MainRun {
+        Self::execute_with_middlebox(config, None, instruments)
     }
 
     /// [`MainRun::execute_instrumented`] with a middlebox installed on the
@@ -321,7 +318,6 @@ impl MainRun {
         config: ScenarioConfig,
         middlebox: Option<Rc<dyn Middlebox>>,
         instruments: WorldInstruments,
-        registry: Option<&MetricsRegistry>,
     ) -> MainRun {
         let analysis = Rc::new(RefCell::new(FullAnalysis::new(config.duration)));
         let sink: Rc<RefCell<dyn TraceSink>> = match instruments.profile.clone() {
@@ -331,6 +327,7 @@ impl MainRun {
             })),
             None => analysis.clone(),
         };
+        let registry = instruments.registry.clone();
         let outcome = World::run_instrumented(config.clone(), sink, middlebox, instruments);
         let analysis = match Rc::try_unwrap(analysis) {
             Ok(cell) => cell.into_inner(),
@@ -339,7 +336,7 @@ impl MainRun {
             // shared cell keeps the path panic-free regardless.
             Err(shared) => shared.replace(FullAnalysis::new(config.duration)),
         };
-        if let Some(registry) = registry {
+        if let Some(registry) = &registry {
             analysis.export_metrics(registry);
         }
         MainRun {
@@ -410,7 +407,6 @@ mod tests {
         let profiled = MainRun::execute_instrumented(
             ScenarioConfig::new(11, SimDuration::from_mins(2)),
             instruments,
-            None,
         );
         assert_eq!(
             plain.analysis.counts.total_packets(),
@@ -425,23 +421,36 @@ mod tests {
             plain.outcome.sessions.len(),
             profiled.outcome.sessions.len()
         );
+        assert_eq!(
+            plain.outcome.events_executed,
+            profiled.outcome.events_executed
+        );
         let snap = profile.snapshot();
+        // One frame around the whole dispatch loop, carrying every event.
+        let dispatch: Vec<_> = snap
+            .entries()
+            .iter()
+            .filter(|e| e.path == ["sim.dispatch"])
+            .collect();
+        assert_eq!(dispatch.len(), 1, "one top-level dispatch frame");
+        assert_eq!(dispatch[0].count, 1);
+        assert_eq!(dispatch[0].items, profiled.outcome.events_executed);
         let ingest = snap
             .entries()
             .iter()
             .find(|e| e.path.last().is_some_and(|f| f == "pipeline.ingest"))
             .expect("ingest frames recorded");
+        assert_eq!(ingest.path, ["sim.dispatch", "pipeline.ingest"]);
         assert!(
             ingest.items > 0 && ingest.items <= profiled.analysis.counts.total_packets(),
             "ingest frame items count batched records (got {} of {})",
             ingest.items,
             profiled.analysis.counts.total_packets()
         );
+        // Analyzer finalization runs after the dispatch frame closes.
         assert!(
-            snap.entries()
-                .iter()
-                .any(|e| e.path.last().is_some_and(|f| f == "pipeline.fold")),
-            "analyzer finalization is framed"
+            snap.entries().iter().any(|e| e.path == ["pipeline.fold"]),
+            "analyzer finalization is framed at the top level"
         );
     }
 

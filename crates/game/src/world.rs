@@ -18,7 +18,9 @@ use csprov_net::{
     client_endpoint, server_endpoint, Direction, Link, LinkClass, LinkStats, Packet, PacketKind,
     TraceRecord, TraceSink,
 };
-use csprov_sim::{spawn_periodic, RngStream, SimDuration, SimTime, Simulator, StopFlag};
+use csprov_sim::{
+    journal_observer, spawn_periodic, RngStream, SimDuration, SimTime, Simulator, StopFlag,
+};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -41,32 +43,31 @@ pub trait Middlebox {
 
 /// Optional observability attachments for a run. Everything here sits in
 /// the reporting channel: metrics are written, never read back, and the
-/// observer sees the kernel through `&Simulator` only — a seeded run
+/// observers see the kernel through `&Simulator` only — a seeded run
 /// produces byte-identical traces with or without instruments attached.
 #[derive(Default)]
 pub struct WorldInstruments {
     /// Server/world instruments (tick span, snapshots, players, refusals).
     pub metrics: Option<GameMetrics>,
-    /// Registry the run's access-link stats report into (`net.link.*`).
-    /// Every client link counts into one [`LinkStats`] bundle, which
-    /// reports once.
+    /// Registry the run reports into: the access links' `net.link.*`
+    /// here, and whatever the layer around the world exports (the
+    /// pipeline's `pipeline.records.*`, a middlebox's stats). Every client
+    /// link counts into one [`LinkStats`] bundle, which reports once.
     pub registry: Option<csprov_obs::MetricsRegistry>,
-    /// Read-only kernel observer `(every_n_events, callback)` — the hook a
-    /// progress reporter hangs off.
-    pub observer: Option<(u64, csprov_sim::Observer)>,
-    /// Trace journal receiving tick/burst/shed events from the world and
-    /// (via [`Simulator::set_journal`]) sampled dispatch events from the
-    /// kernel. Write-only, like everything else here.
+    /// Read-only kernel observers `(every_n_events, callback)`, installed
+    /// in order: a progress reporter, a wall-clock pacer
+    /// ([`csprov_sim::Pacer::into_observer`]) and the like.
+    pub observers: Vec<(u64, csprov_sim::Observer)>,
+    /// Trace journal receiving tick/burst/shed events from the world and,
+    /// through an observer appended after [`WorldInstruments::observers`],
+    /// sampled dispatch events from the kernel. Write-only, like
+    /// everything else here.
     pub journal: Option<csprov_obs::Journal>,
-    /// Wall-clock pacer for live replay (`--speed N`). The pacer only
-    /// ever sleeps the thread, so a paced run computes exactly what an
-    /// unpaced one computes.
-    pub pacer: Option<csprov_sim::Pacer>,
-    /// Hierarchical wall-time profiler. Handed to the kernel (which
-    /// frames its dispatch loop as `sim.dispatch`) and available to the
-    /// pipeline layers around the run; spans built from a registry with
-    /// the same profile attached nest under whatever frame is open.
-    /// Observe-only, like everything else here.
+    /// Hierarchical wall-time profiler. The world frames its dispatch
+    /// loop as `sim.dispatch`, and the pipeline layers around the run use
+    /// it too; spans built from a registry with the same profile attached
+    /// nest under whatever frame is open. Observe-only, like everything
+    /// else here.
     pub profile: Option<csprov_obs::Profile>,
 }
 
@@ -183,20 +184,12 @@ pub struct World;
 impl World {
     /// Runs a scenario, streaming packets into `sink`.
     pub fn run(cfg: ScenarioConfig, sink: Rc<RefCell<dyn TraceSink>>) -> TraceOutcome {
-        Self::run_with_middlebox(cfg, sink, None)
+        Self::run_instrumented(cfg, sink, None, WorldInstruments::default())
     }
 
-    /// Runs a scenario with an optional middlebox on the server's uplink.
-    pub fn run_with_middlebox(
-        cfg: ScenarioConfig,
-        sink: Rc<RefCell<dyn TraceSink>>,
-        middlebox: Option<Rc<dyn Middlebox>>,
-    ) -> TraceOutcome {
-        Self::run_instrumented(cfg, sink, middlebox, WorldInstruments::default())
-    }
-
-    /// Runs a scenario with optional middlebox and observability
-    /// attachments; see [`WorldInstruments`] for the determinism contract.
+    /// Runs a scenario with an optional middlebox on the server's uplink
+    /// and observability attachments; see [`WorldInstruments`] for the
+    /// determinism contract.
     pub fn run_instrumented(
         cfg: ScenarioConfig,
         sink: Rc<RefCell<dyn TraceSink>>,
@@ -238,17 +231,11 @@ impl World {
         }));
 
         let mut sim = Simulator::new();
-        if let Some((every, observer)) = instruments.observer {
-            sim.set_observer(every, observer);
-        }
-        if let Some(journal) = instruments.journal {
-            sim.set_journal(JOURNAL_DISPATCH_STRIDE, journal);
-        }
-        if let Some(pacer) = instruments.pacer {
-            sim.set_pacer(pacer);
-        }
-        if let Some(profile) = instruments.profile {
-            sim.set_profile(profile);
+        let journal_tap = instruments
+            .journal
+            .map(|journal| journal_observer(JOURNAL_DISPATCH_STRIDE, journal));
+        for (every, observer) in instruments.observers.into_iter().chain(journal_tap) {
+            sim.add_observer(every, observer);
         }
         schedule_warm_start(&state, &mut sim);
         schedule_arrivals(&state, &mut sim);
@@ -262,7 +249,15 @@ impl World {
         schedule_pending_cleanup(&state, &mut sim);
 
         let duration = state.borrow().cfg.duration;
-        sim.run_until(SimTime::ZERO + duration);
+        {
+            // One profile frame around the whole dispatch loop, carrying
+            // the executed-event count; closed before the sink's `on_end`.
+            let mut scope = instruments.profile.map(|p| p.enter("sim.dispatch"));
+            sim.run_until(SimTime::ZERO + duration);
+            if let Some(scope) = &mut scope {
+                scope.add_items(sim.events_executed());
+            }
+        }
 
         let end = sim.now();
         let mut st = state.borrow_mut();

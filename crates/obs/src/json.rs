@@ -45,6 +45,7 @@ impl Json {
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -107,6 +108,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text, for byte-wise scanning.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -256,11 +259,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via the chars iterator).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar straight from the document:
+                    // `pos` only ever advances by whole chars here, so it
+                    // sits on a char boundary and nothing is re-validated.
+                    let ch = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("bad string byte at offset {}", self.pos))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -365,6 +371,22 @@ mod tests {
             let parsed = Json::parse(&encoded).unwrap();
             assert_eq!(parsed.as_str(), Some(s), "round-trip failed for {s:?}");
         }
+    }
+
+    #[test]
+    fn long_mixed_width_string_round_trips() {
+        // 64 KiB of 1-, 2-, 3- and 4-byte chars, then a second member.
+        let mut long = String::new();
+        for (i, ch) in "aé✓😀".chars().cycle().enumerate() {
+            if long.len() + ch.len_utf8() > 64 * 1024 {
+                break;
+            }
+            long.push(if i % 97 == 0 { '"' } else { ch });
+        }
+        let doc = format!("{{\"long\":{},\"next\":1}}", escape(&long));
+        let v = Json::parse(&doc).unwrap();
+        assert_eq!(v.get("long").and_then(Json::as_str), Some(long.as_str()));
+        assert_eq!(v.get("next").and_then(Json::as_f64), Some(1.0));
     }
 
     #[test]

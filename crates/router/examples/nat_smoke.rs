@@ -1,4 +1,4 @@
-use csprov_game::{ScenarioConfig, World};
+use csprov_game::{ScenarioConfig, World, WorldInstruments};
 use csprov_net::{Direction, NullSink};
 use csprov_router::{EngineConfig, NatDevice, NatTaps};
 use csprov_sim::SimDuration;
@@ -11,7 +11,7 @@ fn main() {
     cfg.workload.arrival_rate = 0.15; // warm the server up quickly
     let dev = Rc::new(NatDevice::new(EngineConfig::default(), NatTaps::default()));
     let sink = Rc::new(RefCell::new(NullSink));
-    let out = World::run_with_middlebox(cfg, sink, Some(dev.clone()));
+    let out = World::run_instrumented(cfg, sink, Some(dev.clone()), WorldInstruments::default());
     let s = dev.stats();
     println!("players avg {:.1}", out.mean_players);
     println!(

@@ -30,9 +30,9 @@
 //! ```
 
 use crate::event::{EventHandle, EventId, EventQueue};
-use crate::pacing::Pacer;
 use crate::time::{SimDuration, SimTime};
-use csprov_obs::{Journal, Profile};
+use csprov_obs::Journal;
+use std::cell::RefCell;
 
 /// A scheduled action: a one-shot closure run with access to the simulator.
 pub type Action = Box<dyn FnOnce(&mut Simulator)>;
@@ -49,20 +49,46 @@ enum Event {
     Recurring(usize),
 }
 
-/// A read-only callback invoked from [`Simulator::step`] every N events.
+/// A read-only callback run from [`Simulator::step`] after every N-th
+/// executed event ([`Simulator::add_observer`]).
 ///
 /// Observers see the simulator through `&Simulator`, so they can read the
 /// clock, event count and queue depth but cannot schedule, cancel or stop —
-/// attaching one cannot change what a seeded run computes.
+/// attaching one cannot change what a seeded run computes. The progress
+/// reporter, the trace journal ([`journal_observer`]) and the wall-clock
+/// pacer ([`crate::Pacer::into_observer`]) are all observers.
 pub type Observer = Box<dyn FnMut(&Simulator)>;
 
-/// A write-only trace tap: a shared [`Journal`] plus the sampling stride
-/// for the dispatch-loop events. Like the observer, attaching one cannot
-/// change what a seeded run computes — the journal is never read back.
-struct JournalTap {
-    journal: Journal,
-    every: u64,
-    seen_overflow_pushes: u64,
+/// The kernel's trace tap, as an observer to install at the stride it
+/// comes with (1): every `every`-th executed event emits a `sim.dispatch`
+/// instant and a `sim.queue.level` sample, and an event after which the
+/// scheduler has spilled more inserts past its timer-wheel horizon emits
+/// `sim.overflow` (running total, new spills). Overflows are checked on
+/// every event, so the tap samples the dispatch loop itself. Write-only:
+/// the journal is never read back.
+pub fn journal_observer(every: u64, journal: Journal) -> (u64, Observer) {
+    let every = every.max(1);
+    let mut seen_overflow_pushes = 0;
+    let tap = move |sim: &Simulator| {
+        let now_ns = sim.now().as_nanos();
+        let executed = sim.events_executed();
+        if executed % every == 0 {
+            let level = sim.pending_events() as u64;
+            journal.emit(now_ns, "sim.dispatch", executed, level);
+            journal.emit(now_ns, "sim.queue.level", 0, level);
+        }
+        let pushes = sim.overflow_pushes();
+        if pushes != seen_overflow_pushes {
+            journal.emit(
+                now_ns,
+                "sim.overflow",
+                pushes,
+                pushes - seen_overflow_pushes,
+            );
+            seen_overflow_pushes = pushes;
+        }
+    };
+    (1, Box::new(tap))
 }
 
 /// The discrete-event simulator: virtual clock plus event queue.
@@ -77,10 +103,9 @@ pub struct Simulator {
     executed: u64,
     stopped: bool,
     queue_hwm: usize,
-    observer: Option<(u64, Observer)>,
-    journal: Option<JournalTap>,
-    pacer: Option<Pacer>,
-    profile: Option<Profile>,
+    /// `(stride, observer)` pairs, run in install order. Each observer is
+    /// an `FnMut` called with `&self`, hence the cell around it.
+    observers: Vec<(u64, RefCell<Observer>)>,
 }
 
 impl Default for Simulator {
@@ -100,10 +125,7 @@ impl Simulator {
             executed: 0,
             stopped: false,
             queue_hwm: 0,
-            observer: None,
-            journal: None,
-            pacer: None,
-            profile: None,
+            observers: Vec::new(),
         }
     }
 
@@ -127,67 +149,17 @@ impl Simulator {
         self.queue_hwm
     }
 
+    /// Inserts that have spilled past the scheduler's timer-wheel horizon
+    /// since construction.
+    pub fn overflow_pushes(&self) -> u64 {
+        self.queue.overflow_pushes()
+    }
+
     /// Installs a read-only [`Observer`] called after every `every`-th
-    /// executed event (and keeps the previous one installed no longer).
-    pub fn set_observer<F>(&mut self, every: u64, observer: F)
-    where
-        F: FnMut(&Simulator) + 'static,
-    {
-        self.observer = Some((every.max(1), Box::new(observer)));
-    }
-
-    /// Removes the installed observer, if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
-    /// Attaches a [`Journal`] to the dispatch loop. Every `every`-th
-    /// executed event emits a `sim.dispatch` instant and a
-    /// `sim.queue.level` counter sample; scheduler bucket overflows emit
-    /// `sim.overflow` whenever inserts spilled past the timer-wheel horizon
-    /// since the last executed event. The tap is write-only: with no
-    /// journal attached the per-event cost is one branch.
-    pub fn set_journal(&mut self, every: u64, journal: Journal) {
-        self.journal = Some(JournalTap {
-            journal,
-            every: every.max(1),
-            seen_overflow_pushes: self.queue.overflow_pushes(),
-        });
-    }
-
-    /// Removes the attached journal, if any.
-    pub fn clear_journal(&mut self) {
-        self.journal = None;
-    }
-
-    /// Installs a wall-clock [`Pacer`]: after each executed event the
-    /// engine lets the pacer sleep until that virtual instant's wall
-    /// deadline. Pacing only ever *delays* the run loop — it cannot
-    /// reorder, add or drop events — so a paced run computes exactly what
-    /// an unpaced run computes. With no pacer the cost is one branch per
-    /// event.
-    pub fn set_pacer(&mut self, pacer: Pacer) {
-        self.pacer = Some(pacer);
-    }
-
-    /// Removes the installed pacer, if any.
-    pub fn clear_pacer(&mut self) {
-        self.pacer = None;
-    }
-
-    /// Attaches a wall-time [`Profile`]: each [`Simulator::run_until`]
-    /// call is framed as one `sim.dispatch` profile scope carrying the
-    /// number of events executed inside it. Observe-only — the profile is
-    /// never read back by the engine — and deliberately coarse: one scope
-    /// per dispatch loop, not per event, so attaching it costs one
-    /// `Option` check per `run_until` call.
-    pub fn set_profile(&mut self, profile: Profile) {
-        self.profile = Some(profile);
-    }
-
-    /// Removes the attached profile, if any.
-    pub fn clear_profile(&mut self) {
-        self.profile = None;
+    /// executed event. Observers run in install order and stay installed
+    /// for the simulator's life.
+    pub fn add_observer(&mut self, every: u64, observer: Observer) {
+        self.observers.push((every.max(1), RefCell::new(observer)));
     }
 
     /// Queues `event` at `at` and updates the high-water mark.
@@ -302,39 +274,11 @@ impl Simulator {
                     Event::Once(action) => action(self),
                     Event::Recurring(slot) => self.fire(slot),
                 }
-                // The observer is taken out for the call so it can borrow
-                // the simulator immutably while stored behind `&mut self`.
-                if let Some((every, mut f)) = self.observer.take() {
-                    if self.executed % every == 0 {
-                        f(&*self);
+                let this = &*self;
+                for (every, observer) in &this.observers {
+                    if this.executed % every == 0 {
+                        (observer.borrow_mut())(this);
                     }
-                    self.observer = Some((every, f));
-                }
-                if let Some(tap) = self.journal.as_mut() {
-                    if self.executed % tap.every == 0 {
-                        let now_ns = self.now.as_nanos();
-                        tap.journal.emit(
-                            now_ns,
-                            "sim.dispatch",
-                            self.executed,
-                            self.queue.len() as u64,
-                        );
-                        tap.journal
-                            .emit(now_ns, "sim.queue.level", 0, self.queue.len() as u64);
-                    }
-                    let pushes = self.queue.overflow_pushes();
-                    if pushes != tap.seen_overflow_pushes {
-                        tap.journal.emit(
-                            self.now.as_nanos(),
-                            "sim.overflow",
-                            pushes,
-                            pushes - tap.seen_overflow_pushes,
-                        );
-                        tap.seen_overflow_pushes = pushes;
-                    }
-                }
-                if let Some(pacer) = self.pacer.as_mut() {
-                    pacer.pace(self.now.as_nanos());
                 }
                 true
             }
@@ -353,10 +297,6 @@ impl Simulator {
     /// horizon was reached, so subsequent scheduling is relative to the
     /// horizon rather than the last event.
     pub fn run_until(&mut self, until: SimTime) {
-        // One profile frame per dispatch loop (not per event), carrying
-        // the executed-event count as its item total.
-        let mut scope = self.profile.as_ref().map(|p| p.enter("sim.dispatch"));
-        let executed_before = self.executed;
         self.stopped = false;
         while !self.stopped {
             match self.queue.peek_time() {
@@ -368,9 +308,6 @@ impl Simulator {
         }
         if !self.stopped && self.now < until {
             self.now = until;
-        }
-        if let Some(scope) = scope.as_mut() {
-            scope.add_items(self.executed - executed_before);
         }
     }
 
@@ -387,28 +324,6 @@ mod tests {
     use crate::process::{spawn_periodic, StopFlag};
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
-
-    #[test]
-    fn attached_profile_frames_the_dispatch_loop() {
-        let mut sim = Simulator::new();
-        let profile = csprov_obs::Profile::new();
-        sim.set_profile(profile.clone());
-        for ms in [10u64, 20] {
-            sim.schedule_at(SimTime::from_millis(ms), |_| {});
-        }
-        sim.run_until(SimTime::from_millis(100));
-        let snap = profile.snapshot();
-        let dispatch = snap
-            .entries()
-            .iter()
-            .find(|e| e.path == ["sim.dispatch"])
-            .expect("dispatch frame recorded");
-        assert_eq!(dispatch.count, 1);
-        assert_eq!(dispatch.items, 2);
-        // The frame is observe-only: results match an unprofiled run.
-        assert_eq!(sim.events_executed(), 2);
-        assert_eq!(sim.now(), SimTime::from_millis(100));
-    }
 
     #[test]
     fn events_fire_in_order_and_advance_clock() {
@@ -545,50 +460,67 @@ mod tests {
 
     #[test]
     fn observer_fires_every_n_events_and_sees_state() {
+        // Two observers at strides 3 and 1 each fire at their own
+        // multiples, and on a shared multiple in install order.
         let mut sim = Simulator::new();
         let seen = Rc::new(RefCell::new(Vec::new()));
-        let s = seen.clone();
-        sim.set_observer(3, move |sim| {
-            s.borrow_mut()
-                .push((sim.events_executed(), sim.now().as_secs()));
-        });
-        for i in 1..=10u64 {
+        for (name, every) in [("every3", 3), ("every1", 1)] {
+            let s = seen.clone();
+            sim.add_observer(
+                every,
+                Box::new(move |sim: &Simulator| {
+                    s.borrow_mut()
+                        .push((name, sim.events_executed(), sim.now().as_secs()));
+                }),
+            );
+        }
+        for i in 1..=7u64 {
             sim.schedule_at(SimTime::from_secs(i), |_| {});
         }
         sim.run();
-        assert_eq!(*seen.borrow(), vec![(3, 3), (6, 6), (9, 9)]);
-        sim.clear_observer();
-        sim.schedule_in(SimDuration::from_secs(1), |_| {});
+        let mut expected = Vec::new();
+        for n in 1..=7u64 {
+            if n % 3 == 0 {
+                expected.push(("every3", n, n));
+            }
+            expected.push(("every1", n, n));
+        }
+        assert_eq!(*seen.borrow(), expected);
+    }
+
+    /// The fire log, event count and clock of a fixed schedule, run with
+    /// `install` applied to the fresh simulator first.
+    fn fixed_run(install: impl FnOnce(&mut Simulator)) -> (Vec<u64>, u64, SimTime) {
+        let mut sim = Simulator::new();
+        install(&mut sim);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for &ms in &[30u64, 10, 20, 10] {
+            let log = log.clone();
+            sim.schedule_at(SimTime::from_millis(ms), move |sim| {
+                log.borrow_mut().push(sim.now().as_millis());
+            });
+        }
         sim.run();
-        assert_eq!(seen.borrow().len(), 3, "cleared observer must not fire");
+        let fired = log.borrow().clone();
+        (fired, sim.events_executed(), sim.now())
     }
 
     #[test]
     fn observer_does_not_perturb_execution() {
-        let run = |with_observer: bool| {
-            let mut sim = Simulator::new();
-            if with_observer {
-                sim.set_observer(1, |_| {});
-            }
-            let log = Rc::new(RefCell::new(Vec::new()));
-            for &ms in &[30u64, 10, 20, 10] {
-                let log = log.clone();
-                sim.schedule_at(SimTime::from_millis(ms), move |sim| {
-                    log.borrow_mut().push(sim.now().as_millis());
-                });
-            }
-            sim.run();
-            let fired = log.borrow().clone();
-            (fired, sim.events_executed(), sim.now())
-        };
-        assert_eq!(run(false), run(true));
+        let observed = fixed_run(|sim| {
+            sim.add_observer(3, Box::new(|_: &Simulator| {}));
+            sim.add_observer(1, Box::new(|_: &Simulator| {}));
+        });
+        assert_eq!(fixed_run(|_| {}), observed);
     }
 
     #[test]
     fn journal_samples_dispatch_and_overflow() {
         let mut sim = Simulator::new();
         let journal = Journal::new();
-        sim.set_journal(4, journal.clone());
+        let (every, tap) = journal_observer(4, journal.clone());
+        assert_eq!(every, 1, "overflows are checked on every event");
+        sim.add_observer(every, tap);
         // 10 near events plus one far beyond the wheel horizon (512 × 4 ms).
         for i in 1..=10u64 {
             sim.schedule_at(SimTime::from_millis(i), |_| {});
@@ -597,7 +529,7 @@ mod tests {
         sim.run();
         let events = journal.events();
         let dispatches: Vec<_> = events.iter().filter(|e| e.kind == "sim.dispatch").collect();
-        // 11 executed events, stride 4 → samples at 4 and 8.
+        // 11 executed events, sampled every 4th → samples at 4 and 8.
         assert_eq!(dispatches.len(), 2);
         assert_eq!(dispatches[0].key, 4);
         assert_eq!(dispatches[0].sim_ns, SimTime::from_millis(4).as_nanos());
@@ -605,31 +537,16 @@ mod tests {
         let overflows: Vec<_> = events.iter().filter(|e| e.kind == "sim.overflow").collect();
         assert_eq!(overflows.len(), 1, "far event must hit the overflow heap");
         assert_eq!(overflows[0].value, 1);
-        sim.clear_journal();
-        sim.schedule_in(SimDuration::from_secs(1), |_| {});
-        sim.run();
-        assert_eq!(journal.len(), events.len(), "cleared journal must not grow");
+        assert_eq!(sim.overflow_pushes(), 1);
     }
 
     #[test]
     fn journal_does_not_perturb_execution() {
-        let run = |with_journal: bool| {
-            let mut sim = Simulator::new();
-            if with_journal {
-                sim.set_journal(1, Journal::new());
-            }
-            let log = Rc::new(RefCell::new(Vec::new()));
-            for &ms in &[30u64, 10, 20, 10] {
-                let log = log.clone();
-                sim.schedule_at(SimTime::from_millis(ms), move |sim| {
-                    log.borrow_mut().push(sim.now().as_millis());
-                });
-            }
-            sim.run();
-            let fired = log.borrow().clone();
-            (fired, sim.events_executed(), sim.now())
-        };
-        assert_eq!(run(false), run(true));
+        let journaled = fixed_run(|sim| {
+            let (every, tap) = journal_observer(1, Journal::new());
+            sim.add_observer(every, tap);
+        });
+        assert_eq!(fixed_run(|_| {}), journaled);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod rate;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Action, Observer, Simulator};
+pub use engine::{journal_observer, Action, Observer, Simulator};
 pub use event::{EventHandle, EventId, EventQueue};
 pub use pacing::{Pacer, PacerStats, Speed};
 pub use process::{spawn_periodic, spawn_poisson, StopFlag};

@@ -16,13 +16,15 @@
 //! run; it just stops sleeping and reports the lag through [`PacerStats`],
 //! which the serving plane surfaces as sim-vs-wall lag in `/status`.
 //!
-//! Cost model: with no pacer installed the engine pays one branch per
-//! event. An installed pacer consults the wall clock only once per
-//! *quantum* of virtual time (default: the virtual span that corresponds
-//! to ~1 ms of wall time at the configured speed), so even a `--speed
-//! 1000` replay performs ~1000 `Instant::now` calls per wall second, not
-//! one per event.
+//! Cost model: a pacer is a kernel observer at stride 1
+//! ([`Pacer::into_observer`]), so an installed one costs a call per
+//! event and an uninstalled one nothing. It consults the wall clock only
+//! once per *quantum* of virtual time (default: the virtual span that
+//! corresponds to ~1 ms of wall time at the configured speed), so even a
+//! `--speed 1000` replay performs ~1000 `Instant::now` calls per wall
+//! second, not one per event.
 
+use crate::engine::{Observer, Simulator};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,9 +124,9 @@ impl PacerStats {
 
 /// Maps virtual time onto wall deadlines and sleeps to meet them.
 ///
-/// Install with [`crate::Simulator::set_pacer`]; the engine calls
-/// [`Pacer::pace`] after each executed event. A `Speed::Max` pacer is a
-/// no-op on every call.
+/// Install with [`Pacer::into_observer`], which calls [`Pacer::pace`]
+/// after each executed event. A `Speed::Max` pacer is a no-op on every
+/// call.
 #[derive(Debug)]
 pub struct Pacer {
     speed: Speed,
@@ -168,6 +170,16 @@ impl Pacer {
     /// A shared handle onto the pacing telemetry, readable from any thread.
     pub fn stats(&self) -> Arc<PacerStats> {
         self.stats.clone()
+    }
+
+    /// This pacer as a kernel observer, with its stride (1): it paces
+    /// after every executed event. Install with
+    /// [`crate::Simulator::add_observer`].
+    pub fn into_observer(mut self) -> (u64, Observer) {
+        (
+            1,
+            Box::new(move |sim: &Simulator| self.pace(sim.now().as_nanos())),
+        )
     }
 
     /// The wall deadline for `sim_ns`, as nanoseconds since the anchor.

@@ -15,10 +15,11 @@
 //!    never panics.
 
 use csprov::chaos::{self, ChaosReport};
-use csprov::experiments::nat::{run_nat_campaign, NatRun};
+use csprov::experiments::nat::{run_nat, NatRun};
 use csprov::experiments::tables;
 use csprov::pipeline::MainRun;
 use csprov_game::{ScenarioConfig, WorldInstruments};
+use csprov_obs::MetricsRegistry;
 use csprov_router::EngineConfig;
 use csprov_sim::SimDuration;
 
@@ -29,8 +30,15 @@ fn chaos_run(profile: &str, seed: u64, chaos_seed: u64) -> (MainRun, ChaosReport
         ScenarioConfig::new(seed, SimDuration::from_mins(4)),
         chaos_seed,
         WorldInstruments::default(),
-        None,
     )
+}
+
+/// A busy NAT scenario short enough for a debug-build test.
+fn short_nat_config(minutes: u64) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::new(11, SimDuration::from_mins(minutes));
+    cfg.initial_players = 19;
+    cfg.workload.arrival_rate = 0.2;
+    cfg
 }
 
 #[test]
@@ -107,17 +115,13 @@ fn combined_loss(run: &NatRun, report: &ChaosReport, dir: usize) -> f64 {
 #[test]
 fn nat_exhaustion_reproduces_asymmetric_loss_without_panic() {
     let spec = chaos::by_name("nat-exhaust").expect("built-in profile");
-    let mut cfg = ScenarioConfig::new(11, SimDuration::from_mins(8));
-    cfg.initial_players = 19;
-    cfg.workload.arrival_rate = 0.2;
-    let (run, report) = run_nat_campaign(
-        cfg,
+    let (run, report) = run_nat(
+        short_nat_config(8),
         EngineConfig::default(),
-        &spec,
-        11,
+        Some((&spec, 11)),
         WorldInstruments::default(),
-        None,
     );
+    let report = report.expect("a chaos run reports its campaign");
     let nat = report.nat.as_ref().expect("NAT campaign reports NAT stats");
     // Table pressure is real: the 16-entry table refused mappings, and the
     // device recovered by evicting idle entries rather than wedging.
@@ -144,4 +148,42 @@ fn nat_exhaustion_reproduces_asymmetric_loss_without_panic() {
     );
     // The run survived to the horizon with players still connected.
     assert!(!run.outcome.sessions.is_empty());
+}
+
+#[test]
+fn zero_impairment_nat_run_exports_the_plain_runs_tap_counters() {
+    // A chaos NAT run is the same composition as a plain one, wrapped: its
+    // four measurement-point taps export the same `pipeline.records.*`
+    // counters, and under `none` they read what the plain run's do.
+    let spec = chaos::by_name("none").expect("built-in profile");
+    let taps = |chaos| {
+        let registry = MetricsRegistry::new();
+        let instruments = WorldInstruments {
+            registry: Some(registry.clone()),
+            ..WorldInstruments::default()
+        };
+        let (run, report) = run_nat(
+            short_nat_config(3),
+            EngineConfig::default(),
+            chaos,
+            instruments,
+        );
+        assert_eq!(report.is_some(), chaos.is_some());
+        let pre_in: u64 = run.clients_to_nat.bins().iter().map(|b| b.packets).sum();
+        let names = [
+            "pipeline.records.clients_to_nat",
+            "pipeline.records.nat_to_server",
+            "pipeline.records.server_to_nat",
+            "pipeline.records.nat_to_clients",
+        ];
+        for name in names {
+            assert!(registry.names().iter().any(|n| n == name), "{name} missing");
+        }
+        let counts = names.map(|name| registry.counter(name).get());
+        assert_eq!(counts[0], pre_in, "the counter is the tap's total");
+        counts
+    };
+    let plain = taps(None);
+    assert!(plain.iter().all(|&n| n > 0), "busy taps: {plain:?}");
+    assert_eq!(taps(Some((&spec, 3))), plain);
 }

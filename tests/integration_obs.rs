@@ -6,7 +6,7 @@
 //! the deterministic slice of the registry must itself be a pure function
 //! of the seed.
 
-use csprov::experiments::nat::{run_nat_experiment, run_nat_experiment_instrumented};
+use csprov::experiments::nat::{paper_config, run_nat, run_nat_experiment};
 use csprov::experiments::tables;
 use csprov::pipeline::{FullAnalysis, MainRun};
 use csprov_game::{GameMetrics, ScenarioConfig, World, WorldInstruments};
@@ -22,9 +22,8 @@ fn instruments(registry: &MetricsRegistry) -> WorldInstruments {
     WorldInstruments {
         metrics: Some(GameMetrics::register(registry)),
         registry: Some(registry.clone()),
-        observer: None,
+        observers: Vec::new(),
         journal: None,
-        pacer: None,
         profile: None,
     }
 }
@@ -43,7 +42,7 @@ fn telemetry(
         interval_ns,
     )));
     let sampler_cb = sampler.clone();
-    instruments.observer = Some((
+    instruments.observers.push((
         1024,
         Box::new(move |sim: &csprov_sim::Simulator| {
             sampler_cb.borrow_mut().observe(sim.now().as_nanos());
@@ -56,11 +55,11 @@ fn telemetry(
 fn table4_is_byte_identical_with_metrics_on() {
     let plain = run_nat_experiment(2002, EngineConfig::default());
     let registry = MetricsRegistry::new();
-    let instrumented = run_nat_experiment_instrumented(
-        2002,
+    let (instrumented, _) = run_nat(
+        paper_config(2002),
         EngineConfig::default(),
+        None,
         instruments(&registry),
-        Some(&registry),
     );
     assert_eq!(
         tables::table4(&plain).render(),
@@ -160,7 +159,6 @@ fn registry_renders_identically_across_same_seed_runs() {
         let _ = MainRun::execute_instrumented(
             ScenarioConfig::new(5, SimDuration::from_mins(3)),
             instruments(&registry),
-            Some(&registry),
         );
         registry.render_deterministic()
     };
@@ -185,7 +183,6 @@ fn link_totals_conserve_and_sum_across_runs_folded_into_one_registry() {
         let _ = MainRun::execute_instrumented(
             ScenarioConfig::new(seed, SimDuration::from_mins(2)),
             instruments(registry),
-            Some(registry),
         );
     };
     let totals = |registry: &MetricsRegistry| {
@@ -226,11 +223,11 @@ fn table4_is_byte_identical_with_full_telemetry_on() {
     let journal = Journal::new();
     let horizon = SimDuration::from_mins(30).as_nanos();
     let (instruments, sampler) = telemetry(&registry, &journal, 1_000_000_000);
-    let traced = run_nat_experiment_instrumented(
-        2002,
+    let (traced, _) = run_nat(
+        paper_config(2002),
         EngineConfig::default(),
+        None,
         instruments,
-        Some(&registry),
     );
     sampler.borrow_mut().finish(horizon);
     assert_eq!(
@@ -262,7 +259,7 @@ fn journal_and_series_exports_are_pure_functions_of_the_seed() {
         let (instruments, sampler) = telemetry(&registry, &journal, 500_000_000);
         let mut cfg = ScenarioConfig::new(seed, SimDuration::from_mins(4));
         cfg.workload.arrival_rate = 0.2;
-        let _ = MainRun::execute_instrumented(cfg, instruments, Some(&registry));
+        let _ = MainRun::execute_instrumented(cfg, instruments);
         sampler.borrow_mut().finish(horizon);
         let csv = sampler.borrow().to_csv();
         (journal.export_jsonl(), journal.export_chrome_trace(), csv)
@@ -300,8 +297,10 @@ fn pipeline_record_counters_match_analyzer_totals() {
     let registry = MetricsRegistry::new();
     let run = MainRun::execute_instrumented(
         ScenarioConfig::new(6, SimDuration::from_mins(2)),
-        WorldInstruments::default(),
-        Some(&registry),
+        WorldInstruments {
+            registry: Some(registry.clone()),
+            ..WorldInstruments::default()
+        },
     );
     let a = &run.analysis;
     assert_eq!(

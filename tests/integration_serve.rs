@@ -30,12 +30,15 @@ fn run_with_journal(seed: u64, bus: Option<&BroadcastBus>, speed: Speed) -> (Mai
     let instruments = WorldInstruments {
         metrics: Some(GameMetrics::register(&registry)),
         registry: Some(registry.clone()),
-        observer: None,
+        observers: speed
+            .is_paced()
+            .then(|| Pacer::new(speed).into_observer())
+            .into_iter()
+            .collect(),
         journal: Some(journal.clone()),
-        pacer: speed.is_paced().then(|| Pacer::new(speed)),
         profile: None,
     };
-    let run = MainRun::execute_instrumented(scenario(seed), instruments, Some(&registry));
+    let run = MainRun::execute_instrumented(scenario(seed), instruments);
     (run, journal)
 }
 

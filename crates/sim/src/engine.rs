@@ -326,6 +326,44 @@ mod tests {
     use std::rc::Rc;
 
     #[test]
+    fn attached_profile_frames_the_dispatch_loop() {
+        // The world frames its one `run_until` as a `sim.dispatch` profile
+        // scope carrying the executed-event count. Events run inside the
+        // loop, so a frame an event opens nests under that scope.
+        let mut sim = Simulator::new();
+        let profile = csprov_obs::Profile::new();
+        for ms in [10u64, 20, 150] {
+            let profile = profile.clone();
+            sim.schedule_at(SimTime::from_millis(ms), move |_| {
+                profile.enter("event").add_items(1);
+            });
+        }
+        {
+            let mut scope = profile.enter("sim.dispatch");
+            sim.run_until(SimTime::from_millis(100));
+            scope.add_items(sim.events_executed());
+        }
+        let snap = profile.snapshot();
+        let frame = |path: &[&str]| {
+            snap.entries()
+                .iter()
+                .find(|e| e.path == path)
+                .cloned()
+                .unwrap_or_else(|| panic!("frame {path:?} recorded"))
+        };
+        let dispatch = frame(&["sim.dispatch"]);
+        assert_eq!(dispatch.count, 1);
+        assert_eq!(dispatch.items, 2);
+        let event = frame(&["sim.dispatch", "event"]);
+        assert_eq!((event.count, event.items), (2, 2));
+        assert_eq!(snap.entries().len(), 2, "no frame outside the loop");
+        // The frame is observe-only: results match an unprofiled run.
+        assert_eq!(sim.events_executed(), 2);
+        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.now(), SimTime::from_millis(100));
+    }
+
+    #[test]
     fn events_fire_in_order_and_advance_clock() {
         let mut sim = Simulator::new();
         let log = Rc::new(RefCell::new(Vec::new()));

@@ -205,18 +205,23 @@ impl VarianceTime {
     /// base bin holding `time`. A zero-count run is a no-op. `on_packet`
     /// folds runs of one and `on_columns` whole same-bin runs; bin counts
     /// are integer sums, so the run length never shows.
+    ///
+    /// As in [`crate::RateSeries::add_run`], a run inside the open bin's
+    /// `[start, start + base)` is added without a division.
     pub fn add_run(&mut self, time: SimTime, count: u64) {
         if count == 0 {
             return;
         }
-        let idx = time.bin_index(self.base);
-        match &mut self.current_bin {
-            Some((cur, c)) if *cur == idx => *c += count,
-            _ => {
-                self.flush_current();
-                self.current_bin = Some((idx, count));
+        let base = self.base.as_nanos();
+        if let Some((cur, c)) = &mut self.current_bin {
+            if time.as_nanos().wrapping_sub(*cur * base) < base {
+                *c += count;
+                return;
             }
         }
+        let idx = time.bin_index(self.base);
+        self.flush_current();
+        self.current_bin = Some((idx, count));
     }
 
     /// Number of base bins processed.

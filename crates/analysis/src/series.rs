@@ -129,27 +129,33 @@ impl RateSeries {
     /// `on_columns` folds whole same-bin runs through
     /// [`RateSeries::add_lanes`], and since bin contents are integer sums
     /// the run length never shows.
+    ///
+    /// A run inside the open bin's `[start, start + width)` is added
+    /// without a division; only a run that opens a new bin divides.
     pub fn add_run(&mut self, time: SimTime, packets: u64, wire_bytes: u64) {
         if packets == 0 {
             return;
         }
-        let idx = time.bin_index(self.width);
-        match &mut self.current {
-            Some((cur, bin)) if *cur == idx => {
+        let width = self.width.as_nanos();
+        if let Some((cur, bin)) = &mut self.current {
+            // `cur * width` is the start of a bin some earlier time fell
+            // in, so it cannot overflow; a time before it wraps to a huge
+            // offset and opens its own bin, as a division would.
+            if time.as_nanos().wrapping_sub(*cur * width) < width {
                 bin.packets += packets;
                 bin.wire_bytes += wire_bytes;
-            }
-            _ => {
-                self.flush_current();
-                self.current = Some((
-                    idx,
-                    RateBin {
-                        packets,
-                        wire_bytes,
-                    },
-                ));
+                return;
             }
         }
+        let idx = time.bin_index(self.width);
+        self.flush_current();
+        self.current = Some((
+            idx,
+            RateBin {
+                packets,
+                wire_bytes,
+            },
+        ));
     }
 
     /// [`RateSeries::add_run`] from per-direction lane totals (`packets` and
@@ -385,6 +391,19 @@ mod tests {
             }
         );
         assert_eq!(s.bins()[2], RateBin::default());
+    }
+
+    #[test]
+    fn bin_edges_are_exact_without_dividing() {
+        // The last nanosecond of a bin stays in it; the next opens the
+        // following bin, as `t / width` would put them.
+        let mut s = RateSeries::new(SimDuration::from_millis(10));
+        for ns in [0, 9_999_999, 10_000_000, 19_999_999, 30_000_000, 39_999_999] {
+            s.add_run(SimTime::from_nanos(ns), 1, 100);
+        }
+        s.on_end(SimTime::from_millis(40));
+        let packets: Vec<u64> = s.bins().iter().map(|b| b.packets).collect();
+        assert_eq!(packets, vec![2, 2, 0, 2]);
     }
 
     #[test]

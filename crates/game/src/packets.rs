@@ -8,12 +8,14 @@
 
 use crate::config::{ServerConfig, WorkloadConfig};
 use csprov_sim::dist::{clamp, Exp, Normal, Sample};
-use csprov_sim::RngStream;
+use csprov_sim::{round_to_u64, RngStream};
 
 /// Draws a client command payload size in bytes.
 pub fn cmd_size(w: &WorkloadConfig, rng: &mut RngStream) -> u32 {
     let d = Normal::new(w.cmd_size_mean, w.cmd_size_std);
-    clamp(d.sample(rng).round(), 28.0, 64.0) as u32
+    // Rounding then clamping to whole bounds; a negative draw rounds to
+    // 0 and clamps up, as it would in floating point.
+    round_to_u64(d.sample(rng)).clamp(28, 64) as u32
 }
 
 /// Draws a server snapshot payload size for a world with `players` active

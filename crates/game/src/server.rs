@@ -1,14 +1,14 @@
 //! The game-server state machine.
 //!
 //! Pure logic, no event scheduling: the world layer drives it and turns its
-//! returned effects into packets. Player slots live in a `BTreeMap` so every
-//! iteration (most importantly the per-tick snapshot broadcast) is in
-//! deterministic session order.
+//! returned effects into packets. Player slots live in a `Vec` kept in
+//! session order, so every iteration (most importantly the per-tick
+//! snapshot broadcast) is in deterministic session order, and a dense
+//! session index finds a player in O(1) for the per-packet liveness update.
 
 use crate::config::{SendDropPolicy, ServerConfig};
 use crate::packets;
 use csprov_sim::{RngStream, SimTime};
-use std::collections::BTreeMap;
 
 /// A connected player.
 #[derive(Debug, Clone, Copy)]
@@ -35,11 +35,24 @@ pub enum ConnectOutcome {
     Refused,
 }
 
+/// Marks a session with no player in [`ServerState`]'s session index.
+const VACANT: u32 = u32::MAX;
+
+/// Sessions at or above this id are not indexed (they are found by binary
+/// search), so a stray huge id cannot size the index. World sessions are
+/// numbered densely from 0 and stay far below it.
+const INDEXED_SESSIONS: u32 = 1 << 20;
+
 /// The server's mutable state.
 pub struct ServerState {
     /// Static configuration.
     pub cfg: ServerConfig,
-    players: BTreeMap<u32, PlayerSlot>,
+    /// Connected players, in ascending session order.
+    players: Vec<PlayerSlot>,
+    /// `index[session]` is the session's position in `players`, or
+    /// [`VACANT`]; it covers every session below [`INDEXED_SESSIONS`] that
+    /// ever connected.
+    index: Vec<u32>,
     /// True while the server is loading a new map (no traffic either way).
     pub changing_map: bool,
     /// World-activity multiplier for snapshot sizes (round phase driven).
@@ -56,7 +69,8 @@ impl ServerState {
     pub fn new(cfg: ServerConfig, rng: RngStream) -> Self {
         ServerState {
             cfg,
-            players: BTreeMap::new(),
+            players: Vec::new(),
+            index: Vec::new(),
             changing_map: false,
             activity: 1.0,
             maps_played: 0,
@@ -74,12 +88,44 @@ impl ServerState {
 
     /// The connected sessions, in ascending session order.
     pub fn sessions(&self) -> impl Iterator<Item = &PlayerSlot> {
-        self.players.values()
+        self.players.iter()
     }
 
     /// Looks up one player.
     pub fn player(&self, session: u32) -> Option<&PlayerSlot> {
-        self.players.get(&session)
+        self.position(session).and_then(|i| self.players.get(i))
+    }
+
+    /// The position of `session` in `players`, if it is connected.
+    #[inline]
+    fn position(&self, session: u32) -> Option<usize> {
+        match self.index.get(session as usize) {
+            Some(&i) => {
+                let i = i as usize;
+                (self.players.get(i)?.session == session).then_some(i)
+            }
+            None => self
+                .players
+                .binary_search_by_key(&session, |p| p.session)
+                .ok(),
+        }
+    }
+
+    /// Rewrites the index entries of the players from position `from` on,
+    /// after an insertion or removal shifted them.
+    fn reindex_from(&mut self, from: usize) {
+        for (i, p) in self.players.iter().enumerate().skip(from) {
+            if let Some(entry) = self.index.get_mut(p.session as usize) {
+                *entry = i as u32;
+            }
+        }
+    }
+
+    /// Marks `session` as holding no player in the index.
+    fn unindex(&mut self, session: u32) {
+        if let Some(entry) = self.index.get_mut(session as usize) {
+            *entry = VACANT;
+        }
     }
 
     /// Total maps played (incremented by [`ServerState::begin_map_change`]).
@@ -98,23 +144,35 @@ impl ServerState {
         if self.players.len() >= self.cfg.max_players {
             return ConnectOutcome::Refused;
         }
-        self.players.insert(
+        let slot = PlayerSlot {
             session,
-            PlayerSlot {
-                session,
-                client,
-                joined: now,
-                last_heard: now,
-                custom_rate,
-            },
-        );
+            client,
+            joined: now,
+            last_heard: now,
+            custom_rate,
+        };
+        let at = match self.players.binary_search_by_key(&session, |p| p.session) {
+            Ok(at) => {
+                // A session id connects once; a repeat replaces its slot.
+                if let Some(p) = self.players.get_mut(at) {
+                    *p = slot;
+                }
+                return ConnectOutcome::Accepted;
+            }
+            Err(at) => at,
+        };
+        self.players.insert(at, slot);
+        if session < INDEXED_SESSIONS && self.index.len() <= session as usize {
+            self.index.resize(session as usize + 1, VACANT);
+        }
+        self.reindex_from(at);
         ConnectOutcome::Accepted
     }
 
     /// Notes traffic from a client (refreshes its liveness timer).
     /// Returns false if the session is unknown (e.g. already timed out).
     pub fn heard_from(&mut self, now: SimTime, session: u32) -> bool {
-        match self.players.get_mut(&session) {
+        match self.position(session).and_then(|i| self.players.get_mut(i)) {
             Some(p) => {
                 p.last_heard = now;
                 true
@@ -140,7 +198,7 @@ impl ServerState {
         let timeout = self.cfg.snapshot_timeout;
         let mut sessions: Vec<u32> = self
             .players
-            .values()
+            .iter()
             .filter(|p| p.custom_rate.is_none() && now.saturating_since(p.last_heard) <= timeout)
             .map(|p| p.session)
             .collect();
@@ -187,7 +245,7 @@ impl ServerState {
             return None;
         }
         let n = self.players.len();
-        let p = self.players.get(&session)?;
+        let p = self.player(session)?;
         if now.saturating_since(p.last_heard) > self.cfg.snapshot_timeout {
             return None;
         }
@@ -203,20 +261,25 @@ impl ServerState {
     /// the evicted slots.
     pub fn sweep_timeouts(&mut self, now: SimTime) -> Vec<PlayerSlot> {
         let timeout = self.cfg.disconnect_timeout;
-        let dead: Vec<u32> = self
-            .players
-            .values()
-            .filter(|p| now.saturating_since(p.last_heard) > timeout)
-            .map(|p| p.session)
-            .collect();
-        dead.into_iter()
-            .filter_map(|s| self.players.remove(&s))
-            .collect()
+        let is_dead = |p: &PlayerSlot| now.saturating_since(p.last_heard) > timeout;
+        let dead: Vec<PlayerSlot> = self.players.iter().copied().filter(is_dead).collect();
+        if !dead.is_empty() {
+            self.players.retain(|p| !is_dead(p));
+            for p in &dead {
+                self.unindex(p.session);
+            }
+            self.reindex_from(0);
+        }
+        dead
     }
 
     /// Gracefully removes a player; returns its slot if it was connected.
     pub fn disconnect(&mut self, session: u32) -> Option<PlayerSlot> {
-        self.players.remove(&session)
+        let at = self.position(session)?;
+        let slot = self.players.remove(at);
+        self.unindex(session);
+        self.reindex_from(at);
+        Some(slot)
     }
 
     /// Starts a map change: traffic pauses, the map counter increments.
@@ -353,6 +416,48 @@ mod tests {
         assert!(s.disconnect(5).is_some());
         assert!(s.disconnect(5).is_none());
         assert_eq!(s.try_connect(t, 99, 99, None), ConnectOutcome::Accepted);
+    }
+
+    #[test]
+    fn out_of_order_joins_keep_session_order() {
+        let mut s = server();
+        let t = SimTime::ZERO;
+        for session in [5, 2, 9, 0, 7] {
+            s.try_connect(t, session, session, None);
+        }
+        let order: Vec<u32> = s.tick(t).iter().map(|&(s, _)| s).collect();
+        assert_eq!(order, vec![0, 2, 5, 7, 9]);
+        assert!(s.disconnect(2).is_some());
+        let t1 = t + csprov_sim::SimDuration::from_secs(1);
+        for session in [0, 5, 7, 9] {
+            assert!(s.heard_from(t1, session), "session {session}");
+            assert_eq!(s.player(session).map(|p| p.last_heard), Some(t1));
+        }
+        assert!(!s.heard_from(t1, 2), "a departed session is unknown");
+        let sessions: Vec<u32> = s.sessions().map(|p| p.session).collect();
+        assert_eq!(sessions, vec![0, 5, 7, 9]);
+    }
+
+    #[test]
+    fn sessions_past_the_index_are_still_found() {
+        let mut s = server();
+        let t = SimTime::ZERO;
+        let huge = [u32::MAX - 1, INDEXED_SESSIONS, 3, INDEXED_SESSIONS + 9];
+        for session in huge {
+            assert_eq!(s.try_connect(t, session, 1, None), ConnectOutcome::Accepted);
+        }
+        assert!(s.index.len() <= 4, "huge ids leave the index small");
+        let t1 = t + csprov_sim::SimDuration::from_secs(20);
+        assert!(s.heard_from(t1, INDEXED_SESSIONS));
+        assert!(s.heard_from(t1, 3));
+        assert!(!s.heard_from(t1, INDEXED_SESSIONS + 1));
+        // The two silent ones time out; the rest stay findable.
+        let swept: Vec<u32> = s.sweep_timeouts(t1).iter().map(|p| p.session).collect();
+        assert_eq!(swept, vec![INDEXED_SESSIONS + 9, u32::MAX - 1]);
+        assert_eq!(s.player(3).map(|p| p.last_heard), Some(t1));
+        assert!(s.disconnect(INDEXED_SESSIONS).is_some());
+        assert!(s.disconnect(INDEXED_SESSIONS).is_none());
+        assert_eq!(s.player_count(), 1);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use csprov_net::{
     TraceRecord, TraceSink,
 };
 use csprov_sim::{
-    journal_observer, spawn_periodic, RngStream, SimDuration, SimTime, Simulator, StopFlag,
+    journal_observer, spawn_periodic, HandlerId, RngStream, SimDuration, SimTime, Simulator,
+    StopFlag,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -117,6 +118,44 @@ struct PendingConnect {
     issued: SimTime,
 }
 
+/// Inbound packets between their access link and the server. Each waits
+/// in a slot until its arrival, a [`Simulator::call_at`] of the world's one
+/// delivery handler with the slot as its argument, so a packet in flight
+/// costs neither a boxed closure nor a reference count.
+#[derive(Default)]
+struct InFlight {
+    packets: Vec<Option<Packet>>,
+    /// Vacant slots, reused before `packets` grows.
+    free: Vec<usize>,
+}
+
+impl InFlight {
+    /// Parks `pkt`; returns its slot.
+    fn park(&mut self, pkt: Packet) -> u64 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                if let Some(entry) = self.packets.get_mut(slot) {
+                    *entry = Some(pkt);
+                }
+                slot
+            }
+            None => {
+                self.packets.push(Some(pkt));
+                self.packets.len() - 1
+            }
+        };
+        slot as u64
+    }
+
+    /// Takes the packet parked in `slot` and frees the slot.
+    fn take(&mut self, slot: u64) -> Option<Packet> {
+        let slot = usize::try_from(slot).ok()?;
+        let pkt = self.packets.get_mut(slot)?.take()?;
+        self.free.push(slot);
+        Some(pkt)
+    }
+}
+
 struct WorldState {
     cfg: ScenarioConfig,
     server: ServerState,
@@ -144,6 +183,11 @@ struct WorldState {
     metrics: Option<GameMetrics>,
     /// Shared by every client access link.
     link_stats: LinkStats,
+    /// Admitted inbound packets not yet at the server end of their link.
+    in_flight: InFlight,
+    /// The delivery handler that takes them there; registered once, right
+    /// after the state is built.
+    deliver: Option<HandlerId>,
     journal: Option<csprov_obs::Journal>,
 }
 
@@ -175,6 +219,19 @@ impl WorldState {
         let dt = now.saturating_since(self.last_count_change).as_secs_f64();
         self.player_integral += dt * old_count as f64;
         self.last_count_change = now;
+    }
+
+    /// Sends an inbound packet through the client's access link: an
+    /// admitted packet is parked until its arrival, when the delivery
+    /// handler takes it on ([`deliver_inbound`]).
+    fn send_inbound(&mut self, sim: &mut Simulator, link: &Link, pkt: Packet) {
+        let Some(deliver) = self.deliver else {
+            return;
+        };
+        if let Some(arrive) = link.admit(sim.now(), pkt.wire_len()) {
+            let slot = self.in_flight.park(pkt);
+            sim.call_at(arrive, deliver, slot);
+        }
     }
 }
 
@@ -226,11 +283,18 @@ impl World {
             rng_misc: root.derive("misc"),
             metrics: instruments.metrics,
             link_stats,
+            in_flight: InFlight::default(),
+            deliver: None,
             journal: instruments.journal.clone(),
             cfg,
         }));
 
         let mut sim = Simulator::new();
+        let deliver = {
+            let w = state.clone();
+            sim.add_handler(move |sim, slot| deliver_inbound(&w, sim, slot))
+        };
+        state.borrow_mut().deliver = Some(deliver);
         let journal_tap = instruments
             .journal
             .map(|journal| journal_observer(JOURNAL_DISPATCH_STRIDE, journal));
@@ -289,40 +353,46 @@ impl World {
     }
 }
 
-/// Sends an inbound packet through the client's access link, the middlebox
-/// (if any), the outage gate, and finally into the server tap.
-fn send_inbound(w: &W, sim: &mut Simulator, link: &Link, pkt: Packet) {
-    let w2 = w.clone();
-    link.send(sim, pkt, move |sim, pkt| {
-        let mb = w2.borrow().middlebox.clone();
-        match mb {
-            Some(mb) => {
-                let w3 = w2.clone();
-                let deliver: Deliver = Box::new(move |sim, pkt| inbound_arrive(&w3, sim, pkt));
-                mb.forward(sim, pkt, deliver);
-            }
-            None => inbound_arrive(&w2, sim, pkt),
+/// The world's delivery handler: the inbound packet parked in `slot`
+/// reaches the server end of its access link and goes on through the
+/// middlebox (if any), the outage gate, and finally into the server tap.
+fn deliver_inbound(w: &W, sim: &mut Simulator, slot: u64) {
+    let (pkt, mb) = {
+        let mut st = w.borrow_mut();
+        let Some(pkt) = st.in_flight.take(slot) else {
+            return;
+        };
+        st.link_stats.arrived();
+        (pkt, st.middlebox.clone())
+    };
+    match mb {
+        Some(mb) => {
+            let w = w.clone();
+            let deliver: Deliver = Box::new(move |sim, pkt| inbound_arrive(&w, sim, pkt));
+            mb.forward(sim, pkt, deliver);
         }
-    });
+        None => inbound_arrive(w, sim, pkt),
+    }
 }
 
 /// The server tap for inbound packets.
 fn inbound_arrive(w: &W, sim: &mut Simulator, pkt: Packet) {
     let now = sim.now();
-    {
-        let st = w.borrow();
-        if st.outage {
-            return; // black-holed between clients and server
-        }
-        st.record(now, &pkt);
+    let mut st = w.borrow_mut();
+    if st.outage {
+        return; // black-holed between clients and server
     }
+    st.record(now, &pkt);
     match pkt.kind {
-        PacketKind::ConnectRequest => handle_connect(w, sim, pkt),
+        PacketKind::ConnectRequest => {
+            drop(st);
+            handle_connect(w, sim, pkt);
+        }
         PacketKind::Disconnect => {
             // Session teardown already handled at departure; nothing to do.
         }
         _ => {
-            w.borrow_mut().server.heard_from(now, pkt.session);
+            st.server.heard_from(now, pkt.session);
         }
     }
 }
@@ -471,7 +541,17 @@ fn schedule_timeout_sweep(w: &W, sim: &mut Simulator) {
             let now = sim.now();
             let dead = {
                 let mut st = w.borrow_mut();
-                st.server.sweep_timeouts(now)
+                let old = st.server.player_count();
+                let dead = st.server.sweep_timeouts(now);
+                // The sweep frees the slots itself, so `finish_session`
+                // finds them gone: count the change here.
+                if !dead.is_empty() {
+                    st.note_player_delta(now, old);
+                    if let Some(m) = &st.metrics {
+                        m.players.set(st.server.player_count() as i64);
+                    }
+                }
+                dead
             };
             for slot in dead {
                 finish_session(&w, sim, slot.session, false);
@@ -764,10 +844,8 @@ fn begin_connection_attempt(w: &W, sim: &mut Simulator, retry_as: Option<u32>) {
                 // attempted but never established).
                 let full = st.server.player_count() >= st.cfg.server.max_players;
                 let bias = if full { 4.5 } else { 1.0 };
-                let mut rng = st.rng_arrivals.clone();
-                let drawn = st.population.draw_biased(&mut rng, bias);
-                st.rng_arrivals = rng;
-                drawn
+                let st = &mut *st;
+                st.population.draw_biased(&mut st.rng_arrivals, bias)
             }
         };
         let session = st.next_session;
@@ -818,7 +896,7 @@ fn begin_connection_attempt(w: &W, sim: &mut Simulator, retry_as: Option<u32>) {
         direction: Direction::Inbound,
         sent_at: sim.now(),
     };
-    send_inbound(w, sim, &link, pkt);
+    w.borrow_mut().send_inbound(sim, &link, pkt);
 }
 
 fn pick_link_class(mix: &[(LinkClass, f64)], rng: &mut RngStream) -> LinkClass {
@@ -860,9 +938,8 @@ fn handle_connect(w: &W, sim: &mut Simulator, pkt: Packet) {
                 ConnectOutcome::Refused => m.connects_refused.incr(),
             }
         }
-        let mut rng = st.rng_misc.clone();
-        let reply = packets::connect_reply_size(outcome == ConnectOutcome::Accepted, &mut rng);
-        st.rng_misc = rng;
+        let reply =
+            packets::connect_reply_size(outcome == ConnectOutcome::Accepted, &mut st.rng_misc);
         (outcome, reply, info)
     };
     emit_outbound(w, sim, session, PacketKind::ConnectReply, reply_size);
@@ -958,15 +1035,12 @@ fn spawn_cmd_stream(
     };
     let w = w.clone();
     spawn_periodic(sim, sim.now() + phase, period, stop, move |sim, _| {
-        let (size, paused) = {
-            let mut st = w.borrow_mut();
-            let paused = st.server.changing_map;
-            let mut rng = st.rng_clients.clone();
-            let size = packets::cmd_size(&st.cfg.workload, &mut rng);
-            st.rng_clients = rng;
-            (size, paused)
-        };
-        if paused {
+        let mut st = w.borrow_mut();
+        let st = &mut *st;
+        // Drawn before the pause check: skipping the draw while paused
+        // would shift every later size on the shared stream.
+        let size = packets::cmd_size(&st.cfg.workload, &mut st.rng_clients);
+        if st.server.changing_map {
             return; // clients are loading the map too
         }
         let pkt = Packet {
@@ -978,7 +1052,7 @@ fn spawn_cmd_stream(
             direction: Direction::Inbound,
             sent_at: sim.now(),
         };
-        send_inbound(&w, sim, &link, pkt);
+        st.send_inbound(sim, &link, pkt);
     });
 }
 
@@ -1038,7 +1112,7 @@ fn spawn_chatter(
                     direction: Direction::Inbound,
                     sent_at: sim.now(),
                 };
-                send_inbound(&w2, sim, &link2, pkt);
+                w2.borrow_mut().send_inbound(sim, &link2, pkt);
             },
         );
     }
@@ -1068,7 +1142,7 @@ fn spawn_chatter(
                             direction: Direction::Inbound,
                             sent_at: sim.now(),
                         };
-                        send_inbound(&w3, sim, &link3, pkt);
+                        w3.borrow_mut().send_inbound(sim, &link3, pkt);
                     });
                 }
             },
@@ -1117,7 +1191,7 @@ fn maybe_spawn_logo_upload(
                 direction: Direction::Inbound,
                 sent_at: sim.now(),
             };
-            send_inbound(&w2, sim, &link2, pkt);
+            w2.borrow_mut().send_inbound(sim, &link2, pkt);
         });
     }
 }

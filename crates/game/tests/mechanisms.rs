@@ -2,8 +2,9 @@
 //! one traffic source the paper's Section II enumerates and asserts its
 //! observable signature in the trace.
 
-use csprov_game::{ScenarioConfig, World};
+use csprov_game::{GameMetrics, OutageSpec, ScenarioConfig, World, WorldInstruments};
 use csprov_net::{CountingSink, Direction, PacketKind, TraceRecord, TraceSink};
+use csprov_obs::MetricsRegistry;
 use csprov_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -147,5 +148,65 @@ fn map_changes_pause_both_directions() {
     assert!(
         stalled < busy_before / 10,
         "stall must silence traffic: {stalled} vs {busy_before}"
+    );
+}
+
+#[test]
+fn timed_out_players_leave_the_player_count() {
+    // A 60 s outage outlasts the 15 s disconnect timeout, so the sweep
+    // evicts all 12 players at 75 s. The time-averaged count must include
+    // their 75 s on the server, and the `game.players` gauge must drop
+    // with them to the players actually still connected.
+    let mut cfg = ScenarioConfig::new(7, SimDuration::from_mins(5));
+    cfg.initial_players = 12;
+    cfg.outages = vec![OutageSpec {
+        start: SimDuration::from_secs(60),
+        length: SimDuration::from_secs(60),
+    }];
+    let registry = MetricsRegistry::new();
+    let instruments = WorldInstruments {
+        metrics: Some(GameMetrics::register(&registry)),
+        ..WorldInstruments::default()
+    };
+    let sink = Rc::new(RefCell::new(CountingSink::new()));
+    let outcome = World::run_instrumented(cfg, sink, None, instruments);
+    let swept_at = SimTime::from_secs(75);
+    let swept = outcome
+        .sessions
+        .iter()
+        .filter(|s| s.established && s.end == Some(swept_at))
+        .count();
+    assert!(
+        swept >= 12,
+        "every initial player is swept at 75 s: {swept}"
+    );
+    let connected = outcome
+        .sessions
+        .iter()
+        .filter(|s| s.established && s.end.is_none())
+        .count();
+    assert_eq!(
+        registry.gauge("game.players").get(),
+        connected as i64,
+        "the gauge follows the sweep"
+    );
+    // The session log's player-seconds, which count from the connection
+    // attempt rather than the accept: at most a link delay per session.
+    let horizon = SimTime::ZERO + outcome.duration;
+    let player_secs: f64 = outcome
+        .sessions
+        .iter()
+        .filter(|s| s.established)
+        .map(|s| (s.end.unwrap_or(horizon) - s.start).as_secs_f64())
+        .sum();
+    let expected = player_secs / outcome.duration.as_secs_f64();
+    assert!(
+        expected > 2.5,
+        "the swept players held the server: {expected}"
+    );
+    assert!(
+        (outcome.mean_players - expected).abs() < 0.05,
+        "mean players {} vs the session log's {expected}",
+        outcome.mean_players
     );
 }

@@ -10,11 +10,12 @@
 //! The queue is kept as serialization end times, not as events: a packet
 //! holds its slot up to and including the instant its serialization ends,
 //! so admission, departure and arrival are all decided when the packet is
-//! offered, and an admitted packet costs one kernel event — its delivery.
+//! offered ([`Link::admit`]). The link schedules nothing itself: the caller
+//! delivers an admitted packet at its arrival time — one kernel event —
+//! and reports it with [`LinkStats::arrived`].
 
-use crate::packet::Packet;
 use csprov_obs::{Counter, Gauge, MetricsRegistry};
-use csprov_sim::{RngStream, SimDuration, SimTime, Simulator};
+use csprov_sim::{RngStream, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -122,6 +123,13 @@ pub struct LinkStats {
 }
 
 impl LinkStats {
+    /// Counts one admitted packet's arrival at the far end: it leaves
+    /// `in_flight` and joins `delivered`.
+    pub fn arrived(&self) {
+        self.in_flight.adjust(-1);
+        self.delivered.incr();
+    }
+
     /// Reports every handle into `registry`'s `net.link.*` totals.
     pub fn report_to(&self, registry: &MetricsRegistry) {
         for (name, counter) in [
@@ -186,64 +194,51 @@ impl Link {
         self.state.borrow().config.clone()
     }
 
-    /// Offers a packet to the link. If it survives the queue and random
-    /// loss, `deliver` is invoked at the computed arrival time.
+    /// Offers a packet of `wire_len` bytes to the link at `now`: returns
+    /// its arrival time at the far end, or `None` if drop-tail admission or
+    /// random loss drops it. The caller delivers an admitted packet at that
+    /// time and reports it with [`LinkStats::arrived`]; until then it
+    /// counts as in flight.
     ///
     /// Drop-tail admission counts the admitted packets whose serialization
     /// ends at or after now; the packet is dropped when `queue_limit` of
     /// them remain.
-    pub fn send<F>(&self, sim: &mut Simulator, packet: Packet, deliver: F)
-    where
-        F: FnOnce(&mut Simulator, Packet) + 'static,
-    {
-        let now = sim.now();
-        let arrive = {
-            let mut st = self.state.borrow_mut();
-            let st = &mut *st;
-            st.stats.offered.incr();
-            // Ends are nondecreasing, so the expired ones are a prefix.
-            while st.backlog.front().is_some_and(|&end| end < now) {
-                st.backlog.pop_front();
+    pub fn admit(&self, now: SimTime, wire_len: u32) -> Option<SimTime> {
+        let mut st = self.state.borrow_mut();
+        let st = &mut *st;
+        st.stats.offered.incr();
+        // Ends are nondecreasing, so the expired ones are a prefix.
+        while st.backlog.front().is_some_and(|&end| end < now) {
+            st.backlog.pop_front();
+        }
+        let latest_queued = st.busy_until.filter(|&end| end >= now);
+        let queued = st.backlog.len() + usize::from(latest_queued.is_some());
+        if queued >= st.config.queue_limit {
+            st.stats.dropped_queue.incr();
+            return None;
+        }
+        let loss = st.config.loss;
+        if loss > 0.0 && st.rng.chance(loss) {
+            st.stats.dropped_random.incr();
+            return None;
+        }
+        let start = match latest_queued {
+            Some(end) => {
+                st.backlog.push_back(end);
+                end
             }
-            let latest_queued = st.busy_until.filter(|&end| end >= now);
-            let queued = st.backlog.len() + usize::from(latest_queued.is_some());
-            if queued >= st.config.queue_limit {
-                st.stats.dropped_queue.incr();
-                return;
-            }
-            let loss = st.config.loss;
-            if loss > 0.0 && st.rng.chance(loss) {
-                st.stats.dropped_random.incr();
-                return;
-            }
-            let start = match latest_queued {
-                Some(end) => {
-                    st.backlog.push_back(end);
-                    end
-                }
-                None => now,
-            };
-            let depart = start + st.config.tx_time(packet.wire_len());
-            st.busy_until = Some(depart);
-            st.stats.in_flight.adjust(1);
-            let jitter_bound = st.config.jitter.as_nanos();
-            let jitter_ns = if jitter_bound == 0 {
-                0
-            } else {
-                st.rng.next_below(jitter_bound + 1)
-            };
-            depart + (st.config.propagation + SimDuration::from_nanos(jitter_ns))
+            None => now,
         };
-
-        let state = self.state.clone();
-        sim.schedule_at(arrive, move |sim| {
-            {
-                let st = state.borrow();
-                st.stats.in_flight.adjust(-1);
-                st.stats.delivered.incr();
-            }
-            deliver(sim, packet);
-        });
+        let depart = start + st.config.tx_time(wire_len);
+        st.busy_until = Some(depart);
+        st.stats.in_flight.adjust(1);
+        let jitter_bound = st.config.jitter.as_nanos();
+        let jitter_ns = if jitter_bound == 0 {
+            0
+        } else {
+            st.rng.next_below(jitter_bound + 1)
+        };
+        Some(depart + (st.config.propagation + SimDuration::from_nanos(jitter_ns)))
     }
 }
 
@@ -251,8 +246,24 @@ impl Link {
 mod tests {
     use super::*;
     use crate::addr::{client_endpoint, server_endpoint};
-    use crate::packet::{Direction, PacketKind};
+    use crate::packet::{Direction, Packet, PacketKind};
+    use csprov_sim::Simulator;
     use std::cell::RefCell;
+
+    /// Offers `pkt` to `link` now and, if it is admitted, delivers it at
+    /// its arrival: the arrival is counted, then `deliver` runs.
+    fn send<F>(link: &Link, sim: &mut Simulator, pkt: Packet, deliver: F)
+    where
+        F: FnOnce(&mut Simulator, Packet) + 'static,
+    {
+        if let Some(at) = link.admit(sim.now(), pkt.wire_len()) {
+            let stats = link.stats();
+            sim.schedule_at(at, move |sim| {
+                stats.arrived();
+                deliver(sim, pkt);
+            });
+        }
+    }
 
     fn pkt(app_len: u32) -> Packet {
         Packet {
@@ -283,7 +294,7 @@ mod tests {
         let link = Link::new(lossless(98_000.0, 100, 10), RngStream::new(1));
         let arrived = Rc::new(RefCell::new(None));
         let a = arrived.clone();
-        link.send(&mut sim, pkt(40), move |sim, _| {
+        send(&link, &mut sim, pkt(40), move |sim, _| {
             *a.borrow_mut() = Some(sim.now());
         });
         sim.run();
@@ -297,7 +308,7 @@ mod tests {
         let times = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..3 {
             let t = times.clone();
-            link.send(&mut sim, pkt(40), move |sim, _| {
+            send(&link, &mut sim, pkt(40), move |sim, _| {
                 t.borrow_mut().push(sim.now().as_millis());
             });
         }
@@ -313,7 +324,7 @@ mod tests {
         let delivered = Rc::new(RefCell::new(0u32));
         for _ in 0..5 {
             let d = delivered.clone();
-            link.send(&mut sim, pkt(40), move |_, _| *d.borrow_mut() += 1);
+            send(&link, &mut sim, pkt(40), move |_, _| *d.borrow_mut() += 1);
         }
         sim.run();
         assert_eq!(*delivered.borrow(), 2);
@@ -332,7 +343,7 @@ mod tests {
         let delivered = Rc::new(RefCell::new(0u32));
         for _ in 0..10_000 {
             let d = delivered.clone();
-            link.send(&mut sim, pkt(40), move |_, _| *d.borrow_mut() += 1);
+            send(&link, &mut sim, pkt(40), move |_, _| *d.borrow_mut() += 1);
             sim.run();
         }
         let got = *delivered.borrow();
@@ -350,7 +361,7 @@ mod tests {
         for _ in 0..200 {
             let t = times.clone();
             let sent = sim.now();
-            link.send(&mut sim, pkt(40), move |sim, _| {
+            send(&link, &mut sim, pkt(40), move |sim, _| {
                 t.borrow_mut().push(sim.now() - sent);
             });
             sim.run();
@@ -375,7 +386,7 @@ mod tests {
         let arrived = Rc::new(RefCell::new(Vec::new()));
         let offer = |sim: &mut Simulator, name: &'static str| {
             let a = arrived.clone();
-            link.send(sim, pkt(40), move |sim, _| {
+            send(&link, sim, pkt(40), move |sim, _| {
                 a.borrow_mut().push((name, sim.now()));
             });
         };
@@ -418,7 +429,9 @@ mod tests {
             for i in 0..40u64 {
                 let (link, d) = (link.clone(), delivered.clone());
                 sim.schedule_at(SimTime::from_millis(3 * i), move |sim| {
-                    link.send(sim, pkt(40), move |sim, _| d.borrow_mut().push(sim.now()));
+                    send(&link, sim, pkt(40), move |sim, _| {
+                        d.borrow_mut().push(sim.now())
+                    });
                 });
             }
             // Checks conservation on the stats and, when reporting, that
@@ -473,7 +486,7 @@ mod tests {
         let b = Link::with_stats(lossless(98_000.0, 0, 1), RngStream::new(2), shared.clone());
         // Each link admits one packet and tail-drops the second.
         for link in [&a, &b, &a, &b] {
-            link.send(&mut sim, pkt(40), |_, _| {});
+            send(link, &mut sim, pkt(40), |_, _| {});
         }
         assert_eq!(shared.in_flight.get(), 2);
         sim.run();

@@ -428,10 +428,16 @@ fn link_admission_matches_brute_force_reference() {
             expected.push(depart.map(|depart| depart + config.propagation));
             sent_at.push(now);
             let (link, arrivals) = (link.clone(), arrivals.clone());
+            // Offer at `now`; an admitted packet is delivered at its
+            // arrival, where the arrival is counted.
             sim.schedule_at(now, move |sim| {
-                link.send(sim, pkt, move |sim, _| {
-                    arrivals.borrow_mut().push((i, sim.now()));
-                });
+                if let Some(at) = link.admit(sim.now(), pkt.wire_len()) {
+                    let stats = link.stats();
+                    sim.schedule_at(at, move |sim| {
+                        stats.arrived();
+                        arrivals.borrow_mut().push((i, sim.now()));
+                    });
+                }
             });
         }
         // Stop at a random instant before the drain: every offer and

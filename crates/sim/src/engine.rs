@@ -1,17 +1,24 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Simulator`] owns a virtual clock, an [`EventQueue`] and a table of
-//! recurring processes. Actors are plain Rust values shared through
-//! `Rc<RefCell<..>>`; an event is a closure that borrows the simulator to
-//! read the clock and schedule follow-up events. Runs are single-threaded
-//! and fully deterministic.
+//! [`Simulator`] owns a virtual clock, an [`EventQueue`] and a slot table
+//! of recurring processes and handlers. Actors are plain Rust values
+//! shared through `Rc<RefCell<..>>`; an event is a closure that borrows
+//! the simulator to read the clock and schedule follow-up events. Runs are
+//! single-threaded and fully deterministic.
 //!
-//! A queue entry is either a one-shot boxed action or the slot of a
-//! recurring process ([`crate::spawn_periodic`], [`crate::spawn_poisson`]):
-//! the process body is boxed once when it is spawned and lives in the
-//! table, so a firing allocates nothing. Its next firing is pushed after
-//! the body returns, so an event the body schedules for that same instant
-//! fires first, and a process that ends frees its slot for the next one.
+//! A queue entry is a one-shot boxed action or names a slot of the
+//! simulator's slot table, which holds two kinds of long-lived body, each
+//! boxed once:
+//!
+//! - a recurring process ([`crate::spawn_periodic`],
+//!   [`crate::spawn_poisson`]). Its next firing is pushed after the body
+//!   returns, so an event the body schedules for that same instant fires
+//!   first, and a process that ends frees its slot for the next one;
+//! - a handler ([`Simulator::add_handler`]), run by every
+//!   [`Simulator::call_at`] event with that call's `u64` argument. A
+//!   handler stays for the simulator's life.
+//!
+//! Neither a firing nor a call allocates.
 //!
 //! ```
 //! use csprov_sim::{Simulator, SimTime, SimDuration};
@@ -37,16 +44,25 @@ use std::cell::RefCell;
 /// A scheduled action: a one-shot closure run with access to the simulator.
 pub type Action = Box<dyn FnOnce(&mut Simulator)>;
 
-/// The body of a recurring process: runs once per firing and returns the
-/// time of its next firing, or `None` to end the process.
-pub(crate) type Recurring = Box<dyn FnMut(&mut Simulator) -> Option<SimTime>>;
+/// A slot-table body. A recurring process runs once per firing (its
+/// argument is 0) and returns the time of its next firing, or `None` to
+/// end the process; a handler gets each call's argument and returns
+/// `None`.
+pub(crate) type Body = Box<dyn FnMut(&mut Simulator, u64) -> Option<SimTime>>;
+
+/// A handler in the simulator's slot table, registered with
+/// [`Simulator::add_handler`] and run by [`Simulator::call_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HandlerId(usize);
 
 /// What a queue entry runs when it fires.
 enum Event {
     /// A one-shot action.
     Once(Action),
-    /// The next firing of the recurring process in this process-table slot.
-    Recurring(usize),
+    /// The next firing of the recurring process in this slot.
+    Fire(usize),
+    /// A call of the handler in this slot, with its argument.
+    Call(usize, u64),
 }
 
 /// A read-only callback run from [`Simulator::step`] after every N-th
@@ -95,11 +111,11 @@ pub fn journal_observer(every: u64, journal: Journal) -> (u64, Observer) {
 pub struct Simulator {
     now: SimTime,
     queue: EventQueue<Event>,
-    /// Recurring-process bodies by slot. A slot is `None` while it is free
-    /// or while its body is running.
-    procs: Vec<Option<Recurring>>,
-    /// Free slots of `procs`, reused before the table grows.
-    free_procs: Vec<usize>,
+    /// Process and handler bodies by slot. A slot is `None` while it is
+    /// free or while its body is running.
+    slots: Vec<Option<Body>>,
+    /// Free slots of `slots`, reused before the table grows.
+    free_slots: Vec<usize>,
     executed: u64,
     stopped: bool,
     queue_hwm: usize,
@@ -120,8 +136,8 @@ impl Simulator {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            procs: Vec::new(),
-            free_procs: Vec::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             executed: 0,
             stopped: false,
             queue_hwm: 0,
@@ -215,46 +231,86 @@ impl Simulator {
         self.schedule_cancellable_at(self.now + delay, action)
     }
 
-    /// Registers a recurring process in the process table and queues its
+    /// Puts `body` in a free slot, growing the table only when none is.
+    fn occupy(&mut self, body: Body) -> usize {
+        match self.free_slots.pop() {
+            Some(slot) => {
+                if let Some(entry) = self.slots.get_mut(slot) {
+                    *entry = Some(body);
+                }
+                slot
+            }
+            None => {
+                self.slots.push(Some(body));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// Registers a recurring process in the slot table and queues its
     /// first firing at `first`. Each firing runs `body`; the firing it
     /// returns is queued after it returns, and `None` frees the slot.
     ///
     /// # Panics
     /// Panics if `first` is in the virtual past.
-    pub(crate) fn spawn_recurring(&mut self, first: SimTime, body: Recurring) {
+    pub(crate) fn spawn_recurring(&mut self, first: SimTime, body: Body) {
         assert!(
             first >= self.now,
             "cannot schedule into the past: {first} < now {}",
             self.now
         );
-        let slot = match self.free_procs.pop() {
-            Some(slot) => slot,
-            None => {
-                self.procs.push(None);
-                self.procs.len() - 1
-            }
-        };
-        if let Some(entry) = self.procs.get_mut(slot) {
-            *entry = Some(body);
-        }
-        self.push(first, Event::Recurring(slot));
+        let slot = self.occupy(body);
+        self.push(first, Event::Fire(slot));
     }
 
-    /// Runs one firing of the recurring process in `slot`, then queues its
-    /// next firing or frees the slot. The body is taken out of the table
-    /// while it runs, so it may spawn processes of its own.
-    fn fire(&mut self, slot: usize) {
-        let Some(mut body) = self.procs.get_mut(slot).and_then(Option::take) else {
+    /// Registers a long-lived handler in the slot table. Each
+    /// [`Simulator::call_at`] naming it runs it once with that call's
+    /// argument; it stays registered for the simulator's life.
+    pub fn add_handler<F>(&mut self, mut handler: F) -> HandlerId
+    where
+        F: FnMut(&mut Simulator, u64) + 'static,
+    {
+        HandlerId(self.occupy(Box::new(move |sim, arg| {
+            handler(sim, arg);
+            None
+        })))
+    }
+
+    /// Queues a call of `handler` with `arg` at absolute time `at`. It is
+    /// ordered with every other event by `(time, scheduling order)` and
+    /// allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the virtual past.
+    #[inline]
+    pub fn call_at(&mut self, at: SimTime, handler: HandlerId, arg: u64) -> EventId {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: {at} < now {}",
+            self.now
+        );
+        self.push(at, Event::Call(handler.0, arg))
+    }
+
+    /// Runs the body in `slot` with `arg`. The body is taken out of the
+    /// table while it runs, so it may spawn processes and queue calls of
+    /// its own, itself included. A process's next firing is queued after
+    /// its body is back, and a process that ends frees its slot; a
+    /// handler always goes back.
+    fn run_slot(&mut self, slot: usize, arg: u64, process: bool) {
+        let Some(mut body) = self.slots.get_mut(slot).and_then(Option::take) else {
             return;
         };
-        match body(self) {
-            Some(next) => {
-                if let Some(entry) = self.procs.get_mut(slot) {
-                    *entry = Some(body);
-                }
-                self.push(next, Event::Recurring(slot));
-            }
-            None => self.free_procs.push(slot),
+        let next = body(self, arg);
+        if process && next.is_none() {
+            self.free_slots.push(slot);
+            return;
+        }
+        if let Some(entry) = self.slots.get_mut(slot) {
+            *entry = Some(body);
+        }
+        if let (true, Some(next)) = (process, next) {
+            self.push(next, Event::Fire(slot));
         }
     }
 
@@ -272,7 +328,8 @@ impl Simulator {
                 self.executed += 1;
                 match event {
                     Event::Once(action) => action(self),
-                    Event::Recurring(slot) => self.fire(slot),
+                    Event::Fire(slot) => self.run_slot(slot, 0, true),
+                    Event::Call(slot, arg) => self.run_slot(slot, arg, false),
                 }
                 let this = &*self;
                 for (every, observer) in &this.observers {
@@ -623,7 +680,7 @@ mod tests {
         // The arrival process, the live session and the one stopped but
         // not yet fired again: freed slots are reused, so the table never
         // grows with the number of sessions ever started.
-        assert!(sim.procs.len() <= 3, "{} slots", sim.procs.len());
+        assert!(sim.slots.len() <= 3, "{} slots", sim.slots.len());
     }
 
     #[test]
@@ -654,6 +711,100 @@ mod tests {
                 ("tick", 2)
             ]
         );
+    }
+
+    #[test]
+    fn calls_interleave_with_one_shot_and_process_events() {
+        // One handler, a one-shot action and a periodic process, queued
+        // interleaved at shared instants: everything fires in exact
+        // (time, scheduling order), whatever its kind.
+        let mut sim = Simulator::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        let handler = sim.add_handler(move |sim, arg| {
+            l.borrow_mut()
+                .push((sim.now().as_millis(), format!("call {arg}")));
+        });
+        let once = |sim: &mut Simulator, ms: u64, name: &'static str| {
+            let l = log.clone();
+            sim.schedule_at(SimTime::from_millis(ms), move |sim| {
+                l.borrow_mut()
+                    .push((sim.now().as_millis(), name.to_string()));
+            });
+        };
+        sim.call_at(SimTime::from_millis(10), handler, 1);
+        once(&mut sim, 10, "once a");
+        let l = log.clone();
+        spawn_periodic(
+            &mut sim,
+            SimTime::from_millis(10),
+            SimDuration::from_millis(10),
+            StopFlag::new(),
+            move |sim, i| {
+                l.borrow_mut()
+                    .push((sim.now().as_millis(), format!("tick {i}")))
+            },
+        );
+        sim.call_at(SimTime::from_millis(20), handler, 2);
+        once(&mut sim, 20, "once b");
+        sim.call_at(SimTime::from_millis(5), handler, 3);
+        sim.call_at(SimTime::from_millis(10), handler, 4);
+        sim.run_until(SimTime::from_millis(25));
+        let expected = [
+            (5, "call 3"),
+            (10, "call 1"),
+            (10, "once a"),
+            (10, "tick 0"),
+            (10, "call 4"),
+            // Tick 1 was queued when tick 0 returned, after `once b`.
+            (20, "call 2"),
+            (20, "once b"),
+            (20, "tick 1"),
+        ];
+        let got: Vec<(u64, String)> = log.borrow().clone();
+        let expected: Vec<(u64, String)> = expected
+            .iter()
+            .map(|&(ms, name)| (ms, name.to_string()))
+            .collect();
+        assert_eq!(got, expected);
+        // The handler shares the slot table with the process and survives
+        // its calls.
+        assert_eq!(sim.slots.len(), 2);
+        assert!(sim.slots.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn handler_calling_itself_now_runs_after_it_returns() {
+        let mut sim = Simulator::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let me: Rc<Cell<Option<HandlerId>>> = Rc::new(Cell::new(None));
+        let (l, m) = (log.clone(), me.clone());
+        let handler = sim.add_handler(move |sim, arg| {
+            l.borrow_mut().push(("enter", arg, sim.now()));
+            if arg < 2 {
+                if let Some(me) = m.get() {
+                    sim.call_at(sim.now(), me, arg + 1);
+                }
+            }
+            l.borrow_mut().push(("exit", arg, sim.now()));
+        });
+        me.set(Some(handler));
+        let at = SimTime::from_millis(7);
+        sim.call_at(at, handler, 0);
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                ("enter", 0, at),
+                ("exit", 0, at),
+                ("enter", 1, at),
+                ("exit", 1, at),
+                ("enter", 2, at),
+                ("exit", 2, at),
+            ],
+            "each self-call waits for the running call and none is lost"
+        );
+        assert_eq!(sim.events_executed(), 3);
     }
 
     #[test]

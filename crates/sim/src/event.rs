@@ -46,9 +46,21 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
-/// Identifier of a scheduled event (its scheduling sequence number).
+/// Identifier of a scheduled event: its scheduling sequence number, shifted
+/// left one bit, with the low bit set for a cancellable event. Ids order
+/// exactly as their sequence numbers do, and the flag costs a queue entry
+/// no extra field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(pub(crate) u64);
+
+impl EventId {
+    /// True if the event was scheduled cancellable, so the queue's side
+    /// table holds a cancellation flag for it.
+    #[inline]
+    fn is_cancellable(self) -> bool {
+        self.0 & 1 == 1
+    }
+}
 
 /// Width of one calendar bucket in virtual nanoseconds (4 ms: an eighth of
 /// the 50 ms server tick, so a tick burst and its link-delayed deliveries
@@ -56,7 +68,8 @@ pub struct EventId(pub(crate) u64);
 const BUCKET_WIDTH_NS: u64 = 4_000_000;
 /// Number of wheel buckets. 512 × 4 ms ≈ 2 s of look-ahead: periodic
 /// processes and link delays stay on the wheel, only genuinely far events
-/// (departures, map changes) hit the overflow heap.
+/// (departures, map changes) hit the overflow heap. A power of two, so the
+/// ring's wrap-around is a mask, not a division.
 const NUM_BUCKETS: usize = 512;
 /// Queues smaller than this never trigger tombstone compaction.
 const COMPACT_MIN_LEN: usize = 64;
@@ -108,8 +121,6 @@ impl EventHandle {
 pub(crate) struct Scheduled<A> {
     pub at: SimTime,
     pub id: EventId,
-    /// True if a cancellation flag for this id exists in the side table.
-    pub flagged: bool,
     pub action: A,
 }
 
@@ -159,7 +170,8 @@ pub struct EventQueue<A> {
     flags: HashMap<u64, Rc<Cell<u8>>>,
     /// Total entries (including lazily-cancelled ones).
     len: usize,
-    next_id: u64,
+    /// Sequence number of the next scheduled event.
+    next_seq: u64,
     /// Cancelled-but-still-queued entry count, shared with handles.
     tombstones: Rc<Cell<u64>>,
     /// Cumulative count of entries routed to the overflow heap at insert
@@ -185,7 +197,7 @@ impl<A> EventQueue<A> {
             overflow: BinaryHeap::new(),
             flags: HashMap::new(),
             len: 0,
-            next_id: 0,
+            next_seq: 0,
             tombstones: Rc::new(Cell::new(0)),
             overflow_pushes: 0,
         }
@@ -215,7 +227,7 @@ impl<A> EventQueue<A> {
     /// First virtual nanosecond beyond the wheel's coverage.
     fn horizon(&self) -> u64 {
         self.active_end
-            .saturating_add(BUCKET_WIDTH_NS * self.wheel.len() as u64)
+            .saturating_add(BUCKET_WIDTH_NS * NUM_BUCKETS as u64)
     }
 
     /// Routes one entry to the active bucket, the wheel, or the overflow
@@ -238,7 +250,7 @@ impl<A> EventQueue<A> {
             }
         } else if t < self.horizon() {
             let offset = ((t - self.active_end) / BUCKET_WIDTH_NS) as usize;
-            let slot = (self.cursor + offset) % self.wheel.len();
+            let slot = (self.cursor + offset) % NUM_BUCKETS;
             self.wheel[slot].push(e);
             self.wheel_items += 1;
         } else {
@@ -248,33 +260,29 @@ impl<A> EventQueue<A> {
         self.len += 1;
     }
 
+    /// The id of the next scheduled event.
+    #[inline]
+    fn next_id(&mut self, cancellable: bool) -> EventId {
+        let id = EventId(self.next_seq << 1 | u64::from(cancellable));
+        self.next_seq += 1;
+        id
+    }
+
     /// Schedules `action` at time `at`; returns its id.
     #[inline]
     pub fn push(&mut self, at: SimTime, action: A) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.insert(Scheduled {
-            at,
-            id,
-            flagged: false,
-            action,
-        });
+        let id = self.next_id(false);
+        self.insert(Scheduled { at, id, action });
         self.maybe_compact();
         id
     }
 
     /// Schedules a cancellable `action` at time `at`; returns a handle.
     pub fn push_cancellable(&mut self, at: SimTime, action: A) -> EventHandle {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
+        let id = self.next_id(true);
         let state = Rc::new(Cell::new(PENDING));
         self.flags.insert(id.0, state.clone());
-        self.insert(Scheduled {
-            at,
-            id,
-            flagged: true,
-            action,
-        });
+        self.insert(Scheduled { at, id, action });
         self.maybe_compact();
         EventHandle {
             id,
@@ -283,16 +291,17 @@ impl<A> EventQueue<A> {
         }
     }
 
-    /// Looks up a flagged entry's cancellation state without removing it.
+    /// Looks up a cancellable entry's cancellation state without removing
+    /// it.
     fn is_tombstone(&self, e: &Scheduled<A>) -> bool {
-        e.flagged
+        e.id.is_cancellable()
             && self
                 .flags
                 .get(&e.id.0)
                 .is_some_and(|f| f.get() == CANCELLED)
     }
 
-    /// Retires a flagged entry that is leaving the queue: removes its flag
+    /// Retires a cancellable entry that is leaving the queue: removes its flag
     /// and reports whether it was a tombstone (marking it fired otherwise).
     fn retire_flag(&mut self, id: EventId) -> bool {
         match self.flags.remove(&id.0) {
@@ -330,7 +339,7 @@ impl<A> EventQueue<A> {
                 self.active_end = self.active_end.saturating_add(BUCKET_WIDTH_NS);
                 let empty = std::mem::take(&mut self.active);
                 let bucket = std::mem::replace(&mut self.wheel[self.cursor], empty);
-                self.cursor = (self.cursor + 1) % self.wheel.len();
+                self.cursor = (self.cursor + 1) % NUM_BUCKETS;
                 self.wheel_items -= bucket.len();
                 self.active = bucket;
             }
@@ -345,7 +354,7 @@ impl<A> EventQueue<A> {
                 } else if t < horizon {
                     let e = PeekMut::pop(top);
                     let offset = ((t - self.active_end) / BUCKET_WIDTH_NS) as usize;
-                    let slot = (self.cursor + offset) % self.wheel.len();
+                    let slot = (self.cursor + offset) % NUM_BUCKETS;
                     self.wheel[slot].push(e);
                     self.wheel_items += 1;
                 } else {
@@ -367,7 +376,7 @@ impl<A> EventQueue<A> {
             match self.active.pop() {
                 Some(e) => {
                     self.len -= 1;
-                    if e.flagged && self.retire_flag(e.id) {
+                    if e.id.is_cancellable() && self.retire_flag(e.id) {
                         continue;
                     }
                     return Some((e.at, e.id, e.action));
@@ -420,7 +429,7 @@ impl<A> EventQueue<A> {
     pub fn compact(&mut self) {
         let flags = &self.flags;
         let is_dead = |e: &Scheduled<A>| {
-            e.flagged && flags.get(&e.id.0).is_some_and(|f| f.get() == CANCELLED)
+            e.id.is_cancellable() && flags.get(&e.id.0).is_some_and(|f| f.get() == CANCELLED)
         };
         self.active.retain(|e| !is_dead(e));
         for bucket in &mut self.wheel {

@@ -42,10 +42,10 @@ pub mod rate;
 pub mod rng;
 pub mod time;
 
-pub use engine::{journal_observer, Action, Observer, Simulator};
+pub use engine::{journal_observer, Action, HandlerId, Observer, Simulator};
 pub use event::{EventHandle, EventId, EventQueue};
 pub use pacing::{Pacer, PacerStats, Speed};
 pub use process::{spawn_periodic, spawn_poisson, StopFlag};
 pub use rate::TokenBucket;
 pub use rng::RngStream;
-pub use time::{SimDuration, SimTime};
+pub use time::{round_to_u64, SimDuration, SimTime};

@@ -3,7 +3,7 @@
 //! Game traffic is dominated by strictly periodic processes (the 50 ms server
 //! tick, per-client command streams) and by Poisson-like arrival processes
 //! (player arrivals). Both register their body once in the simulator's
-//! process table, which re-queues it after each firing, so actor code stays
+//! slot table, which re-queues it after each firing, so actor code stays
 //! focused on behaviour and a firing allocates nothing.
 
 use crate::dist::{Exp, Sample};
@@ -55,7 +55,7 @@ pub fn spawn_periodic<F>(
     let mut index = 0;
     sim.spawn_recurring(
         start,
-        Box::new(move |sim| {
+        Box::new(move |sim, _| {
             if stop.is_stopped() {
                 return None;
             }
@@ -88,7 +88,7 @@ pub fn spawn_poisson<F>(
     let first = start + SimDuration::from_secs_f64(dist.sample(&mut rng));
     sim.spawn_recurring(
         first,
-        Box::new(move |sim| {
+        Box::new(move |sim, _| {
             if stop.is_stopped() {
                 return None;
             }

@@ -20,6 +20,26 @@ pub const NANOS_PER_MICRO: u64 = 1_000;
 pub const NANOS_PER_MILLI: u64 = 1_000_000;
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x.round() as u64`, exactly, without a call to the software
+/// `f64::round`.
+///
+/// Below 2^52 a non-negative `x` splits exactly into its whole part and
+/// its fraction, so rounding half away from zero is one comparison. Every
+/// other input (negative, NaN, or 2^52 and up, where every `f64` is already
+/// whole) takes `f64::round`, with the cast's saturation.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    /// 2^52, the first `f64` whose ulp is 1.
+    const WHOLE_FROM: f64 = 4_503_599_627_370_496.0;
+    if (0.0..WHOLE_FROM).contains(&x) {
+        let whole = x as i64;
+        let half_up = x - whole as f64 >= 0.5;
+        (whole + i64::from(half_up)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
@@ -49,7 +69,7 @@ impl SimTime {
     /// Builds an instant from fractional seconds, rounding to nanoseconds.
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite());
-        SimTime((s * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_to_u64(s * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanosecond count.
@@ -134,7 +154,7 @@ impl SimDuration {
             s >= 0.0 && s.is_finite(),
             "duration must be non-negative, got {s}"
         );
-        SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(s * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanosecond count.
@@ -175,7 +195,7 @@ impl SimDuration {
     /// Scales the span by a float factor, rounding to nanoseconds.
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0 && k.is_finite());
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k))
     }
 }
 
@@ -307,6 +327,54 @@ mod tests {
         assert!((d.as_secs_f64() - 0.05).abs() < 1e-12);
         let t = SimTime::from_secs_f64(1.5);
         assert_eq!(t, SimTime::from_millis(1500));
+    }
+
+    #[test]
+    fn round_to_u64_matches_f64_round() {
+        let expect = |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        let next = |x: f64, step: i64| f64::from_bits((x.to_bits() as i64 + step) as u64);
+        let two52 = 4_503_599_627_370_496.0f64;
+        // Every k + 0.5 that an f64 holds exactly, and one ulp either side,
+        // densely at the small values times take and sparsely up to 2^52.
+        let mut ks: Vec<u64> = (0..100_000).collect();
+        ks.extend((0..52).flat_map(|e| {
+            let p = 1u64 << e;
+            [p - 1, p, p + 1]
+        }));
+        ks.push((1 << 52) - 1);
+        for k in ks {
+            let half = k as f64 + 0.5;
+            assert!(half < two52 && half - k as f64 == 0.5, "k = {k}");
+            for x in [half, next(half, -1), next(half, 1)] {
+                expect(x);
+            }
+        }
+        // Zero, both signs, and the edges of the exact range.
+        for x in [0.0, -0.0, next(0.0, 1), 0.5, next(0.5, -1), 1.0] {
+            expect(x);
+        }
+        for x in [two52 - 1.0, next(two52, -1), two52, two52 + 1.0] {
+            expect(x);
+        }
+        // Past 2^52 it falls back to `f64::round`, saturating the cast.
+        for x in [2f64.powi(53), 2f64.powi(63), 1e19, 2f64.powi(64), 1e300] {
+            expect(x);
+        }
+        for x in [
+            f64::INFINITY,
+            f64::NAN,
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e20,
+            f64::NEG_INFINITY,
+        ] {
+            expect(x);
+        }
+        // The nanosecond conversions round through it.
+        assert_eq!(SimDuration::from_secs_f64(2.5e-9).as_nanos(), 3);
+        assert_eq!(SimTime::from_secs_f64(1.5e-9).as_nanos(), 2);
+        assert_eq!(SimDuration::from_nanos(5).mul_f64(0.5).as_nanos(), 3);
     }
 
     #[test]

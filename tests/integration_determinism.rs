@@ -5,6 +5,7 @@
 use csprov::experiments::nat::run_nat_experiment;
 use csprov::experiments::{ablations, tables};
 use csprov::pipeline::MainRun;
+use csprov_analysis::persist::crc32;
 use csprov_game::ScenarioConfig;
 use csprov_router::EngineConfig;
 use csprov_sim::SimDuration;
@@ -73,6 +74,78 @@ fn ablations_deterministic() {
         ablations::ablate_tick(5, 3).render(),
         ablations::ablate_tick(5, 3).render()
     );
+}
+
+/// What a seeded run must reproduce across commits, not just across two
+/// runs of one build: event count, tap packets per direction, wire bytes,
+/// session count and the CRC-32 of the rendered paper tables.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    events: u64,
+    packets: [u64; 2],
+    wire_bytes: u64,
+    sessions: usize,
+    tables_crc: u32,
+}
+
+/// The pinned fingerprint of a 30-minute seed-7 main run (Tables I–III).
+const MAIN_SEED7_30MIN: Fingerprint = Fingerprint {
+    events: 1_361_571,
+    packets: [640_264, 544_640],
+    wire_bytes: 153_898_980,
+    sessions: 63,
+    tables_crc: 1_744_667_805,
+};
+
+/// The pinned fingerprint of the seed-7 NAT experiment (Table IV); its tap
+/// is the server's side of the device.
+const NAT_SEED7: Fingerprint = Fingerprint {
+    events: 3_744_231,
+    packets: [949_909, 786_551],
+    wire_bytes: 251_078_999,
+    sessions: 136,
+    tables_crc: 3_229_381_343,
+};
+
+#[test]
+fn main_run_matches_its_pinned_fingerprint() {
+    let run = MainRun::execute(ScenarioConfig::scaled(7, SimDuration::from_mins(30)));
+    let tables = [
+        tables::table1(&run).render(),
+        tables::table2(&run).render(),
+        tables::table3(&run).render(),
+    ]
+    .concat();
+    let counts = &run.analysis.counts;
+    let got = Fingerprint {
+        events: run.outcome.events_executed,
+        packets: counts.packets,
+        wire_bytes: counts.total_wire_bytes(),
+        sessions: run.outcome.sessions.len(),
+        tables_crc: crc32(tables.as_bytes()),
+    };
+    assert_eq!(got, MAIN_SEED7_30MIN);
+}
+
+#[test]
+fn nat_run_matches_its_pinned_fingerprint() {
+    let run = run_nat_experiment(7, EngineConfig::default());
+    let total = |series: &csprov_analysis::RateSeries| {
+        series
+            .bins()
+            .iter()
+            .fold((0, 0), |(p, b), bin| (p + bin.packets, b + bin.wire_bytes))
+    };
+    let (packets_in, bytes_in) = total(&run.nat_to_server);
+    let (packets_out, bytes_out) = total(&run.server_to_nat);
+    let got = Fingerprint {
+        events: run.outcome.events_executed,
+        packets: [packets_in, packets_out],
+        wire_bytes: bytes_in + bytes_out,
+        sessions: run.outcome.sessions.len(),
+        tables_crc: crc32(tables::table4(&run).render().as_bytes()),
+    };
+    assert_eq!(got, NAT_SEED7);
 }
 
 #[test]

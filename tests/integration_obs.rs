@@ -215,6 +215,44 @@ fn link_totals_conserve_and_sum_across_runs_folded_into_one_registry() {
 }
 
 #[test]
+fn world_runs_conserve_link_packets_with_packets_in_flight() {
+    // The world delivers what its access links admit, so the links'
+    // identity is checked where delivery happens: at the horizon of a main
+    // run and of a NAT run, with admitted packets still on their way.
+    let conserved = |registry: &MetricsRegistry| {
+        let c = |name: &str| registry.counter(&format!("net.link.{name}")).get();
+        let in_flight = registry.gauge("net.link.in_flight").get();
+        let in_flight = u64::try_from(in_flight).expect("non-negative");
+        assert!(in_flight > 0, "the horizon cuts packets in flight");
+        let (offered, delivered) = (c("offered"), c("delivered"));
+        assert_eq!(
+            offered,
+            delivered + c("dropped_queue") + c("dropped_random") + in_flight,
+            "offered = delivered + dropped_queue + dropped_random + in_flight"
+        );
+        delivered
+    };
+    let main = MetricsRegistry::new();
+    let run = MainRun::execute_instrumented(
+        ScenarioConfig::new(7, SimDuration::from_mins(5)),
+        instruments(&main),
+    );
+    // Without a middlebox every delivered packet reaches the tap, which
+    // also records what skips the links (probes, farewells).
+    let delivered = conserved(&main);
+    assert!(delivered > 10_000 && delivered <= run.analysis.counts.packets[0]);
+    let nat = MetricsRegistry::new();
+    let (nat_run, _) = run_nat(
+        paper_config(7),
+        EngineConfig::default(),
+        None,
+        instruments(&nat),
+    );
+    // Behind the device the links feed the NAT's inbound side.
+    assert_eq!(conserved(&nat), nat_run.stats.offered[0].get());
+}
+
+#[test]
 fn table4_is_byte_identical_with_full_telemetry_on() {
     // The journal + series exporters sit inside the determinism boundary:
     // running them must leave the paper artifact untouched.

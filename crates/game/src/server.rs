@@ -3,8 +3,9 @@
 //! Pure logic, no event scheduling: the world layer drives it and turns its
 //! returned effects into packets. Player slots live in a `Vec` kept in
 //! session order, so every iteration (most importantly the per-tick
-//! snapshot broadcast) is in deterministic session order, and a dense
-//! session index finds a player in O(1) for the per-packet liveness update.
+//! snapshot broadcast) is in deterministic session order, and a binary
+//! search over at most `max_players` slots finds a player for the
+//! per-packet liveness update.
 
 use crate::config::{SendDropPolicy, ServerConfig};
 use crate::packets;
@@ -35,24 +36,12 @@ pub enum ConnectOutcome {
     Refused,
 }
 
-/// Marks a session with no player in [`ServerState`]'s session index.
-const VACANT: u32 = u32::MAX;
-
-/// Sessions at or above this id are not indexed (they are found by binary
-/// search), so a stray huge id cannot size the index. World sessions are
-/// numbered densely from 0 and stay far below it.
-const INDEXED_SESSIONS: u32 = 1 << 20;
-
 /// The server's mutable state.
 pub struct ServerState {
     /// Static configuration.
     pub cfg: ServerConfig,
     /// Connected players, in ascending session order.
     players: Vec<PlayerSlot>,
-    /// `index[session]` is the session's position in `players`, or
-    /// [`VACANT`]; it covers every session below [`INDEXED_SESSIONS`] that
-    /// ever connected.
-    index: Vec<u32>,
     /// True while the server is loading a new map (no traffic either way).
     pub changing_map: bool,
     /// World-activity multiplier for snapshot sizes (round phase driven).
@@ -70,7 +59,6 @@ impl ServerState {
         ServerState {
             cfg,
             players: Vec::new(),
-            index: Vec::new(),
             changing_map: false,
             activity: 1.0,
             maps_played: 0,
@@ -99,33 +87,9 @@ impl ServerState {
     /// The position of `session` in `players`, if it is connected.
     #[inline]
     fn position(&self, session: u32) -> Option<usize> {
-        match self.index.get(session as usize) {
-            Some(&i) => {
-                let i = i as usize;
-                (self.players.get(i)?.session == session).then_some(i)
-            }
-            None => self
-                .players
-                .binary_search_by_key(&session, |p| p.session)
-                .ok(),
-        }
-    }
-
-    /// Rewrites the index entries of the players from position `from` on,
-    /// after an insertion or removal shifted them.
-    fn reindex_from(&mut self, from: usize) {
-        for (i, p) in self.players.iter().enumerate().skip(from) {
-            if let Some(entry) = self.index.get_mut(p.session as usize) {
-                *entry = i as u32;
-            }
-        }
-    }
-
-    /// Marks `session` as holding no player in the index.
-    fn unindex(&mut self, session: u32) {
-        if let Some(entry) = self.index.get_mut(session as usize) {
-            *entry = VACANT;
-        }
+        self.players
+            .binary_search_by_key(&session, |p| p.session)
+            .ok()
     }
 
     /// Total maps played (incremented by [`ServerState::begin_map_change`]).
@@ -162,10 +126,6 @@ impl ServerState {
             Err(at) => at,
         };
         self.players.insert(at, slot);
-        if session < INDEXED_SESSIONS && self.index.len() <= session as usize {
-            self.index.resize(session as usize + 1, VACANT);
-        }
-        self.reindex_from(at);
         ConnectOutcome::Accepted
     }
 
@@ -265,10 +225,6 @@ impl ServerState {
         let dead: Vec<PlayerSlot> = self.players.iter().copied().filter(is_dead).collect();
         if !dead.is_empty() {
             self.players.retain(|p| !is_dead(p));
-            for p in &dead {
-                self.unindex(p.session);
-            }
-            self.reindex_from(0);
         }
         dead
     }
@@ -276,10 +232,7 @@ impl ServerState {
     /// Gracefully removes a player; returns its slot if it was connected.
     pub fn disconnect(&mut self, session: u32) -> Option<PlayerSlot> {
         let at = self.position(session)?;
-        let slot = self.players.remove(at);
-        self.unindex(session);
-        self.reindex_from(at);
-        Some(slot)
+        Some(self.players.remove(at))
     }
 
     /// Starts a map change: traffic pauses, the map counter increments.
@@ -436,28 +389,6 @@ mod tests {
         assert!(!s.heard_from(t1, 2), "a departed session is unknown");
         let sessions: Vec<u32> = s.sessions().map(|p| p.session).collect();
         assert_eq!(sessions, vec![0, 5, 7, 9]);
-    }
-
-    #[test]
-    fn sessions_past_the_index_are_still_found() {
-        let mut s = server();
-        let t = SimTime::ZERO;
-        let huge = [u32::MAX - 1, INDEXED_SESSIONS, 3, INDEXED_SESSIONS + 9];
-        for session in huge {
-            assert_eq!(s.try_connect(t, session, 1, None), ConnectOutcome::Accepted);
-        }
-        assert!(s.index.len() <= 4, "huge ids leave the index small");
-        let t1 = t + csprov_sim::SimDuration::from_secs(20);
-        assert!(s.heard_from(t1, INDEXED_SESSIONS));
-        assert!(s.heard_from(t1, 3));
-        assert!(!s.heard_from(t1, INDEXED_SESSIONS + 1));
-        // The two silent ones time out; the rest stay findable.
-        let swept: Vec<u32> = s.sweep_timeouts(t1).iter().map(|p| p.session).collect();
-        assert_eq!(swept, vec![INDEXED_SESSIONS + 9, u32::MAX - 1]);
-        assert_eq!(s.player(3).map(|p| p.last_heard), Some(t1));
-        assert!(s.disconnect(INDEXED_SESSIONS).is_some());
-        assert!(s.disconnect(INDEXED_SESSIONS).is_none());
-        assert_eq!(s.player_count(), 1);
     }
 
     #[test]

@@ -221,6 +221,15 @@ impl WorldState {
         self.last_count_change = now;
     }
 
+    /// Books a change of the player count from `old_count` at `now`: the
+    /// `mean_players` integral and the `game.players` gauge.
+    fn players_changed(&mut self, now: SimTime, old_count: usize) {
+        self.note_player_delta(now, old_count);
+        if let Some(m) = &self.metrics {
+            m.players.set(self.server.player_count() as i64);
+        }
+    }
+
     /// Sends an inbound packet through the client's access link: an
     /// admitted packet is parked until its arrival, when the delivery
     /// handler takes it on ([`deliver_inbound`]).
@@ -546,10 +555,7 @@ fn schedule_timeout_sweep(w: &W, sim: &mut Simulator) {
                 // The sweep frees the slots itself, so `finish_session`
                 // finds them gone: count the change here.
                 if !dead.is_empty() {
-                    st.note_player_delta(now, old);
-                    if let Some(m) = &st.metrics {
-                        m.players.set(st.server.player_count() as i64);
-                    }
+                    st.players_changed(now, old);
                 }
                 dead
             };
@@ -570,10 +576,7 @@ fn finish_session(w: &W, sim: &mut Simulator, session: u32, graceful: bool) {
         if entry.is_some() {
             let old = st.server.player_count();
             if st.server.disconnect(session).is_some() {
-                st.note_player_delta(now, old);
-                if let Some(m) = &st.metrics {
-                    m.players.set(st.server.player_count() as i64);
-                }
+                st.players_changed(now, old);
             }
         }
         if let Some(e) = &entry {
@@ -920,21 +923,18 @@ fn handle_connect(w: &W, sim: &mut Simulator, pkt: Packet) {
         let Some(info) = st.pending.remove(&session) else {
             return; // duplicate or stale request
         };
+        let old = st.server.player_count();
         let outcome = st
             .server
             .try_connect(now, session, info.client, info.custom_rate);
         if outcome == ConnectOutcome::Accepted {
-            let old = st.server.player_count() - 1;
-            st.note_player_delta(now, old);
+            st.players_changed(now, old);
             st.log[info.log_index].established = true;
             st.seen_this_minute += 1;
         }
         if let Some(m) = &st.metrics {
             match outcome {
-                ConnectOutcome::Accepted => {
-                    m.connects_accepted.incr();
-                    m.players.set(st.server.player_count() as i64);
-                }
+                ConnectOutcome::Accepted => m.connects_accepted.incr(),
                 ConnectOutcome::Refused => m.connects_refused.incr(),
             }
         }

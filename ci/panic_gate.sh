@@ -12,8 +12,9 @@
 # StateError/CheckpointError values, shard failures as FleetError), the
 # columnar ingest pipeline in crates/core, the experiment layer every
 # paper number comes out of (crates/core lib.rs and chaos.rs, and
-# experiments/ mod, nat, tables, web, ablations and aggregate;
-# figures.rs, whose renderers still unwrap `writeln!`, is not yet clean),
+# experiments/ mod, nat, tables, figures, web, ablations and aggregate;
+# their renderers write into `String`s, which cannot fail, so a
+# `writeln!` result is dropped with `let _ =`, never unwrapped),
 # every module of crates/analysis (the analyzer folds the pipeline
 # feeds — a replayed trace hands them foreign sizes — the checkpoint
 # codec, and the renderers every artifact goes through), every module of
@@ -43,7 +44,8 @@ for f in crates/net/src/*.rs crates/router/src/*.rs \
     crates/analysis/src/*.rs \
     crates/core/src/lib.rs crates/core/src/chaos.rs crates/core/src/pipeline.rs \
     crates/core/src/experiments/mod.rs crates/core/src/experiments/nat.rs \
-    crates/core/src/experiments/tables.rs crates/core/src/experiments/web.rs \
+    crates/core/src/experiments/tables.rs crates/core/src/experiments/figures.rs \
+    crates/core/src/experiments/web.rs \
     crates/core/src/experiments/ablations.rs \
     crates/core/src/experiments/aggregate.rs \
     crates/sim/src/*.rs crates/game/src/*.rs \

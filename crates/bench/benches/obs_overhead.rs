@@ -285,30 +285,6 @@ fn bench_primitives(h: &mut Harness) {
             black_box(profile.enters())
         })
     });
-    g.bench_function("span_enter_1m_plain", |b| {
-        // Span guard without a profile attached — the pre-existing
-        // instrument cost the profiled row below is compared against.
-        let span = registry.span("bench.span");
-        b.iter(|| {
-            for i in 0..1_000_000u64 {
-                let _g = span.enter(i);
-            }
-            black_box(span.entry_count())
-        })
-    });
-    g.bench_function("span_enter_1m_profiled", |b| {
-        // The same span with a profile attached: each guard now also
-        // opens and closes a wall-time frame.
-        let profiled_registry = MetricsRegistry::new();
-        profiled_registry.attach_profile(Some(Profile::new()));
-        let span = profiled_registry.span("bench.span");
-        b.iter(|| {
-            for i in 0..1_000_000u64 {
-                let _g = span.enter(i);
-            }
-            black_box(span.entry_count())
-        })
-    });
     g.finish();
 }
 

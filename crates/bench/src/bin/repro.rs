@@ -120,8 +120,7 @@ const FLAGS: &[(&str, &str, u8, &str)] = &[
     ("--fleet-minutes", "M", RUN | WORK | COORD, "simulated minutes per fleet server (default 30)"),
     ("--fleet-state-dir", "DIR", RUN | WORK | COORD, "shard checkpoint directory (fleet work and coordinate share it)"),
     ("--resume", "", RUN, "restore finished shards from --fleet-state-dir"),
-    ("--fleet-retries", "N", RUN | WORK | COORD, "attempts per shard before it is lost (default 3)"),
-    ("--fleet-fail", "SPEC", RUN | WORK | COORD, "inject shard faults: SHARD:COUNT|SHARD:forever|SHARD:stall=MS,..."),
+    ("--fleet-fail", "SPEC", RUN | WORK | COORD, "inject shard faults: SHARD:forever|SHARD:stall=MS,..."),
     ("--shards", "LO:HI", WORK, "the half-open shard range this worker runs"),
     ("--workers", "W", COORD, "worker processes to spawn (default 2)"),
     ("--serve", "ADDR", RUN | COORD, "live HTTP: /metrics /events /series /status /report /healthz /shards /profile"),
@@ -147,7 +146,6 @@ struct Options {
     fleet_minutes: u64,
     fleet_state_dir: Option<String>,
     fleet_resume: bool,
-    fleet_retries: Option<u32>,
     fleet_fail: Vec<fleet::FailSpec>,
     shards: Option<ShardRange>,
     workers: usize,
@@ -177,7 +175,6 @@ impl Default for Options {
             fleet_minutes: 30,
             fleet_state_dir: None,
             fleet_resume: false,
-            fleet_retries: None,
             fleet_fail: Vec::new(),
             shards: None,
             workers: 2,
@@ -249,14 +246,9 @@ fn parse(cmd: Cmd, args: &[String]) -> Result<Options, String> {
     }
     if cmd == Cmd::Run
         && opts.fleet.is_none()
-        && (opts.fleet_state_dir.is_some()
-            || opts.fleet_resume
-            || opts.fleet_retries.is_some()
-            || !opts.fleet_fail.is_empty())
+        && (opts.fleet_state_dir.is_some() || opts.fleet_resume || !opts.fleet_fail.is_empty())
     {
-        return Err(
-            "--fleet-state-dir/--resume/--fleet-retries/--fleet-fail require --fleet".into(),
-        );
+        return Err("--fleet-state-dir/--resume/--fleet-fail require --fleet".into());
     }
     if opts.fleet_resume && opts.fleet_state_dir.is_none() {
         return Err("--resume requires --fleet-state-dir".into());
@@ -335,7 +327,6 @@ fn set_flag(opts: &mut Options, name: &str, value: &str) -> Result<(), String> {
         "--fleet-minutes" => opts.fleet_minutes = positive(name, value)?,
         "--fleet-state-dir" => opts.fleet_state_dir = Some(value.into()),
         "--resume" => opts.fleet_resume = true,
-        "--fleet-retries" => opts.fleet_retries = Some(positive(name, value)?),
         "--fleet-fail" => opts.fleet_fail = parse_fail_plan(value)?,
         "--shards" => {
             opts.shards = Some(
@@ -352,43 +343,31 @@ fn set_flag(opts: &mut Options, name: &str, value: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--fleet-fail SHARD:COUNT,...` — the deterministic fault plan
-/// used by the crash-resume CI smoke and local resilience testing. A
-/// COUNT of `forever` (or `u32::MAX`) makes the shard fail permanently;
-/// `SHARD:stall=MS` instead makes the shard sleep MS wall-milliseconds
-/// before each attempt (sim results unchanged), which is how the health
-/// watchdog is exercised end to end.
+/// Parses `--fleet-fail SHARD:forever,...` — the deterministic fault plan
+/// used by the crash-resume CI smoke and local resilience testing.
+/// `SHARD:forever` makes the shard fail and be lost; `SHARD:stall=MS`
+/// instead makes the shard sleep MS wall-milliseconds before it runs (sim
+/// results unchanged), which is how the health watchdog is exercised end
+/// to end.
 fn parse_fail_plan(spec: &str) -> Result<Vec<fleet::FailSpec>, String> {
+    let bad = |part: &str| {
+        format!("bad --fleet-fail entry '{part}' (want SHARD:forever or SHARD:stall=MS)")
+    };
     let mut plan = Vec::new();
     for part in spec.split(',') {
-        let (shard, action) = part.split_once(':').ok_or_else(|| {
-            format!("bad --fleet-fail entry '{part}' (want SHARD:COUNT or SHARD:stall=MS)")
-        })?;
+        let (shard, action) = part.split_once(':').ok_or_else(|| bad(part))?;
         let shard: usize = shard
             .parse()
             .map_err(|e| format!("bad --fleet-fail shard '{shard}': {e}"))?;
-        if let Some(ms) = action.strip_prefix("stall=") {
-            let stall_ms: u64 = ms
-                .parse()
-                .map_err(|e| format!("bad --fleet-fail stall '{ms}': {e}"))?;
-            plan.push(fleet::FailSpec {
+        plan.push(match action.strip_prefix("stall=") {
+            Some(ms) => fleet::FailSpec::Stall {
                 shard,
-                failures: 0,
-                stall_ms,
-            });
-            continue;
-        }
-        let failures: u32 = if action == "forever" {
-            u32::MAX
-        } else {
-            action
-                .parse()
-                .map_err(|e| format!("bad --fleet-fail count '{action}': {e}"))?
-        };
-        plan.push(fleet::FailSpec {
-            shard,
-            failures,
-            stall_ms: 0,
+                stall_ms: ms
+                    .parse()
+                    .map_err(|e| format!("bad --fleet-fail stall '{ms}': {e}"))?,
+            },
+            None if action == "forever" => fleet::FailSpec::Forever { shard },
+            None => return Err(bad(part)),
         });
     }
     Ok(plan)
@@ -575,13 +554,8 @@ impl RunDriver<'_> {
         let opts = self.opts;
         let t0 = Instant::now();
         let journal = self.journal();
-        // A fresh profile per run (frame trees are per-run), attached to
-        // the registry before the instruments are built: spans capture the
-        // profile at creation time.
+        // A fresh profile per run: frame trees are per-run.
         let profile = self.profiling().then(Profile::new);
-        if let (Some(registry), Some(profile)) = (&self.registry, &profile) {
-            registry.attach_profile(Some(profile.clone()));
-        }
         let reporter = opts
             .progress
             .then(|| Rc::new(ProgressReporter::new(label, Some(horizon_ns))));
@@ -633,7 +607,6 @@ impl RunDriver<'_> {
         // and wall instruments, never stdout or the determinism artifacts.
         if let Some(profile) = &profile {
             if let Some(registry) = &self.registry {
-                registry.attach_profile(None);
                 export_profile_metrics(registry, profile);
             }
             if let Some(dir) = &opts.profile_out {
@@ -839,24 +812,9 @@ fn narrate(prefix: &str, ev: &fleet::FleetEvent<'_>) {
             ..
         } => eprintln!("{prefix} shard {} done", state.shard),
         fleet::FleetEvent::ShardDone { .. } | fleet::FleetEvent::CheckpointWritten { .. } => {}
-        fleet::FleetEvent::ShardRetry {
-            shard,
-            attempt,
-            backoff_ns,
-            message,
-        } => eprintln!(
-            "{prefix} shard {shard} attempt {attempt} failed ({message}); \
-             retrying after {} ms simulated backoff",
-            backoff_ns / 1_000_000
-        ),
-        fleet::FleetEvent::ShardLost {
-            shard,
-            attempts,
-            message,
-        } => eprintln!(
-            "{prefix} shard {shard} LOST after {attempts} attempts ({message}); \
-             report degrades to a lower bound"
-        ),
+        fleet::FleetEvent::ShardLost { shard, message } => {
+            eprintln!("{prefix} shard {shard} LOST ({message}); report degrades to a lower bound")
+        }
         fleet::FleetEvent::CheckpointFailed { shard, message } => {
             eprintln!("{prefix} shard {shard} checkpoint write failed: {message}");
         }
@@ -1052,9 +1010,6 @@ fn fleet_merge_command(args: &[String]) -> ExitCode {
 fn fleet_config(opts: &Options, servers: usize) -> FleetConfig {
     let mut config = FleetConfig::new("fleet", opts.seed, servers, opts.fleet_minutes);
     config.speed = opts.speed;
-    if let Some(attempts) = opts.fleet_retries {
-        config.retry.attempts = attempts;
-    }
     config.fail_plan = opts.fleet_fail.clone();
     config
 }
@@ -1074,16 +1029,13 @@ fn worker_args(opts: &Options, servers: usize, state_dir: &str, range: ShardRang
     ] {
         args.extend([flag.to_string(), value]);
     }
-    if let Some(attempts) = opts.fleet_retries {
-        args.extend(["--fleet-retries".to_string(), attempts.to_string()]);
-    }
     if !opts.fleet_fail.is_empty() {
         let spec: Vec<String> = opts
             .fleet_fail
             .iter()
-            .map(|f| match f.stall_ms {
-                0 => format!("{}:{}", f.shard, f.failures),
-                ms => format!("{}:stall={ms}", f.shard),
+            .map(|f| match f {
+                fleet::FailSpec::Forever { shard } => format!("{shard}:forever"),
+                fleet::FailSpec::Stall { shard, stall_ms } => format!("{shard}:stall={stall_ms}"),
             })
             .collect();
         args.extend(["--fleet-fail".to_string(), spec.join(",")]);
@@ -1095,8 +1047,8 @@ fn worker_args(opts: &Options, servers: usize, state_dir: &str, range: ShardRang
 /// coordinator/worker protocol: executes one assigned shard range against
 /// the shared state directory, writing checkpoints and heartbeat sidecars
 /// the coordinator watches. Narrates to stderr only (stdout belongs to
-/// the coordinator's report). Exits 0 even when shards were lost after
-/// exhausting retries — loss is coverage accounting, not a worker crash.
+/// the coordinator's report). Exits 0 even when shards were lost — loss is
+/// coverage accounting, not a worker crash.
 fn fleet_work_command(opts: &Options) -> ExitCode {
     let (Some(servers), Some(state_dir), Some(range)) =
         (opts.fleet, &opts.fleet_state_dir, opts.shards)
@@ -1116,13 +1068,11 @@ fn fleet_work_command(opts: &Options) -> ExitCode {
     match fleet::coord::run_worker_range(&config, range, state_dir, Some(&on_event)) {
         Ok(summary) => {
             eprintln!(
-                "[worker] range {range} finished in {:.1} s wall: {} done, {} resumed, \
-                 {} lost, {} retries",
+                "[worker] range {range} finished in {:.1} s wall: {} done, {} resumed, {} lost",
                 t0.elapsed().as_secs_f64(),
                 summary.done.len(),
                 summary.resumed.len(),
-                summary.lost.len(),
-                summary.retries
+                summary.lost.len()
             );
             ExitCode::SUCCESS
         }
@@ -1355,14 +1305,10 @@ fn main() -> ExitCode {
     let mut driver = RunDriver {
         opts: &opts,
         // The registry backs the snapshot dump (--metrics-out), the
-        // sim-time series (--series-out), the live /metrics + /series
-        // endpoints, and span->profile framing (--profile-out needs spans
-        // to attribute tick/flush time, so it implies a registry).
-        registry: (opts.metrics_out.is_some()
-            || opts.series_out.is_some()
-            || opts.serve.is_some()
-            || opts.profile_out.is_some())
-        .then(MetricsRegistry::new),
+        // sim-time series (--series-out) and the live /metrics + /series
+        // endpoints.
+        registry: (opts.metrics_out.is_some() || opts.series_out.is_some() || opts.serve.is_some())
+            .then(MetricsRegistry::new),
         serve: serve_state,
         profile_total: None,
         timings: Vec::new(),
@@ -1763,7 +1709,7 @@ mod tests {
                 "DIR" | "FILE" | "ADDR" => "x",
                 "F" => "text",
                 "PROFILE" => "none",
-                "SPEC" => "1:1",
+                "SPEC" => "1:forever",
                 "LO:HI" => "0:1",
                 "N|max" => "max",
                 _ => "1",
@@ -1798,10 +1744,7 @@ mod tests {
 
     #[test]
     fn coordinator_worker_argv_parses_back_to_the_same_fleet() {
-        for extra in [
-            "",
-            "--fleet-retries 4 --fleet-fail 1:2,3:stall=50,5:forever",
-        ] {
+        for extra in ["", "--fleet-fail 3:stall=50,5:forever"] {
             let line =
                 format!("--seed 7 --fleet 16 --fleet-minutes 10 --fleet-state-dir st {extra}");
             let coord = parse(Cmd::Coordinate, &argv(&line)).unwrap();
@@ -1814,8 +1757,8 @@ mod tests {
             let c = fleet_config(&coord, 16);
             let w = fleet_config(&work, work.fleet.unwrap());
             assert_eq!(
-                (w.seed, w.servers, w.minutes, w.retry, &w.fail_plan),
-                (c.seed, c.servers, c.minutes, c.retry, &c.fail_plan),
+                (w.seed, w.servers, w.minutes, &w.fail_plan),
+                (c.seed, c.servers, c.minutes, &c.fail_plan),
                 "{line}"
             );
         }
@@ -1829,14 +1772,15 @@ mod tests {
             (Cmd::Run, "--fleet 2 --fleet-minutes 0", "--fleet-minutes must be > 0"),
             (Cmd::Coordinate, "--fleet 2 --fleet-state-dir d --workers 0", "--workers must be > 0"),
             (Cmd::Run, "--series-interval 0 table1", "--series-interval must be > 0"),
-            (Cmd::Work, "--fleet 2 --fleet-state-dir d --shards 0:1 --fleet-retries 0", "--fleet-retries must be > 0"),
+            (Cmd::Work, "--fleet 2 --fleet-state-dir d --shards 0:1 --fleet-fail 1:1", "bad --fleet-fail entry '1:1'"),
+            (Cmd::Coordinate, "--fleet 2 --fleet-state-dir d --fleet-retries 3", "unknown option: --fleet-retries"),
             (Cmd::Run, "--fleet 2 --resume", "--resume requires --fleet-state-dir"),
             (Cmd::Run, "--metrics-format prom table1", "--metrics-format requires --metrics-out"),
             (Cmd::Work, "--fleet 2 --fleet-state-dir d", "fleet work requires --shards"),
             (Cmd::Coordinate, "--fleet 2 --fleet-state-dir d --serve-linger 2", "--serve-linger requires --serve"),
             (Cmd::Work, "--fleet 2 --fleet-state-dir d --shards 0:1 --workers 9", "repro fleet work does not take --workers"),
             (Cmd::Coordinate, "--fleet 2 --fleet-state-dir d --shards 0:1", "repro fleet coordinate does not take --shards"),
-            (Cmd::Run, "table1 --fleet-fail 1:1", "require --fleet"),
+            (Cmd::Run, "table1 --fleet-fail 1:forever", "require --fleet"),
             (Cmd::Run, "", "no artifacts requested"),
         ];
         for (cmd, line, needle) in cases {

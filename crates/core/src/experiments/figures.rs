@@ -47,12 +47,11 @@ pub fn fig3(run: &MainRun) -> String {
         CHART_H,
     );
     let over = players.iter().filter(|&&p| p > 22.0).count();
-    writeln!(
+    let _ = writeln!(
         s,
         "mean players {:.1}; minutes exceeding the 22-slot cap (churn): {over}",
         run.outcome.mean_players
-    )
-    .unwrap();
+    );
     s
 }
 
@@ -114,23 +113,21 @@ pub fn fig5_data(run: &MainRun) -> HurstSummary {
 pub fn fig5(run: &MainRun) -> String {
     let h = fig5_data(run);
     let mut s = String::new();
-    writeln!(s, "Figure 5: variance-time plot (base m = 10 ms)").unwrap();
-    writeln!(
+    let _ = writeln!(s, "Figure 5: variance-time plot (base m = 10 ms)");
+    let _ = writeln!(
         s,
         "{:>12} {:>12} {:>16} {:>10}",
         "blocks", "interval", "log10(norm var)", "blocks#"
-    )
-    .unwrap();
+    );
     for p in &h.points {
-        writeln!(
+        let _ = writeln!(
             s,
             "{:>12} {:>12} {:>16.4} {:>10}",
             p.block,
             p.interval.to_string(),
             p.log_variance(),
             p.blocks_seen
-        )
-        .unwrap();
+        );
     }
     let region = |name: &str, r: &Option<(f64, LineFit)>| -> String {
         match r {
@@ -143,27 +140,25 @@ pub fn fig5(run: &MainRun) -> String {
             None => format!("{name}: (not enough data at this scale)"),
         }
     };
-    writeln!(s, "{}", region("m < 50ms          ", &h.sub_tick)).unwrap();
-    writeln!(s, "{}", region("50ms <= m <= 30min", &h.mid)).unwrap();
-    writeln!(s, "{}", region("m > 30min         ", &h.long)).unwrap();
+    let _ = writeln!(s, "{}", region("m < 50ms          ", &h.sub_tick));
+    let _ = writeln!(s, "{}", region("50ms <= m <= 30min", &h.mid));
+    let _ = writeln!(s, "{}", region("m > 30min         ", &h.long));
     // Cross-check with the classic rescaled-range estimator on the
     // per-minute count series (coarse scales).
     let per_min = run.analysis.per_minute.pps();
-    match csprov_analysis::rs_hurst(&per_min, 8) {
+    let _ = match csprov_analysis::rs_hurst(&per_min, 8) {
         Some((h, fit)) => writeln!(
             s,
             "cross-check (R/S on per-minute counts): H = {} (r^2 {})",
             fmt_f64(h, 3),
             fmt_f64(fit.r_squared, 3)
-        )
-        .unwrap(),
-        None => writeln!(s, "cross-check (R/S): trace too short").unwrap(),
-    }
-    writeln!(
+        ),
+        None => writeln!(s, "cross-check (R/S): trace too short"),
+    };
+    let _ = writeln!(
         s,
         "paper: H < 1/2 below 50ms; high variability 50ms-30min; H ~= 1/2 beyond 30min"
-    )
-    .unwrap();
+    );
     s
 }
 
@@ -193,22 +188,20 @@ pub fn fig7(run: &MainRun) -> String {
     );
     let burst = burstiness(&run.analysis.ms10_out.pps());
     let smooth = burstiness(&run.analysis.ms10_in.pps());
-    writeln!(
+    let _ = writeln!(
         s,
         "peak-to-mean: outgoing {:.1}x, incoming {:.1}x (server tick bursts vs diverse client paths)",
         burst, smooth
-    )
-    .unwrap();
+    );
     let tick_bins = run.config.server.tick.as_millis() / 10;
-    match csprov_analysis::dominant_period(&run.analysis.ms10_out.pps(), 40) {
+    let _ = match csprov_analysis::dominant_period(&run.analysis.ms10_out.pps(), 40) {
         Some(p) => writeln!(
             s,
             "dominant outgoing period: {p} x 10 ms (server tick = {} x 10 ms)",
             tick_bins
-        )
-        .unwrap(),
-        None => writeln!(s, "no dominant outgoing period detected").unwrap(),
-    }
+        ),
+        None => writeln!(s, "no dominant outgoing period detected"),
+    };
     s
 }
 
@@ -241,13 +234,12 @@ pub fn fig9(run: &MainRun) -> String {
         CHART_H,
     );
     let dips = map_change_dips(run);
-    writeln!(
+    let _ = writeln!(
         s,
         "map-change dips detected at (s): {:?} (every {} s by config)",
         dips,
         run.config.server.map_time.as_secs()
-    )
-    .unwrap();
+    );
     s
 }
 
@@ -302,12 +294,11 @@ pub fn fig11(run: &MainRun) -> String {
         .map(|(_, c)| c)
         .sum::<u64>()
         + h.overflow();
-    writeln!(
+    let _ = writeln!(
         s,
         "flows above the 56k barrier: {over56k} of {} ('l337' players on fast links)",
         h.total()
-    )
-    .unwrap();
+    );
     s
 }
 
@@ -332,13 +323,12 @@ pub fn fig12(run: &MainRun) -> String {
         CHART_W,
         CHART_H,
     );
-    writeln!(
+    let _ = writeln!(
         s,
         "mean sizes: in {:.2} B (narrow), out {:.2} B (wide); paper: 39.72 / 129.51",
         sizes.mean(Direction::Inbound),
         sizes.mean(Direction::Outbound)
-    )
-    .unwrap();
+    );
     s
 }
 
@@ -353,21 +343,19 @@ pub fn fig13(run: &MainRun) -> String {
     );
     let in_under_60 = sizes.cdf(Direction::Inbound)[60];
     let out_under_300 = sizes.cdf(Direction::Outbound)[300];
-    writeln!(
+    let _ = writeln!(
         s,
         "inbound P(size < 60 B) = {:.3} (paper: 'almost all'); outbound P(size < 300 B) = {:.3}",
         in_under_60, out_under_300
-    )
-    .unwrap();
-    writeln!(
+    );
+    let _ = writeln!(
         s,
         "quantiles (B): in p50 {} p99 {}; out p50 {} p99 {}",
         sizes.quantile(Direction::Inbound, 0.5),
         sizes.quantile(Direction::Inbound, 0.99),
         sizes.quantile(Direction::Outbound, 0.5),
         sizes.quantile(Direction::Outbound, 0.99),
-    )
-    .unwrap();
+    );
     s
 }
 
@@ -386,12 +374,11 @@ pub fn fig14(run: &NatRun) -> String {
         CHART_H,
     );
     let (in_loss, _) = run.loss_rates();
-    writeln!(
+    let _ = writeln!(
         s,
         "incoming loss through device: {:.3}% (paper 1.3%)",
         in_loss * 100.0
-    )
-    .unwrap();
+    );
     s
 }
 
@@ -410,12 +397,11 @@ pub fn fig15(run: &NatRun) -> String {
         CHART_H,
     );
     let (_, out_loss) = run.loss_rates();
-    writeln!(
+    let _ = writeln!(
         s,
         "outgoing loss through device: {:.3}% (paper 0.046%)",
         out_loss * 100.0
-    )
-    .unwrap();
+    );
     s
 }
 

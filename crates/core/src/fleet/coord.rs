@@ -25,10 +25,10 @@
 //!   can neither forge nor mask a stall;
 //! - a **dead worker** is an exited process with uncollected shards. The
 //!   coordinator deletes the dead worker's stale sidecars, resets those
-//!   board slots, and re-dispatches the same range under the fleet's
-//!   [`RetryPolicy`](super::RetryPolicy); the replacement worker
-//!   resume-scans the directory and recomputes only what is missing, so a
-//!   re-dispatched range converges to the same bytes.
+//!   board slots, and re-dispatches the same range, up to three launches
+//!   in all; the replacement worker resume-scans the directory and
+//!   recomputes only what is missing, so a re-dispatched range converges
+//!   to the same bytes.
 //!
 //! Determinism contract: shard seeds derive from the facility seed and
 //! shard index alone, so the partition into ranges, the number of
@@ -120,12 +120,8 @@ pub struct WorkerRangeSummary {
     pub done: Vec<usize>,
     /// Shards loaded from valid pre-existing checkpoints, ascending.
     pub resumed: Vec<usize>,
-    /// Shards lost after exhausting per-shard retries, ascending.
+    /// Shards lost to a failure, ascending.
     pub lost: Vec<usize>,
-    /// Failed attempts that were retried across the range.
-    pub retries: u64,
-    /// Simulated backoff charged for those retries.
-    pub backoff_ns: u64,
 }
 
 /// Executes one assigned shard range against a shared state directory —
@@ -137,11 +133,11 @@ pub struct WorkerRangeSummary {
 /// before dying, or the range was partially executed) are skipped, so a
 /// re-dispatched range recomputes only what is missing, and only files
 /// of the range are restored or reported as rejected. Remaining shards
-/// run across the local work-stealing pool through the same retrying,
-/// checkpointing, sidecar-writing executor as the in-process fleet. A
-/// worker with lost shards still returns `Ok` (and exits cleanly): loss
-/// after exhausted retries is the coordinator's degraded-coverage
-/// business, not a worker crash.
+/// run across the local work-stealing pool through the same panic-
+/// containing, checkpointing, sidecar-writing executor as the in-process
+/// fleet. A worker with lost shards still returns `Ok` (and exits
+/// cleanly): a lost shard is the coordinator's degraded-coverage business,
+/// not a worker crash.
 pub fn run_worker_range(
     config: &FleetConfig,
     range: ShardRange,
@@ -178,8 +174,6 @@ pub fn run_worker_range(
         ..WorkerRangeSummary::default()
     };
     for outcome in &executed.outcomes {
-        summary.retries += u64::from(outcome.retries);
-        summary.backoff_ns = summary.backoff_ns.saturating_add(outcome.backoff_ns);
         if outcome.state.is_some() {
             summary.done.push(outcome.shard);
         } else {
@@ -216,6 +210,10 @@ impl Default for CoordOptions {
         }
     }
 }
+
+/// Launches of one range before its shards are lost: the first launch
+/// plus two re-dispatches after a dead worker.
+const LAUNCHES_PER_RANGE: u32 = 3;
 
 /// Coordinator-plane events, narrated to the observer as they happen.
 #[derive(Debug)]
@@ -280,11 +278,10 @@ struct Dispatch<H> {
 
 /// Runs a fleet as a coordinator over worker processes sharing
 /// `state_dir`: plans ranges, launches workers via `launch`, tracks their
-/// heartbeat sidecars and exits, re-dispatches ranges of dead workers
-/// under the fleet's [`RetryPolicy`](super::RetryPolicy) (attempts per
-/// range, including the first launch), and folds each checkpoint into one
-/// [`FleetMerger`] as it collects it, settling the same byte-identical
-/// report the in-process fleet renders.
+/// heartbeat sidecars and exits, re-dispatches ranges of dead workers (up
+/// to three launches per range, the first included), and folds each
+/// checkpoint into one [`FleetMerger`] as it collects it, settling the
+/// same byte-identical report the in-process fleet renders.
 ///
 /// `launch(worker, range)` starts one worker executing `range` against
 /// `state_dir` and returns a pollable handle — a spawned `repro fleet
@@ -314,7 +311,6 @@ where
         }
     };
     let board = config.health.as_deref();
-    let attempts = config.retry.attempts.max(1);
     let horizon_ns = csprov_sim::SimDuration::from_mins(config.minutes).as_nanos();
 
     let mut merger = FleetMerger::new();
@@ -381,14 +377,13 @@ where
     fn launch_dispatch<H, L>(
         d: &mut Dispatch<H>,
         launch: &mut L,
-        attempts: u32,
         emit: &impl Fn(CoordEvent<'_>),
     ) -> Result<(), String>
     where
         L: FnMut(usize, ShardRange) -> Result<H, String>,
     {
         let mut last = String::new();
-        while d.attempt < attempts {
+        while d.attempt < LAUNCHES_PER_RANGE {
             d.attempt += 1;
             emit(CoordEvent::WorkerLaunched {
                 worker: d.worker,
@@ -432,7 +427,7 @@ where
     };
 
     for d in &mut dispatches {
-        if let Err(message) = launch_dispatch(d, &mut launch, attempts, &emit) {
+        if let Err(message) = launch_dispatch(d, &mut launch, &emit) {
             let shards: Vec<usize> = d.range.shards().collect();
             mark_lost(&shards, d, &message, &mut lost, &mut first_loss);
             d.settled = true;
@@ -487,14 +482,15 @@ where
             }
             if clean {
                 // A clean exit with uncollected shards means the worker
-                // exhausted per-shard retries (LOST sidecars tell the
-                // story); re-dispatching would fail the same way.
+                // lost them (LOST sidecars tell the story); a shard is a
+                // pure function of its seed, so re-dispatching would fail
+                // the same way.
                 let message = format!("worker {} exited with lost shards", d.worker);
                 mark_lost(&incomplete, d, &message, &mut lost, &mut first_loss);
                 d.settled = true;
                 continue;
             }
-            if d.attempt < attempts {
+            if d.attempt < LAUNCHES_PER_RANGE {
                 // Clear the dead worker's stale sidecars and board slots
                 // so the replacement's records are not outranked by the
                 // corpse's, then re-dispatch the same range: the resume
@@ -511,7 +507,7 @@ where
                     range: d.range,
                     attempt: d.attempt + 1,
                 });
-                if let Err(message) = launch_dispatch(d, &mut launch, attempts, &emit) {
+                if let Err(message) = launch_dispatch(d, &mut launch, &emit) {
                     mark_lost(&incomplete, d, &message, &mut lost, &mut first_loss);
                     d.settled = true;
                 }
@@ -534,30 +530,11 @@ where
         return Err(e);
     }
 
-    // Retry accounting travels in the final sidecar records (a DONE/LOST
-    // record carries the retries its run consumed); the backoff those
-    // retries charged is a pure function of the policy. Coordinator-level
-    // range re-dispatches are deliberately *not* counted here — they are
-    // an execution-plane recovery, not a shard-plane retry, and counting
-    // them would break report byte-identity with an in-process run.
-    let mut retries = 0u64;
-    let mut backoff_ns = 0u64;
-    for rec in persist::scan_heartbeats(state_dir) {
-        let shard = rec.shard as usize;
-        if !collected.contains(&shard) && !lost.contains(&shard) {
-            continue;
-        }
-        retries += rec.retries;
-        for attempt in 1..=u32::try_from(rec.retries).unwrap_or(u32::MAX) {
-            backoff_ns = backoff_ns.saturating_add(config.retry.backoff_for(attempt));
-        }
-    }
-
+    // Re-dispatches are an execution-plane recovery: the report counts
+    // none of them, so it stays byte-identical to an in-process run.
     let losses = Losses {
         lost: lost.into_iter().collect(),
         first_message: first_loss,
-        retries,
-        backoff_ns,
     };
     let persist_summary = PersistSummary {
         checkpoints_written: collected.len() as u64,

@@ -71,10 +71,8 @@ pub struct FleetConfig {
     /// which changes nothing about what a shard computes — pacing only
     /// sleeps — so the aggregate stays byte-identical.
     pub speed: Speed,
-    /// Per-shard retry policy for contained worker faults.
-    pub retry: RetryPolicy,
-    /// Deterministic fault injection for tests and drills: listed shards
-    /// fail their first N attempts with a typed (non-panicking) error.
+    /// Deterministic fault injection for tests and drills: a listed shard
+    /// is lost to a typed (non-panicking) error, or stalls before it runs.
     pub fail_plan: Vec<FailSpec>,
     /// Shared per-shard health board workers publish heartbeats into.
     /// Observe-only: the board never feeds back into shard execution, so
@@ -97,7 +95,6 @@ impl FleetConfig {
             minutes,
             session_sigma: 1.05,
             speed: Speed::Max,
-            retry: RetryPolicy::default(),
             fail_plan: Vec::new(),
             health: None,
             profile: false,
@@ -120,54 +117,35 @@ impl FleetConfig {
     }
 }
 
-/// How often a failing shard is retried, and how the retry delay is
-/// accounted.
-///
-/// Backoff is *simulated*, not slept: a retry after attempt `k` charges
-/// `backoff_ns << (k - 1)` nanoseconds to the run's recovery accounting
-/// ([`FleetCoverage::backoff_ns`]) and to the journal, so retry behavior
-/// is a deterministic function of the failure pattern rather than of
-/// wall-clock scheduling. Nothing about a retry changes what the shard
-/// computes — the re-run uses the same derived seed, so a shard that
-/// eventually succeeds is byte-identical to one that succeeded first try.
+/// One entry of a deterministic fault plan. A shard runs once: it is a
+/// pure function of its derived seed, so running it again would repeat
+/// whatever happened the first time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per shard (including the first); clamped to ≥ 1.
-    pub attempts: u32,
-    /// Base backoff charged for the first retry, doubling per attempt.
-    pub backoff_ns: u64,
+pub enum FailSpec {
+    /// `shard` fails with a typed error and is lost (`SHARD:forever`).
+    Forever {
+        /// Shard index to impair.
+        shard: usize,
+    },
+    /// The worker sleeps `stall_ms` wall milliseconds before running
+    /// `shard` (`SHARD:stall=MS`). Purely a wall-clock stall — the shard
+    /// still computes the same bytes — so watchdog tests can manufacture a
+    /// silent-but-alive shard on demand.
+    Stall {
+        /// Shard index to impair.
+        shard: usize,
+        /// Wall milliseconds to sleep.
+        stall_ms: u64,
+    },
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            backoff_ns: 1_000_000_000, // 1 simulated second
+impl FailSpec {
+    /// The shard this entry impairs.
+    pub fn shard(&self) -> usize {
+        match *self {
+            FailSpec::Forever { shard } | FailSpec::Stall { shard, .. } => shard,
         }
     }
-}
-
-impl RetryPolicy {
-    /// Backoff charged when attempt `attempt` (1-based) fails and another
-    /// attempt follows.
-    pub fn backoff_for(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(63);
-        self.backoff_ns.saturating_mul(1u64 << shift)
-    }
-}
-
-/// One entry of a deterministic fault plan: shard `shard` fails its first
-/// `failures` attempts with a typed error before running normally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailSpec {
-    /// Shard index to impair.
-    pub shard: usize,
-    /// Number of leading attempts that fail (`u32::MAX` = permanent).
-    pub failures: u32,
-    /// Wall milliseconds the worker sleeps before each attempt. Purely a
-    /// wall-clock stall — the shard still computes the same bytes — so
-    /// watchdog tests can manufacture a silent-but-alive shard on demand.
-    pub stall_ms: u64,
 }
 
 /// Where (and whether) a fleet run checkpoints shard states.
@@ -217,29 +195,14 @@ pub enum FleetEvent<'a> {
     ShardDone {
         /// The reduced state (borrowed; the run keeps ownership).
         state: &'a ShardState,
-        /// Attempt that succeeded (1-based; 0 for checkpoint loads).
-        attempt: u32,
         /// True when the state came from a resume checkpoint, not a run.
         from_checkpoint: bool,
     },
-    /// An attempt failed and another one follows.
-    ShardRetry {
-        /// Shard index.
-        shard: usize,
-        /// The failing attempt (1-based).
-        attempt: u32,
-        /// Simulated backoff charged for this retry.
-        backoff_ns: u64,
-        /// Failure message.
-        message: &'a str,
-    },
-    /// Every attempt failed; the shard is excluded from the merge.
+    /// The shard failed; it is excluded from the merge.
     ShardLost {
         /// Shard index.
         shard: usize,
-        /// Attempts consumed.
-        attempts: u32,
-        /// Final failure message.
+        /// Failure message.
         message: &'a str,
     },
     /// A checkpoint file was atomically written for a shard.
@@ -276,23 +239,20 @@ pub struct FleetCoverage {
     pub configured: usize,
     /// Shards merged into the aggregate.
     pub merged: usize,
-    /// Shards permanently lost (retries exhausted), ascending.
+    /// Shards lost to a failure, ascending.
     pub lost: Vec<usize>,
-    /// Failed attempts that were retried.
+    /// Always 0: a shard runs once. Kept because perfbench reports it.
     pub retries: u64,
-    /// Total simulated backoff charged for those retries.
-    pub backoff_ns: u64,
 }
 
 impl FleetCoverage {
-    /// Full coverage over `n` shards (nothing lost, nothing retried).
+    /// Full coverage over `n` shards (nothing lost).
     pub fn full(n: usize) -> Self {
         FleetCoverage {
             configured: n,
             merged: n,
             lost: Vec::new(),
             retries: 0,
-            backoff_ns: 0,
         }
     }
 
@@ -323,15 +283,15 @@ pub struct PersistSummary {
 pub enum FleetError {
     /// `servers == 0`: there is nothing to aggregate.
     NoServers,
-    /// A shard's worker panicked outside the retry loop; the panic was
-    /// contained and converted.
+    /// A shard's worker panicked outside the shard's own containment; the
+    /// panic was caught and converted.
     ShardFailed {
         /// Index of the failing shard.
         shard: usize,
         /// Rendered panic payload.
         message: String,
     },
-    /// Every shard exhausted its retries; there is nothing to merge.
+    /// Every shard was lost; there is nothing to merge.
     AllShardsLost {
         /// Shards the run was configured for.
         configured: usize,
@@ -357,10 +317,7 @@ impl fmt::Display for FleetError {
                 configured,
                 message,
             } => {
-                write!(
-                    f,
-                    "all {configured} shards lost after retries; first failure: {message}"
-                )
+                write!(f, "all {configured} shards lost; first failure: {message}")
             }
             FleetError::Merge(e) => write!(f, "shard merge failed: {e}"),
             FleetError::Degenerate(what) => write!(f, "degenerate aggregate: {what}"),
@@ -895,16 +852,6 @@ impl ProvisioningReport {
                 self.coverage.merged, self.coverage.configured
             ),
         ]);
-        if self.coverage.retries > 0 {
-            t.row(vec![
-                "shard retries".to_string(),
-                format!(
-                    "{} ({} ms simulated backoff)",
-                    self.coverage.retries,
-                    self.coverage.backoff_ns / 1_000_000
-                ),
-            ]);
-        }
         if self.coverage.is_degraded() {
             let lost: Vec<String> = self.coverage.lost.iter().map(|s| s.to_string()).collect();
             t.row(vec!["shards lost".to_string(), lost.join(", ")]);
@@ -970,9 +917,6 @@ impl FleetRun {
             .counter("fleet.shards_lost")
             .add(self.report.coverage.lost.len() as u64);
         registry
-            .counter("fleet.shard_retries")
-            .add(self.report.coverage.retries);
-        registry
             .counter("fleet.checkpoints_written")
             .add(self.persist.checkpoints_written);
         registry
@@ -1004,15 +948,6 @@ impl FleetRun {
         let end = self.facility.shards as u64;
         journal.emit(end, "fleet.mean_pps", 0, self.report.mean_pps as u64);
         journal.emit(end, "fleet.dropped_bins", 0, self.facility.dropped_bins);
-        if self.report.coverage.retries > 0 {
-            journal.emit(end, "fleet.retries", 0, self.report.coverage.retries);
-            journal.emit(
-                end,
-                "fleet.retry_backoff_ns",
-                0,
-                self.report.coverage.backoff_ns,
-            );
-        }
     }
 }
 
@@ -1020,15 +955,15 @@ impl FleetRun {
 /// its [`ShardState`] in the worker, folds the states in canonical order,
 /// and computes the provisioning report.
 ///
-/// Typed failure modes instead of panics: zero servers, every shard lost
-/// after retries, incompatible merge shapes, or a degenerate aggregate.
+/// Typed failure modes instead of panics: zero servers, every shard lost,
+/// incompatible merge shapes, or a degenerate aggregate.
 pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, FleetError> {
     run_fleet_full(config, &FleetPersistence::none(), None)
 }
 
 /// The crash-safe fleet engine: [`run_fleet`] plus checkpointing, resume,
-/// per-shard retry, degraded-mode merging, and an execution-plane event
-/// stream.
+/// per-shard panic containment, degraded-mode merging, and an
+/// execution-plane event stream.
 ///
 /// `on_event` is invoked from the thread that produced the event — a
 /// [`FleetEvent::ShardDone`] from the pool thread that ran the shard,
@@ -1043,8 +978,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, FleetError> {
 /// as `shard-NNNNN.state`; with `resume`, shards whose checkpoint decodes
 /// and matches the config (seed, duration) are loaded instead of recomputed
 /// — derived per-shard seeds make the resumed report byte-identical to an
-/// uninterrupted run. A shard whose attempts are exhausted is *lost*, not
-/// fatal: the surviving shards merge and the report carries an explicit
+/// uninterrupted run. A shard that fails is *lost*, not fatal: the surviving shards merge and the report carries an explicit
 /// coverage block. Only a fleet with **no** survivors fails, with
 /// [`FleetError::AllShardsLost`].
 pub fn run_fleet_full(
@@ -1078,8 +1012,6 @@ pub fn run_fleet_full(
     let mut losses = Losses::default();
     let mut fleet_profile = coord_profile.as_ref().map(|p| p.snapshot());
     for outcome in &executed.outcomes {
-        losses.retries += u64::from(outcome.retries);
-        losses.backoff_ns = losses.backoff_ns.saturating_add(outcome.backoff_ns);
         summary.checkpoints_written += u64::from(outcome.checkpoint_written);
         summary.checkpoint_failures += u64::from(outcome.checkpoint_failed);
         if let (Some(total), Some(snap)) = (fleet_profile.as_mut(), outcome.profile.as_ref()) {
@@ -1160,7 +1092,6 @@ fn execute_shards(
         }
         emit(FleetEvent::ShardDone {
             state,
-            attempt: 0,
             from_checkpoint: true,
         });
     }
@@ -1191,13 +1122,11 @@ fn execute_shards(
 }
 
 /// The coverage inputs a run gathers before [`settle`]: lost shards
-/// (ascending), the first loss's message, and the retry accounting.
+/// (ascending) and the first loss's message.
 #[derive(Default)]
 struct Losses {
     lost: Vec<usize>,
     first_message: Option<String>,
-    retries: u64,
-    backoff_ns: u64,
 }
 
 /// The one settlement under [`run_fleet_full`] and [`coord::coordinate`]:
@@ -1220,8 +1149,7 @@ fn settle(
         configured: config.servers,
         merged: merger.merged(),
         lost: losses.lost,
-        retries: losses.retries,
-        backoff_ns: losses.backoff_ns,
+        retries: 0,
     };
     let (facility, shards) = merger.finish()?;
     let report = ProvisioningReport::build(config, &facility, &shards, coverage)?;
@@ -1234,14 +1162,12 @@ fn settle(
     })
 }
 
-/// One shard's outcome after the retry loop.
+/// One shard's outcome.
 struct ShardOutcome {
     shard: usize,
     state: Option<ShardState>,
-    /// Last failure message (empty unless the shard was lost).
+    /// Failure message (empty unless the shard was lost).
     message: String,
-    retries: u32,
-    backoff_ns: u64,
     checkpoint_written: bool,
     checkpoint_failed: bool,
     /// The worker's wall-time profile snapshot (with [`FleetConfig::profile`]).
@@ -1265,7 +1191,6 @@ const HEARTBEAT_STRIDE: u64 = 8192;
 fn heartbeat_observer(
     shard: usize,
     horizon_ns: u64,
-    retries: u32,
     board: Arc<ShardHealthBoard>,
     sidecar_dir: Option<PathBuf>,
     started: Instant,
@@ -1285,7 +1210,7 @@ fn heartbeat_observer(
             state: SHARD_RUNNING,
             sim_ns,
             horizon_ns,
-            retries: u64::from(retries),
+            retries: 0,
             checkpoints: 0,
             wall_ms: started.elapsed().as_millis() as u64,
             unix_ms: unix_ms(),
@@ -1304,9 +1229,9 @@ fn write_final_heartbeat(dir: &std::path::Path, started: Instant, mut rec: Heart
     let _ = persist::write_heartbeat(dir, &rec);
 }
 
-/// Runs one shard with retries. Never panics: injected faults are typed,
-/// real panics are contained per attempt, and checkpoint-write failures
-/// degrade to a counted event (the in-memory state still merges).
+/// Runs one shard once. Never panics: an injected fault is typed, a real
+/// panic is contained, and a checkpoint-write failure degrades to a
+/// counted event (the in-memory state still merges).
 fn run_one_shard(
     shard: usize,
     cfg: &ScenarioConfig,
@@ -1321,194 +1246,132 @@ fn run_one_shard(
     };
     let started = Instant::now();
     let horizon_ns = cfg.duration.as_nanos();
-    let attempts = config.retry.attempts.max(1);
-    let plan = config.fail_plan.iter().find(|f| f.shard == shard);
-    let injected = plan.map_or(0, |f| f.failures);
-    let stall_ms = plan.map_or(0, |f| f.stall_ms);
+    let fault = config.fail_plan.iter().find(|f| f.shard() == shard);
     let profile = config.profile.then(Profile::new);
     let sidecar_dir = state_dir.map(std::path::Path::to_path_buf);
-    if let Some(board) = &config.health {
-        board.start(shard, horizon_ns);
-        if let Some(dir) = &sidecar_dir {
+    // Lifecycle sidecars go with the board, into the state dir.
+    let lifecycle = |state: u8, sim_ns: u64, checkpoints: u64| {
+        if let (Some(_), Some(dir)) = (&config.health, &sidecar_dir) {
             write_final_heartbeat(
                 dir,
                 started,
                 HeartbeatRecord {
                     shard: shard as u64,
-                    state: SHARD_RUNNING,
-                    sim_ns: 0,
+                    state,
+                    sim_ns,
                     horizon_ns,
                     retries: 0,
-                    checkpoints: 0,
+                    checkpoints,
                     wall_ms: 0,
                     unix_ms: 0,
                 },
             );
         }
+    };
+    if let Some(board) = &config.health {
+        board.start(shard, horizon_ns);
     }
-    let mut retries = 0u32;
-    let mut backoff_ns = 0u64;
-    let mut last_message = String::new();
-    for attempt in 1..=attempts {
-        if stall_ms > 0 {
-            // Beat once so the board sees a *running* shard, then go
-            // silent for the stall: exactly the signature a wedged worker
-            // leaves behind, without touching what the shard computes.
-            if let Some(board) = &config.health {
-                board.beat(shard, 0);
-            }
-            std::thread::sleep(Duration::from_millis(stall_ms));
+    lifecycle(SHARD_RUNNING, 0, 0);
+    if let Some(&FailSpec::Stall { stall_ms, .. }) = fault {
+        // Beat once so the board sees a *running* shard, then go silent
+        // for the stall: exactly the signature a wedged worker leaves
+        // behind, without touching what the shard computes.
+        if let Some(board) = &config.health {
+            board.beat(shard, 0);
         }
-        let result: Result<ShardState, String> = if attempt <= injected {
-            Err(format!("injected fault (attempt {attempt} of {attempts})"))
-        } else {
-            let speed = config.speed;
-            let heartbeat = config.health.as_ref().map(|board| {
-                (
-                    HEARTBEAT_STRIDE,
-                    heartbeat_observer(
-                        shard,
-                        horizon_ns,
-                        retries,
-                        board.clone(),
-                        sidecar_dir.clone(),
-                        started,
-                    ),
-                )
-            });
-            let worker_profile = profile.clone();
-            catch_unwind(AssertUnwindSafe(|| {
-                let run = {
-                    let _scope = worker_profile
-                        .as_ref()
-                        .map(|p| p.enter("fleet.shard.execute"));
-                    let pacer = speed.is_paced().then(|| Pacer::new(speed).into_observer());
-                    let instruments = WorldInstruments {
-                        observers: heartbeat.into_iter().chain(pacer).collect(),
-                        profile: worker_profile.clone(),
-                        ..WorldInstruments::default()
-                    };
-                    MainRun::execute_instrumented(cfg.clone(), instruments)
-                };
-                let _scope = worker_profile
-                    .as_ref()
-                    .map(|p| p.enter("fleet.shard.encode"));
-                run.into_fleet_shard(shard)
-            }))
-            .map_err(panic_message)
-        };
-        match result {
-            Ok(state) => {
-                let mut written = false;
-                let mut failed = false;
-                if let Some(dir) = state_dir {
-                    let _scope = profile.as_ref().map(|p| p.enter("fleet.shard.checkpoint"));
-                    match persist::write_checkpoint_atomic(dir, &state) {
-                        Ok(_) => {
-                            written = true;
-                            emit(FleetEvent::CheckpointWritten { shard });
-                        }
-                        Err(e) => {
-                            failed = true;
-                            let message = e.to_string();
-                            emit(FleetEvent::CheckpointFailed {
-                                shard,
-                                message: &message,
-                            });
-                        }
-                    }
-                }
-                if let Some(board) = &config.health {
-                    if written {
-                        board.checkpoint(shard);
-                    }
-                    board.done(shard, horizon_ns);
-                    if let Some(dir) = &sidecar_dir {
-                        write_final_heartbeat(
-                            dir,
-                            started,
-                            HeartbeatRecord {
-                                shard: shard as u64,
-                                state: SHARD_DONE,
-                                sim_ns: horizon_ns,
-                                horizon_ns,
-                                retries: u64::from(retries),
-                                checkpoints: u64::from(written),
-                                wall_ms: 0,
-                                unix_ms: 0,
-                            },
-                        );
-                    }
-                }
-                emit(FleetEvent::ShardDone {
-                    state: &state,
-                    attempt,
-                    from_checkpoint: false,
-                });
-                return ShardOutcome {
+        std::thread::sleep(Duration::from_millis(stall_ms));
+    }
+    let result: Result<ShardState, String> = if let Some(FailSpec::Forever { .. }) = fault {
+        Err("injected fault".to_string())
+    } else {
+        let speed = config.speed;
+        let heartbeat = config.health.as_ref().map(|board| {
+            (
+                HEARTBEAT_STRIDE,
+                heartbeat_observer(
                     shard,
-                    state: Some(state),
-                    message: String::new(),
-                    retries,
-                    backoff_ns,
-                    checkpoint_written: written,
-                    checkpoint_failed: failed,
-                    profile: profile.as_ref().map(|p| p.snapshot()),
+                    horizon_ns,
+                    board.clone(),
+                    sidecar_dir.clone(),
+                    started,
+                ),
+            )
+        });
+        catch_unwind(AssertUnwindSafe(|| {
+            let run = {
+                let _scope = profile.as_ref().map(|p| p.enter("fleet.shard.execute"));
+                let pacer = speed.is_paced().then(|| Pacer::new(speed).into_observer());
+                let instruments = WorldInstruments {
+                    observers: heartbeat.into_iter().chain(pacer).collect(),
+                    profile: profile.clone(),
+                    ..WorldInstruments::default()
                 };
+                MainRun::execute_instrumented(cfg.clone(), instruments)
+            };
+            let _scope = profile.as_ref().map(|p| p.enter("fleet.shard.encode"));
+            run.into_fleet_shard(shard)
+        }))
+        .map_err(panic_message)
+    };
+    let snapshot = || profile.as_ref().map(|p| p.snapshot());
+    let state = match result {
+        Ok(state) => state,
+        Err(message) => {
+            if let Some(board) = &config.health {
+                board.lost(shard);
             }
-            Err(message) => {
-                if attempt < attempts {
-                    let delay = config.retry.backoff_for(attempt);
-                    retries += 1;
-                    backoff_ns = backoff_ns.saturating_add(delay);
-                    if let Some(board) = &config.health {
-                        board.retry(shard);
-                    }
-                    emit(FleetEvent::ShardRetry {
-                        shard,
-                        attempt,
-                        backoff_ns: delay,
-                        message: &message,
-                    });
-                } else {
-                    if let Some(board) = &config.health {
-                        board.lost(shard);
-                        if let Some(dir) = &sidecar_dir {
-                            write_final_heartbeat(
-                                dir,
-                                started,
-                                HeartbeatRecord {
-                                    shard: shard as u64,
-                                    state: SHARD_LOST,
-                                    sim_ns: 0,
-                                    horizon_ns,
-                                    retries: u64::from(retries),
-                                    checkpoints: 0,
-                                    wall_ms: 0,
-                                    unix_ms: 0,
-                                },
-                            );
-                        }
-                    }
-                    emit(FleetEvent::ShardLost {
-                        shard,
-                        attempts,
-                        message: &message,
-                    });
-                }
-                last_message = message;
+            lifecycle(SHARD_LOST, 0, 0);
+            emit(FleetEvent::ShardLost {
+                shard,
+                message: &message,
+            });
+            return ShardOutcome {
+                shard,
+                state: None,
+                message,
+                checkpoint_written: false,
+                checkpoint_failed: false,
+                profile: snapshot(),
+            };
+        }
+    };
+    let mut written = false;
+    let mut failed = false;
+    if let Some(dir) = state_dir {
+        let _scope = profile.as_ref().map(|p| p.enter("fleet.shard.checkpoint"));
+        match persist::write_checkpoint_atomic(dir, &state) {
+            Ok(_) => {
+                written = true;
+                emit(FleetEvent::CheckpointWritten { shard });
+            }
+            Err(e) => {
+                failed = true;
+                let message = e.to_string();
+                emit(FleetEvent::CheckpointFailed {
+                    shard,
+                    message: &message,
+                });
             }
         }
     }
+    if let Some(board) = &config.health {
+        if written {
+            board.checkpoint(shard);
+        }
+        board.done(shard, horizon_ns);
+    }
+    lifecycle(SHARD_DONE, horizon_ns, u64::from(written));
+    emit(FleetEvent::ShardDone {
+        state: &state,
+        from_checkpoint: false,
+    });
     ShardOutcome {
         shard,
-        state: None,
-        message: last_message,
-        retries,
-        backoff_ns,
-        checkpoint_written: false,
-        checkpoint_failed: false,
-        profile: profile.as_ref().map(|p| p.snapshot()),
+        state: Some(state),
+        message: String::new(),
+        checkpoint_written: written,
+        checkpoint_failed: failed,
+        profile: snapshot(),
     }
 }
 
@@ -1679,61 +1542,9 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_and_saturates() {
-        let r = RetryPolicy {
-            attempts: 5,
-            backoff_ns: 1_000,
-        };
-        assert_eq!(r.backoff_for(1), 1_000);
-        assert_eq!(r.backoff_for(2), 2_000);
-        assert_eq!(r.backoff_for(3), 4_000);
-        let huge = RetryPolicy {
-            attempts: 5,
-            backoff_ns: u64::MAX / 2,
-        };
-        assert_eq!(huge.backoff_for(60), u64::MAX);
-    }
-
-    #[test]
-    fn transient_fault_retries_to_a_byte_identical_facility() {
-        let clean_cfg = FleetConfig::new("retry", 41, 3, 2);
-        let mut faulty_cfg = clean_cfg.clone();
-        faulty_cfg.fail_plan = vec![FailSpec {
-            shard: 1,
-            failures: 2,
-            stall_ms: 0,
-        }];
-        let clean = run_fleet(&clean_cfg).unwrap();
-        let recovered = run_fleet(&faulty_cfg).unwrap();
-        // The retried shard re-runs from the same derived seed, so the
-        // facility aggregate is unchanged; only the recovery accounting
-        // (and its report row) differs.
-        assert_eq!(
-            clean.facility.per_minute.bins(),
-            recovered.facility.per_minute.bins()
-        );
-        assert_eq!(
-            clean.facility.counts.packets,
-            recovered.facility.counts.packets
-        );
-        assert_eq!(recovered.report.coverage.retries, 2);
-        assert_eq!(
-            recovered.report.coverage.backoff_ns,
-            1_000_000_000 + 2_000_000_000
-        );
-        assert!(!recovered.report.coverage.is_degraded());
-        assert!(recovered.report.render().render().contains("shard retries"));
-        assert_eq!(clean.report.coverage.retries, 0);
-    }
-
-    #[test]
     fn exhausted_shard_degrades_to_a_lower_bound_report() {
         let mut cfg = FleetConfig::new("degraded", 43, 3, 2);
-        cfg.fail_plan = vec![FailSpec {
-            shard: 2,
-            failures: u32::MAX,
-            stall_ms: 0,
-        }];
+        cfg.fail_plan = vec![FailSpec::Forever { shard: 2 }];
         let run = run_fleet(&cfg).unwrap();
         let cov = &run.report.coverage;
         assert!(cov.is_degraded());
@@ -1759,13 +1570,7 @@ mod tests {
     #[test]
     fn all_shards_lost_is_a_typed_error() {
         let mut cfg = FleetConfig::new("doom", 47, 2, 1);
-        cfg.fail_plan = (0..2)
-            .map(|shard| FailSpec {
-                shard,
-                failures: u32::MAX,
-                stall_ms: 0,
-            })
-            .collect();
+        cfg.fail_plan = (0..2).map(|shard| FailSpec::Forever { shard }).collect();
         match run_fleet(&cfg) {
             Err(FleetError::AllShardsLost {
                 configured,
@@ -1825,9 +1630,8 @@ mod tests {
         // watchdog: the board must flag it stalled while the run is still
         // in flight, well before the deadline.
         let mut cfg = FleetConfig::new("stall", 61, 2, 1);
-        cfg.fail_plan = vec![FailSpec {
+        cfg.fail_plan = vec![FailSpec::Stall {
             shard: 1,
-            failures: 0,
             stall_ms: 400,
         }];
         let board = Arc::new(ShardHealthBoard::new(2, Duration::from_millis(50)));
@@ -1926,21 +1730,12 @@ mod tests {
     fn events_narrate_the_run() {
         use std::sync::Mutex;
         let mut cfg = FleetConfig::new("events", 59, 2, 1);
-        cfg.fail_plan = vec![FailSpec {
-            shard: 0,
-            failures: 1,
-            stall_ms: 0,
-        }];
+        cfg.fail_plan = vec![FailSpec::Forever { shard: 0 }];
         let log: Mutex<Vec<String>> = Mutex::new(Vec::new());
         let capture = |ev: &FleetEvent<'_>| {
             let line = match ev {
-                FleetEvent::ShardDone { state, attempt, .. } => {
-                    format!("done {} attempt {attempt}", state.shard)
-                }
-                FleetEvent::ShardRetry { shard, attempt, .. } => {
-                    format!("retry {shard} attempt {attempt}")
-                }
-                FleetEvent::ShardLost { shard, .. } => format!("lost {shard}"),
+                FleetEvent::ShardDone { state, .. } => format!("done {}", state.shard),
+                FleetEvent::ShardLost { shard, message } => format!("lost {shard}: {message}"),
                 FleetEvent::CheckpointWritten { shard } => format!("ckpt {shard}"),
                 FleetEvent::CheckpointFailed { shard, .. } => format!("ckpt-fail {shard}"),
                 FleetEvent::ResumeLoaded { shard } => format!("resume {shard}"),
@@ -1949,9 +1744,9 @@ mod tests {
             log.lock().unwrap().push(line);
         };
         run_fleet_full(&cfg, &FleetPersistence::none(), Some(&capture)).unwrap();
-        let lines = log.into_inner().unwrap();
-        assert!(lines.contains(&"retry 0 attempt 1".to_string()));
-        assert!(lines.contains(&"done 0 attempt 2".to_string()));
-        assert!(lines.contains(&"done 1 attempt 1".to_string()));
+        let mut lines = log.into_inner().unwrap();
+        lines.sort();
+        // The faulty shard runs once and is lost; the other completes.
+        assert_eq!(lines, ["done 1", "lost 0: injected fault"]);
     }
 }

@@ -393,15 +393,6 @@ pub fn scan_heartbeats_observed(dir: &Path) -> Vec<ObservedHeartbeat> {
     found.into_values().collect()
 }
 
-/// [`scan_heartbeats_observed`] without the ages, for callers that only
-/// need the records (ordering, final retry accounting).
-pub fn scan_heartbeats(dir: &Path) -> Vec<HeartbeatRecord> {
-    scan_heartbeats_observed(dir)
-        .into_iter()
-        .map(|o| o.rec)
-        .collect()
-}
-
 /// The canonical checkpoint file name for a shard: `shard-00042.state`.
 /// Five digits keep lexicographic order aligned with shard order for
 /// fleets up to 100k servers.
@@ -769,7 +760,10 @@ mod tests {
         fs::write(dir.join(".shard-00008.hb.tmp"), b"partial").unwrap();
         fs::write(dir.join("shard-00009.hb"), b"garbage").unwrap();
         fs::write(dir.join("notes.hb"), b"hello").unwrap();
-        let scanned = scan_heartbeats(&dir);
+        let scanned: Vec<HeartbeatRecord> = scan_heartbeats_observed(&dir)
+            .into_iter()
+            .map(|o| o.rec)
+            .collect();
         assert_eq!(scanned, vec![rec]);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -45,7 +45,7 @@ pub use chaos::{ChaosReport, ChaosSpec};
 pub use experiments::ExperimentId;
 pub use fleet::{
     run_fleet, run_fleet_full, FailSpec, FleetConfig, FleetCoverage, FleetError, FleetEvent,
-    FleetMerger, FleetPersistence, FleetRun, PersistSummary, ProvisioningReport, RetryPolicy,
+    FleetMerger, FleetPersistence, FleetRun, PersistSummary, ProvisioningReport,
 };
 pub use pipeline::{FullAnalysis, MainRun};
 pub use sweep::{run_parallel, work_steal, RunSummary, WorkerPanic, WorkerPanics};

@@ -15,8 +15,8 @@ use crate::server::{ConnectOutcome, ServerState};
 use crate::session::{self, Population};
 use csprov_analysis::SessionRecord;
 use csprov_net::{
-    client_endpoint, server_endpoint, Direction, Link, LinkClass, LinkStats, Packet, PacketKind,
-    TraceRecord, TraceSink,
+    client_endpoint, server_endpoint, Direction, Link, LinkClass, LinkStats, Packet, PacketBatch,
+    PacketKind, TraceRecord, TraceSink,
 };
 use csprov_sim::{
     journal_observer, spawn_periodic, HandlerId, RngStream, SimDuration, SimTime, Simulator,
@@ -65,10 +65,10 @@ pub struct WorldInstruments {
     /// everything else here.
     pub journal: Option<csprov_obs::Journal>,
     /// Hierarchical wall-time profiler. The world frames its dispatch
-    /// loop as `sim.dispatch`, and the pipeline layers around the run use
-    /// it too; spans built from a registry with the same profile attached
-    /// nest under whatever frame is open. Observe-only, like everything
-    /// else here.
+    /// loop as `sim.dispatch` and each server tick as `game.tick` (items =
+    /// snapshots), and the pipeline layers around the run use it too, so
+    /// the tap's frames nest under the tick that delivered the burst.
+    /// Observe-only, like everything else here.
     pub profile: Option<csprov_obs::Profile>,
 }
 
@@ -165,6 +165,9 @@ struct WorldState {
     log: Vec<SessionRecord>,
     next_session: u32,
     outage: bool,
+    /// Sessions the timeout sweep ended while `outage` was set: the
+    /// outage's reconnect wave counts them with the sessions still up.
+    outage_swept: usize,
     clients: BTreeMap<u32, ActiveClient>,
     pending: BTreeMap<u32, PendingConnect>,
     seen_this_minute: u32,
@@ -203,16 +206,17 @@ impl WorldState {
             .on_packet(&TraceRecord::from_packet(time, pkt));
     }
 
-    /// Delivers a coalesced burst (e.g. one server tick's snapshots) to the
-    /// tap in a single sink call; equivalent to `record` per packet.
-    fn record_batch(&self, recs: &[TraceRecord]) {
-        if recs.is_empty() {
+    /// Delivers a coalesced burst (one server tick's snapshots) to the tap
+    /// in a single `on_columns` call; equivalent to `record` per packet. An
+    /// empty burst makes no call.
+    fn record_batch(&self, batch: &PacketBatch) {
+        if batch.is_empty() {
             return;
         }
         if let Some(m) = &self.metrics {
-            m.packets_recorded.add(recs.len() as u64);
+            m.packets_recorded.add(batch.len() as u64);
         }
-        self.sink.borrow_mut().on_batch(recs);
+        self.sink.borrow_mut().on_columns(batch);
     }
 
     fn note_player_delta(&mut self, now: SimTime, old_count: usize) {
@@ -277,6 +281,7 @@ impl World {
             log: Vec::new(),
             next_session: 0,
             outage: false,
+            outage_swept: 0,
             clients: BTreeMap::new(),
             pending: BTreeMap::new(),
             seen_this_minute: 0,
@@ -312,7 +317,7 @@ impl World {
         }
         schedule_warm_start(&state, &mut sim);
         schedule_arrivals(&state, &mut sim);
-        schedule_server_tick(&state, &mut sim);
+        schedule_server_tick(&state, &mut sim, instruments.profile.clone());
         schedule_timeout_sweep(&state, &mut sim);
         schedule_map_rotation(&state, &mut sim);
         schedule_rounds(&state, &mut sim);
@@ -436,12 +441,13 @@ fn emit_outbound(w: &W, sim: &mut Simulator, session: u32, kind: PacketKind, app
     }
 }
 
-fn schedule_server_tick(w: &W, sim: &mut Simulator) {
+fn schedule_server_tick(w: &W, sim: &mut Simulator, profile: Option<csprov_obs::Profile>) {
     let tick = w.borrow().cfg.server.tick;
     let w = w.clone();
-    // Scratch buffers reused across ticks; the burst is coalesced into one
-    // batched tap delivery instead of a sink call per snapshot.
-    let mut burst: Vec<TraceRecord> = Vec::new();
+    // Scratch buffers reused across ticks: the burst is filled into one
+    // column batch, cleared (not reallocated) each tick, and handed to the
+    // tap in one `on_columns` call instead of a sink call per snapshot.
+    let mut burst = PacketBatch::new();
     let mut forwards: Vec<Packet> = Vec::new();
     // Cumulative shed count already journaled, so each tick emits only the
     // delta it caused.
@@ -453,9 +459,8 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator) {
         StopFlag::new(),
         move |sim, _| {
             let metrics = w.borrow().metrics.clone();
-            let mut guard = metrics
-                .as_ref()
-                .map(|m| m.tick_span.enter(sim.now().as_nanos()));
+            // Held until the tick returns, so the tap's frames nest in it.
+            let mut frame = profile.as_ref().map(|p| p.enter("game.tick"));
             let snaps = {
                 let mut st = w.borrow_mut();
                 let now = sim.now();
@@ -469,13 +474,14 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator) {
                 }
                 st.server.tick(now)
             };
+            if let Some(frame) = &mut frame {
+                frame.add_items(snaps.len() as u64);
+            }
             if let Some(m) = &metrics {
+                m.tick_span.record(sim.now().as_nanos(), snaps.len() as u64);
                 m.snapshots.add(snaps.len() as u64);
                 m.snapshot_bytes
                     .add(snaps.iter().map(|&(_, size)| u64::from(size)).sum());
-                if let Some(g) = &mut guard {
-                    g.add_items(snaps.len() as u64);
-                }
             }
             {
                 let st = w.borrow();
@@ -524,7 +530,7 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator) {
                 if mb.is_some() {
                     forwards.push(pkt);
                 }
-                burst.push(TraceRecord::from_packet(now, &pkt));
+                burst.push(&TraceRecord::from_packet(now, &pkt));
             }
             w.borrow().record_batch(&burst);
             if let Some(mb) = mb {
@@ -556,6 +562,9 @@ fn schedule_timeout_sweep(w: &W, sim: &mut Simulator) {
                 // finds them gone: count the change here.
                 if !dead.is_empty() {
                     st.players_changed(now, old);
+                }
+                if st.outage {
+                    st.outage_swept += dead.len();
                 }
                 dead
             };
@@ -732,9 +741,13 @@ fn schedule_outages(w: &W, sim: &mut Simulator) {
             // paper's outages all exceeded that, so every player drops.
             let w2 = w1.clone();
             sim.schedule_in(spec.length.max(SimDuration::from_secs(4)), move |sim| {
-                w2.borrow_mut().outage = false;
-                let sessions: Vec<u32> = w2.borrow().clients.keys().copied().collect();
-                let n = sessions.len();
+                let (sessions, swept) = {
+                    let mut st = w2.borrow_mut();
+                    st.outage = false;
+                    let sessions: Vec<u32> = st.clients.keys().copied().collect();
+                    (sessions, std::mem::take(&mut st.outage_swept))
+                };
+                let n = sessions.len() + swept;
                 for s in sessions {
                     finish_session(&w2, sim, s, false);
                 }

@@ -210,3 +210,31 @@ fn timed_out_players_leave_the_player_count() {
         outcome.mean_players
     );
 }
+
+#[test]
+fn an_outage_longer_than_the_timeout_still_draws_a_reconnect_wave() {
+    // The sweep ends every session 15 s into a 60 s outage; those players
+    // are the outage's casualties, so its end still sends ~40% of them
+    // back within 1-11 s, as it does after a 12 s outage the sweep never
+    // reaches.
+    let attempts_after = |outage_secs: u64| {
+        let mut cfg = ScenarioConfig::new(7, SimDuration::from_mins(5));
+        cfg.initial_players = 12;
+        cfg.outages = vec![OutageSpec {
+            start: SimDuration::from_secs(60),
+            length: SimDuration::from_secs(outage_secs),
+        }];
+        let sink = Rc::new(RefCell::new(CountingSink::new()));
+        let outcome = World::run(cfg, sink);
+        let end = SimTime::from_secs(60 + outage_secs);
+        let window = end..=end + SimDuration::from_secs(11);
+        outcome
+            .sessions
+            .iter()
+            .filter(|s| window.contains(&s.start))
+            .count()
+    };
+    assert_eq!(attempts_after(12), 6);
+    let long = attempts_after(60);
+    assert!(long > 0, "no reconnects after a 60 s outage");
+}

@@ -92,19 +92,20 @@ impl TraceRecord {
 ///
 /// Implementations must be cheap per record; they are on the hot path of the
 /// simulation. The world delivers one `on_packet` per single packet and one
-/// same-timestamp `on_batch` per server tick; every delivery method means
-/// "these records, in this order", so a sink implements `on_packet` and the
-/// defaults cover the rest. A hot analyzer keeps one fold and makes both
-/// `on_packet` and `on_columns` thin adapters over it; only adapters that
-/// reshape or forward a burst (a transposing composite, a fan-out) override
-/// `on_batch`.
+/// same-timestamp `on_columns` per non-empty server tick, and
+/// [`TraceReader`]'s replays deliver 256-row `on_columns` chunks. Every
+/// delivery method means "these records, in this order", so a sink
+/// implements `on_packet` and the defaults cover the rest. A hot analyzer
+/// keeps one fold and makes both `on_packet` and `on_columns` thin adapters
+/// over it; a fan-out forwards `on_columns` as it came.
 pub trait TraceSink {
     /// Called once per observed packet, in non-decreasing time order.
     fn on_packet(&mut self, rec: &TraceRecord);
 
-    /// Called with a burst of records in non-decreasing time order (e.g.
-    /// one server tick's outbound snapshots). The default calls
-    /// [`TraceSink::on_packet`] once per record.
+    /// Called with a burst of records in non-decreasing time order. The
+    /// default calls [`TraceSink::on_packet`] once per record. No library
+    /// code calls it: bursts arrive through [`TraceSink::on_columns`]. It
+    /// stays because perfbench's `TimedTap` overrides it.
     fn on_batch(&mut self, recs: &[TraceRecord]) {
         for rec in recs {
             self.on_packet(rec);
@@ -270,12 +271,6 @@ impl TraceSink for Tee {
         }
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        for s in &mut self.sinks {
-            s.on_batch(recs);
-        }
-    }
-
     fn on_columns(&mut self, batch: &PacketBatch) {
         for s in &mut self.sinks {
             s.on_columns(batch);
@@ -292,6 +287,8 @@ impl TraceSink for Tee {
 const TRACE_MAGIC: &[u8; 4] = b"CSPT";
 const TRACE_VERSION: u16 = 1;
 const RECORD_LEN: usize = 18;
+/// Rows per [`TraceSink::on_columns`] call of a replay.
+const REPLAY_CHUNK: usize = 256;
 
 /// Writes trace records in the compact binary format.
 ///
@@ -441,26 +438,26 @@ impl<R: Read> TraceReader<R> {
 
     /// Drains the stream into a sink; returns the record count.
     ///
-    /// Records are delivered through [`TraceSink::on_batch`] in chunks, so
-    /// a sink that transposes bursts into columns pays its dispatch once per
-    /// chunk; order and `on_end` semantics match a record-at-a-time replay
-    /// exactly. Strict: the first error of any kind aborts the replay.
+    /// Records are delivered through [`TraceSink::on_columns`] in 256-row
+    /// batches, so a sink pays its dispatch once per chunk; order and
+    /// `on_end` semantics match a record-at-a-time replay exactly. Strict:
+    /// the first error of any kind aborts the replay.
     pub fn replay(&mut self, sink: &mut dyn TraceSink) -> Result<u64, Error> {
-        const CHUNK: usize = 256;
-        let mut buf = Vec::with_capacity(CHUNK);
+        let mut buf = PacketBatch::with_capacity(REPLAY_CHUNK);
         let mut n = 0;
         let mut last = SimTime::ZERO;
         while let Some(rec) = self.read()? {
             last = rec.time;
-            buf.push(rec);
-            if buf.len() == CHUNK {
-                sink.on_batch(&buf);
-                n += buf.len() as u64;
+            buf.push(&rec);
+            n += 1;
+            if buf.len() == REPLAY_CHUNK {
+                sink.on_columns(&buf);
                 buf.clear();
             }
         }
-        sink.on_batch(&buf);
-        n += buf.len() as u64;
+        if !buf.is_empty() {
+            sink.on_columns(&buf);
+        }
         sink.on_end(last);
         Ok(n)
     }
@@ -483,8 +480,7 @@ impl<R: Read> TraceReader<R> {
         sink: &mut dyn TraceSink,
         journal: Option<&csprov_obs::Journal>,
     ) -> Result<ReplayReport, Error> {
-        const CHUNK: usize = 256;
-        let mut buf = Vec::with_capacity(CHUNK);
+        let mut buf = PacketBatch::with_capacity(REPLAY_CHUNK);
         let mut report = ReplayReport::default();
         let mut last = SimTime::ZERO;
         let mut scanned: u64 = 0;
@@ -514,10 +510,10 @@ impl<R: Read> TraceReader<R> {
             match Self::decode_record(&raw) {
                 Ok(rec) => {
                     last = rec.time;
-                    buf.push(rec);
-                    if buf.len() == CHUNK {
-                        report.delivered += buf.len() as u64;
-                        sink.on_batch(&buf);
+                    buf.push(&rec);
+                    report.delivered += 1;
+                    if buf.len() == REPLAY_CHUNK {
+                        sink.on_columns(&buf);
                         buf.clear();
                     }
                 }
@@ -531,8 +527,9 @@ impl<R: Read> TraceReader<R> {
             }
         }
         drop(skip_writer); // flushes any buffered skips
-        report.delivered += buf.len() as u64;
-        sink.on_batch(&buf);
+        if !buf.is_empty() {
+            sink.on_columns(&buf);
+        }
         sink.on_end(last);
         Ok(report)
     }
@@ -726,6 +723,49 @@ mod tests {
         assert_eq!(n, 10);
         assert_eq!(sink.total_packets(), 10);
         assert_eq!(sink.end, Some(SimTime::from_millis(9)));
+    }
+
+    #[test]
+    fn replays_deliver_256_row_column_batches() {
+        /// Row count of every `on_columns` call, and `on_batch` calls.
+        #[derive(Default)]
+        struct Calls(Vec<usize>, usize);
+        impl TraceSink for Calls {
+            fn on_packet(&mut self, _rec: &TraceRecord) {}
+            fn on_batch(&mut self, _recs: &[TraceRecord]) {
+                self.1 += 1;
+            }
+            fn on_columns(&mut self, batch: &PacketBatch) {
+                self.0.push(batch.len());
+            }
+        }
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        for i in 0..600 {
+            w.write(&rec(
+                i,
+                Direction::Inbound,
+                PacketKind::ClientCommand,
+                1,
+                40,
+            ))
+            .unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        let mut strict = Calls::default();
+        let n = TraceReader::new(&bytes[..])
+            .unwrap()
+            .replay(&mut strict)
+            .unwrap();
+        let mut lossy = Calls::default();
+        let report = TraceReader::new(&bytes[..])
+            .unwrap()
+            .replay_lossy(&mut lossy)
+            .unwrap();
+        assert_eq!((n, report.delivered), (600, 600));
+        for calls in [strict, lossy] {
+            assert_eq!(calls.0, [256, 256, 88]);
+            assert_eq!(calls.1, 0);
+        }
     }
 
     #[test]

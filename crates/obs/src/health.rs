@@ -20,11 +20,11 @@ use std::time::{Duration, Instant, SystemTime};
 
 /// Shard has not started executing yet.
 pub const SHARD_PENDING: u8 = 0;
-/// Shard is executing (or retrying after an injected/real failure).
+/// Shard is executing.
 pub const SHARD_RUNNING: u8 = 1;
 /// Shard finished and its state was collected.
 pub const SHARD_DONE: u8 = 2;
-/// Shard exhausted its retry budget and was abandoned.
+/// Shard failed and was abandoned.
 pub const SHARD_LOST: u8 = 3;
 
 /// One decoded heartbeat, as carried by the `csprov-state/1` sidecar
@@ -39,7 +39,8 @@ pub struct HeartbeatRecord {
     pub sim_ns: u64,
     /// Sim horizon for the shard, ns (0 if unknown).
     pub horizon_ns: u64,
-    /// Retries consumed so far.
+    /// Retries consumed so far. A shard runs once, so this crate's
+    /// workers write 0; the field keeps the sidecar layout.
     pub retries: u64,
     /// Checkpoints written so far.
     pub checkpoints: u64,
@@ -189,16 +190,6 @@ impl ShardHealthBoard {
         }
     }
 
-    /// Counts a retry (the shard stays/returns to running).
-    pub fn retry(&self, shard: usize) {
-        if let Some(slot) = self.slots.get(shard) {
-            slot.retries.fetch_add(1, Ordering::Relaxed);
-            slot.claim(unix_ms(), SHARD_RUNNING);
-            slot.last_beat_ms
-                .fetch_max(self.now_ms(), Ordering::Relaxed);
-        }
-    }
-
     /// Counts a written checkpoint.
     pub fn checkpoint(&self, shard: usize) {
         if let Some(slot) = self.slots.get(shard) {
@@ -218,7 +209,7 @@ impl ShardHealthBoard {
         }
     }
 
-    /// Marks `shard` lost (retry budget exhausted).
+    /// Marks `shard` lost (it failed).
     pub fn lost(&self, shard: usize) {
         if let Some(slot) = self.slots.get(shard) {
             slot.claim(unix_ms(), SHARD_LOST);
@@ -410,11 +401,7 @@ impl ShardHealthBoard {
         for (name, value, help) in [
             ("shard.running", running, "fleet shards currently executing"),
             ("shard.done", done, "fleet shards completed and collected"),
-            (
-                "shard.lost",
-                lost,
-                "fleet shards abandoned after retry budget",
-            ),
+            ("shard.lost", lost, "fleet shards abandoned after a failure"),
             (
                 "shard.stalled",
                 stalled,
@@ -462,6 +449,20 @@ mod tests {
 
     fn board(shards: usize, watchdog_ms: u64) -> ShardHealthBoard {
         ShardHealthBoard::new(shards, Duration::from_millis(watchdog_ms))
+    }
+
+    /// A running shard's sidecar record carrying one retry.
+    fn retried(shard: u64) -> HeartbeatRecord {
+        HeartbeatRecord {
+            shard,
+            state: SHARD_RUNNING,
+            sim_ns: 0,
+            horizon_ns: 100,
+            retries: 1,
+            checkpoints: 0,
+            wall_ms: 0,
+            unix_ms: unix_ms(),
+        }
     }
 
     #[test]
@@ -512,7 +513,7 @@ mod tests {
     fn retries_mark_a_shard_degraded_and_loss_is_terminal() {
         let b = board(2, 10_000);
         b.start(0, 100);
-        b.retry(0);
+        b.apply(&retried(0));
         b.start(1, 100);
         b.lost(1);
         let doc = Json::parse(&b.render_json()).expect("valid JSON");
@@ -574,7 +575,7 @@ mod tests {
         // the verdict is "ok", and the history lives in `retries`.
         let b = board(1, 10_000);
         b.start(0, 100);
-        b.retry(0);
+        b.apply(&retried(0));
         b.done(0, 100);
         let doc = Json::parse(&b.render_json()).expect("valid JSON");
         let shard = &doc.get("shards").and_then(Json::as_arr).expect("shards")[0];
@@ -792,7 +793,7 @@ mod tests {
     fn export_metrics_is_wall_only_with_help() {
         let b = board(3, 10_000);
         b.start(0, 100);
-        b.retry(0);
+        b.apply(&retried(0));
         b.checkpoint(0);
         b.done(1, 100);
         let registry = MetricsRegistry::new();

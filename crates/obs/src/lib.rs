@@ -1,8 +1,8 @@
 //! # csprov-obs — zero-dependency observability for the csprov workspace
 //!
-//! Metrics, span timing, progress reporting, a deterministic trace journal
-//! and a sim-time series sampler for the single-threaded discrete-event
-//! simulation. Everything here is built on `Rc<Cell<..>>` handles — no
+//! Metrics, wall-time profiling, progress reporting, a deterministic trace
+//! journal and a sim-time series sampler for the single-threaded
+//! discrete-event simulation. Everything here is built on `Rc<Cell<..>>` handles — no
 //! atomics, no locks, no external crates — so instrumented hot paths pay
 //! roughly one pointer-chase per update.
 //!
@@ -42,7 +42,6 @@ pub mod json;
 pub mod profile;
 pub mod progress;
 pub mod registry;
-pub mod span;
 pub mod timeseries;
 
 pub use bus::{BroadcastBus, BusEvent, BusStats, BusSubscriber};
@@ -56,5 +55,4 @@ pub use json::Json;
 pub use profile::{Profile, ProfileEntry, ProfileScope, ProfileSnapshot};
 pub use progress::ProgressReporter;
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, METRICS_SCHEMA};
-pub use span::{Span, SpanGuard};
 pub use timeseries::{SeriesSampler, SERIES_TIME_COLUMN};

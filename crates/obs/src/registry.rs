@@ -14,14 +14,12 @@
 //!
 //! Instruments carry a *wall* flag separating the deterministic domain
 //! (anything derived from sim time, event counts, packet counts) from the
-//! wall-clock domain (span durations measured with `Instant`). Deterministic
+//! wall-clock domain (durations measured with `Instant`). Deterministic
 //! renders exclude wall instruments, so two same-seed runs compare equal
 //! byte-for-byte no matter how fast the host executed them.
 
 use crate::histogram::LogHistogram;
 use crate::json::escape as json_str;
-use crate::profile::Profile;
-use crate::span::Span;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -176,10 +174,6 @@ struct Entry {
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
     entries: Rc<RefCell<BTreeMap<String, Entry>>>,
-    /// When attached (see [`Self::attach_profile`]), spans created via
-    /// [`Self::span`] also push frames onto this hierarchical wall-time
-    /// profiler.
-    profile: Rc<RefCell<Option<Profile>>>,
 }
 
 impl MetricsRegistry {
@@ -264,32 +258,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers a span: `<name>.count` and `<name>.sim_gap_ns` stay in the
-    /// deterministic domain, `<name>.wall_ns` records host time. If a
-    /// profile is attached, span entries also become profile frames.
-    pub fn span(&self, name: &str) -> Span {
-        Span::new(
-            name,
-            self.counter(&format!("{name}.count")),
-            self.counter(&format!("{name}.items")),
-            self.histogram(&format!("{name}.sim_gap_ns")),
-            self.wall_histogram(&format!("{name}.wall_ns")),
-            self.profile.borrow().clone(),
-        )
-    }
-
-    /// Attaches (or with `None`, detaches) a wall-time profiler. Spans
-    /// created *after* this call feed it; existing spans are unaffected,
-    /// so attach before building per-run instruments.
-    pub fn attach_profile(&self, profile: Option<Profile>) {
-        *self.profile.borrow_mut() = profile;
-    }
-
-    /// The currently attached profile, if any.
-    pub fn profile(&self) -> Option<Profile> {
-        self.profile.borrow().clone()
-    }
-
     /// Number of registered instruments.
     pub fn len(&self) -> usize {
         self.entries.borrow().len()
@@ -317,7 +285,7 @@ impl MetricsRegistry {
     }
 
     /// One line per *wall* instrument only, name-sorted — the
-    /// host-dependent section (span wall histograms with p50/p95/p99,
+    /// host-dependent section (wall histograms with p50/p95/p99,
     /// `profile.*`, `shard.*`, `serve.*`). Render it alongside
     /// [`Self::render_deterministic`] for an operational text view that
     /// keeps the determinism surface separable.

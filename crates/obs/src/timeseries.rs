@@ -11,8 +11,8 @@
 //! takes a row for every interval boundary the clock has crossed since the
 //! previous call; because the event stream of a seeded run is itself
 //! deterministic, the resulting series is byte-identical across same-seed
-//! runs. Only deterministic instruments are sampled — wall-clock spans
-//! never enter a series.
+//! runs. Only deterministic instruments are sampled — wall-clock
+//! instruments never enter a series.
 //!
 //! [`SeriesSampler::to_csv`] renders the same comma-separated shape as
 //! `csprov_analysis::report::to_csv` (header row, one line per row, no

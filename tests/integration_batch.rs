@@ -1,8 +1,8 @@
 //! Columnar-ingest determinism boundary: the struct-of-arrays delivery
 //! must be unobservable. Every analyzer reaches byte-identical state
-//! whether a burst arrives as `on_packet` calls or through
-//! `FullAnalysis`'s transposing `on_batch` — both its general column path
-//! and its uniform-timestamp burst shortcut — even for foreign sizes near
+//! whether a burst arrives as `on_packet` calls or as one `on_columns`
+//! batch — through `FullAnalysis`'s general column path and its
+//! uniform-timestamp burst shortcut — even for foreign sizes near
 //! `u32::MAX`; and the journal's buffered writer lane stores exactly the
 //! events plain `emit` would.
 
@@ -63,10 +63,14 @@ fn random_bursts(seed: u64, bursts: usize) -> Vec<Vec<TraceRecord>> {
     out
 }
 
-/// Delivers every burst in one `on_batch` call: the columnar path.
+/// Delivers every burst in one `on_columns` call, filled into one reused
+/// batch as the world fills its tick burst: the columnar path.
 fn run_through(mut sink: FullAnalysis, bursts: &[Vec<TraceRecord>], end: SimTime) -> FullAnalysis {
+    let mut batch = PacketBatch::new();
     for burst in bursts {
-        sink.on_batch(burst);
+        batch.clear();
+        batch.extend_from_records(burst);
+        sink.on_columns(&batch);
     }
     sink.on_end(end);
     sink

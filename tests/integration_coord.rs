@@ -278,8 +278,7 @@ fn killed_worker_range_is_redispatched_to_the_same_bytes() {
 #[test]
 fn worker_that_keeps_dying_degrades_coverage() {
     let dir = temp_dir("degrade");
-    let mut config = FleetConfig::new("fleet", 31, 3, 1);
-    config.retry.attempts = 2;
+    let config = FleetConfig::new("fleet", 31, 3, 1);
 
     let mut honest = honest_launcher(&config, &dir);
     let launch = move |worker: usize, range: ShardRange| {

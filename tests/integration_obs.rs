@@ -10,8 +10,8 @@ use csprov::experiments::nat::{paper_config, run_nat, run_nat_experiment};
 use csprov::experiments::tables;
 use csprov::pipeline::{FullAnalysis, MainRun};
 use csprov_game::{GameMetrics, ScenarioConfig, World, WorldInstruments};
-use csprov_net::{TraceRecord, TraceSink};
-use csprov_obs::{Journal, MetricsRegistry, SeriesSampler};
+use csprov_net::{Direction, PacketBatch, PacketKind, TraceRecord, TraceSink};
+use csprov_obs::{Journal, MetricsRegistry, Profile, SeriesSampler};
 use csprov_router::EngineConfig;
 use csprov_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -90,7 +90,7 @@ fn table4_is_byte_identical_with_metrics_on() {
     assert!(pre_in > 100_000, "a 30-minute map is busy: {pre_in}");
 }
 
-/// A sink that refuses coalesced bursts: every `on_batch` is unbatched
+/// A sink that refuses coalesced bursts: every `on_columns` is unbatched
 /// into per-record `on_packet` calls on the wrapped analysis, forcing the
 /// pre-batching delivery semantics.
 struct Debatch(FullAnalysis);
@@ -100,9 +100,9 @@ impl TraceSink for Debatch {
         self.0.on_packet(rec);
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        for rec in recs {
-            self.0.on_packet(rec);
+    fn on_columns(&mut self, batch: &PacketBatch) {
+        for rec in batch.iter_records() {
+            self.0.on_packet(&rec);
         }
     }
 
@@ -114,8 +114,8 @@ impl TraceSink for Debatch {
 #[test]
 fn batched_tap_delivery_matches_per_record() {
     // Same seed, two delivery modes: the default run hands each server-tick
-    // burst to the sink via `on_batch`; the Debatch run replays it packet by
-    // packet. Every analyzer and the event schedule itself must agree —
+    // burst to the sink via `on_columns`; the Debatch run replays it packet
+    // by packet. Every analyzer and the event schedule itself must agree —
     // batching (and the calendar queue beneath it) is observe-only.
     let cfg = ScenarioConfig::new(11, SimDuration::from_mins(3));
     let batched = MainRun::execute(cfg.clone());
@@ -150,6 +150,106 @@ fn batched_tap_delivery_matches_per_record() {
         "sink delivery mode must not alter the event schedule"
     );
     assert_eq!(batched.outcome.sessions.len(), outcome.sessions.len());
+}
+
+/// Counts how a world run's records reach its tap.
+#[derive(Default)]
+struct DeliveryLog {
+    packets: u64,
+    batch_calls: u64,
+    /// `(time, rows)` of every `on_columns` call.
+    columns: Vec<(SimTime, u64)>,
+    /// Rows that were not one tick's outbound snapshots.
+    foreign_rows: u64,
+}
+
+impl TraceSink for DeliveryLog {
+    fn on_packet(&mut self, _rec: &TraceRecord) {
+        self.packets += 1;
+    }
+
+    fn on_batch(&mut self, _recs: &[TraceRecord]) {
+        self.batch_calls += 1;
+    }
+
+    fn on_columns(&mut self, batch: &PacketBatch) {
+        let Some(first) = batch.iter_records().next() else {
+            self.columns.push((SimTime::ZERO, 0));
+            return;
+        };
+        self.foreign_rows += batch
+            .iter_records()
+            .filter(|r| {
+                r.time != first.time
+                    || r.direction != Direction::Outbound
+                    || r.kind != PacketKind::StateUpdate
+            })
+            .count() as u64;
+        self.columns.push((first.time, batch.len() as u64));
+    }
+}
+
+#[test]
+fn tick_bursts_reach_the_tap_only_as_one_column_call_each() {
+    let registry = MetricsRegistry::new();
+    let game = GameMetrics::register(&registry);
+    let instruments = WorldInstruments {
+        metrics: Some(game.clone()),
+        ..WorldInstruments::default()
+    };
+    let cfg = ScenarioConfig::new(5, SimDuration::from_mins(3));
+    let tick = cfg.server.tick.as_nanos();
+    let log = Rc::new(RefCell::new(DeliveryLog::default()));
+    World::run_instrumented(cfg, log.clone(), None, instruments);
+    let log = log.borrow();
+    assert_eq!(log.batch_calls, 0, "no burst arrives through on_batch");
+    assert!(log.packets > 0, "single packets still arrive one by one");
+    assert_eq!(log.foreign_rows, 0, "a call holds one tick's snapshots");
+    // Every call is a non-empty burst at a tick instant, ticks increase
+    // strictly from call to call, and the calls carry every snapshot: one
+    // call per non-empty tick.
+    assert!(log.columns.iter().all(|&(_, rows)| rows > 0));
+    assert!(log.columns.iter().all(|(t, _)| t.as_nanos() % tick == 0));
+    assert!(log.columns.windows(2).all(|w| w[0].0 < w[1].0));
+    let rows: u64 = log.columns.iter().map(|&(_, rows)| rows).sum();
+    assert!(rows > 0);
+    assert_eq!(rows, game.snapshots.get());
+    assert!(log.columns.len() as u64 <= game.tick_span.entry_count());
+}
+
+#[test]
+fn profiled_world_run_frames_every_tick_on_the_deterministic_meter() {
+    let registry = MetricsRegistry::new();
+    let game = GameMetrics::register(&registry);
+    let profile = Profile::new();
+    let instruments = WorldInstruments {
+        metrics: Some(game.clone()),
+        profile: Some(profile.clone()),
+        ..WorldInstruments::default()
+    };
+    let cfg = ScenarioConfig::new(5, SimDuration::from_mins(3));
+    let sink = Rc::new(RefCell::new(csprov_net::NullSink));
+    World::run_instrumented(cfg, sink, None, instruments);
+    let snap = profile.snapshot();
+    let frame = snap
+        .entries()
+        .iter()
+        .find(|e| e.path == ["sim.dispatch", "game.tick"])
+        .expect("each tick is framed under the dispatch loop");
+    assert_eq!(frame.count, game.tick_span.entry_count());
+    assert_eq!(frame.items, game.snapshots.get());
+    // The meter's wall side is that frame: the registry keeps only the
+    // deterministic `game.tick.*` instruments.
+    let det = registry.render_deterministic();
+    let ticks = game.tick_span.entry_count();
+    assert!(
+        det.contains(&format!("game.tick.count counter {ticks}")),
+        "{det}"
+    );
+    assert!(det.contains("game.tick.items counter"), "{det}");
+    assert!(det.contains("game.tick.sim_gap_ns histogram"), "{det}");
+    assert!(!registry.render_text().contains("game.tick.wall_ns"));
+    assert!(!registry.render_prometheus().contains("game_tick_wall_ns"));
 }
 
 #[test]

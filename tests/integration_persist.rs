@@ -1,7 +1,7 @@
 //! Crash-safe fleet execution, end to end: checkpoint, lose state,
 //! resume, and get the *byte-identical* report an uninterrupted run
-//! produces; exhaust a shard's retries and get a degraded report whose
-//! coverage block says exactly what is missing.
+//! produces; lose a shard and get a degraded report whose coverage block
+//! says exactly what is missing.
 
 use csprov::fleet::{
     persist, run_fleet, run_fleet_full, FacilityAnalysis, FailSpec, FleetConfig, FleetError,
@@ -75,17 +75,12 @@ fn kill_and_resume_report_is_byte_identical() {
 }
 
 /// Degraded mode pinned down: a permanently failing shard costs its
-/// traffic, not the run. The coverage block must name the lost shard,
-/// count the retries, and mark the headline numbers as lower bounds.
+/// traffic, not the run. The coverage block must name the lost shard and
+/// mark the headline numbers as lower bounds.
 #[test]
 fn degraded_fleet_reports_explicit_coverage() {
     let mut config = FleetConfig::new("degraded", 777, 4, 2);
-    config.retry.attempts = 2;
-    config.fail_plan = vec![FailSpec {
-        shard: 1,
-        failures: u32::MAX,
-        stall_ms: 0,
-    }];
+    config.fail_plan = vec![FailSpec::Forever { shard: 1 }];
     let run = run_fleet(&config).expect("degraded fleet still reports");
 
     let cov = &run.report.coverage;
@@ -93,10 +88,7 @@ fn degraded_fleet_reports_explicit_coverage() {
     assert_eq!(cov.configured, 4);
     assert_eq!(cov.merged, 3);
     assert_eq!(cov.lost, vec![1]);
-    assert_eq!(
-        cov.retries, 1,
-        "one retry before the second attempt lost it"
-    );
+    assert_eq!(cov.retries, 0, "a shard runs once");
     assert_eq!(run.facility.shards, 3);
     assert!(run.report.players_unaccounted() > 0.0);
 
@@ -133,14 +125,7 @@ fn degraded_fleet_reports_explicit_coverage() {
 #[test]
 fn fleet_with_no_survivors_fails_typed() {
     let mut config = FleetConfig::new("void", 5, 2, 1);
-    config.retry.attempts = 1;
-    config.fail_plan = (0..2)
-        .map(|shard| FailSpec {
-            shard,
-            failures: u32::MAX,
-            stall_ms: 0,
-        })
-        .collect();
+    config.fail_plan = (0..2).map(|shard| FailSpec::Forever { shard }).collect();
     match run_fleet(&config) {
         Err(FleetError::AllShardsLost { configured, .. }) => assert_eq!(configured, 2),
         Err(other) => panic!("expected AllShardsLost, got {other}"),

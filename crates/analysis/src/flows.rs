@@ -6,53 +6,8 @@
 
 use crate::histogram::Histogram;
 use csprov_net::{Direction, PacketBatch, TraceRecord, TraceSink, WIRE_OVERHEAD_BYTES};
-use csprov_sim::{SimDuration, SimTime};
+use csprov_sim::{FxBuildHasher, SimDuration, SimTime};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplier for the rustc-style multiply-rotate mix below.
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// A fixed-seed multiply-rotate hasher for the small integer keys the flow
-/// table uses. The standard library's SipHash is keyed per process and costs
-/// more than the whole flow update for a `u32` session id; this mix is a few
-/// cycles, and its fixed seed makes table internals reproducible across
-/// processes (all exported orderings are explicitly sorted regardless).
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `BuildHasher` plugging [`FxHasher`] into `HashMap`.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Accumulated statistics for one flow (session).
 #[derive(Debug, Clone, Copy)]

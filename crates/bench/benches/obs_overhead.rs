@@ -152,7 +152,7 @@ fn run_forward(registry: Option<&MetricsRegistry>) -> u64 {
                 direction: Direction::Inbound,
                 sent_at: sim.now(),
             };
-            engine2.submit(sim, pkt, |_, _| {});
+            engine2.submit(sim, pkt, Box::new(|_, _| {}));
         });
     }
     sim.run();

@@ -112,7 +112,7 @@ fn bench_nat_path(h: &mut Harness) {
                         direction: Direction::Inbound,
                         sent_at: sim.now(),
                     };
-                    engine2.submit(sim, pkt, |_, _| {});
+                    engine2.submit(sim, pkt, Box::new(|_, _| {}));
                 });
             }
             sim.run();

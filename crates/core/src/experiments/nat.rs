@@ -80,6 +80,18 @@ pub fn run_nat(
     chaos: Option<(&ChaosSpec, u64)>,
     instruments: WorldInstruments,
 ) -> (NatRun, Option<ChaosReport>) {
+    run_nat_inspected(cfg, engine, chaos, instruments, |_| {})
+}
+
+/// [`run_nat`], showing the device to `inspect` once the run is over,
+/// while it still holds what the horizon cut off.
+fn run_nat_inspected(
+    cfg: ScenarioConfig,
+    engine: EngineConfig,
+    chaos: Option<(&ChaosSpec, u64)>,
+    instruments: WorldInstruments,
+    inspect: impl FnOnce(&NatDevice),
+) -> (NatRun, Option<ChaosReport>) {
     let second = SimDuration::from_secs(1);
     let taps: [Rc<RefCell<RateSeries>>; 4] =
         std::array::from_fn(|_| Rc::new(RefCell::new(RateSeries::new(second))));
@@ -141,6 +153,7 @@ pub fn run_nat(
             nat: Some(device.nat_stats()),
         });
     let stats = device.stats();
+    inspect(&device);
     // The device (and the path around it) hold the tap edges; with them
     // dropped each tap is released. A tap still shared is swapped out for
     // an empty series rather than unwrapped.
@@ -202,24 +215,45 @@ mod tests {
 
     #[test]
     fn taps_are_conservation_consistent() {
-        let run = short_run();
-        // Packets after the NAT = packets before − drops − those still in
-        // the device when the horizon cut the run (at most a queue's worth).
-        let pre_in: u64 = run.clients_to_nat.bins().iter().map(|b| b.packets).sum();
-        let post_in: u64 = run.nat_to_server.bins().iter().map(|b| b.packets).sum();
-        let in_flight_in = pre_in - run.stats.dropped[0].get() - post_in;
-        assert!(
-            (in_flight_in as usize) <= run.engine.wan_queue + 1,
-            "inbound imbalance {in_flight_in}"
+        // The horizon falls 5 ms into a server tick's burst, so the device
+        // still holds packets when the run is cut.
+        let mut cfg = short_config();
+        cfg.duration += SimDuration::from_millis(5);
+        let (mut held, mut table_drops) = ([0; 2], [0; 2]);
+        let (run, _) = run_nat_inspected(
+            cfg,
+            EngineConfig::default(),
+            None,
+            WorldInstruments::default(),
+            |device| {
+                for (i, dir) in [Direction::Inbound, Direction::Outbound]
+                    .into_iter()
+                    .enumerate()
+                {
+                    held[i] = device.held(dir);
+                    table_drops[i] = device.nat_stats().table_drops[i].get();
+                }
+            },
         );
-        let pre_out: u64 = run.server_to_nat.bins().iter().map(|b| b.packets).sum();
-        let post_out: u64 = run.nat_to_clients.bins().iter().map(|b| b.packets).sum();
-        let in_flight_out = pre_out - run.stats.dropped[1].get() - post_out;
-        assert!(
-            (in_flight_out as usize) <= run.engine.lan_queue + 1,
-            "outbound imbalance {in_flight_out}"
-        );
-        assert!(pre_in > 0 && pre_out > 0);
+        let total = |s: &RateSeries| -> u64 { s.bins().iter().map(|b| b.packets).sum() };
+        let taps = [
+            (&run.clients_to_nat, &run.nat_to_server),
+            (&run.server_to_nat, &run.nat_to_clients),
+        ];
+        let s = &run.stats;
+        for (i, (pre, post)) in taps.into_iter().enumerate() {
+            let offered = s.offered[i].get();
+            assert!(offered > 0);
+            assert_eq!(
+                total(pre),
+                offered + table_drops[i],
+                "pre-tap, direction {i}"
+            );
+            let settled = s.forwarded[i].get() + s.dropped[i].get();
+            assert_eq!(offered, settled + held[i], "offered, direction {i}");
+            assert_eq!(total(post), s.forwarded[i].get(), "post-tap, direction {i}");
+        }
+        assert!(held[1] > 0, "the horizon cuts the burst in flight");
     }
 
     #[test]

@@ -12,10 +12,17 @@
 //! is emergent: the server's tick burst monopolizes the CPU and the small
 //! WAN-side queue overflows — exactly the paper's explanation for inbound
 //! loss exceeding outbound.
+//!
+//! A packet waits in the engine's own state, queued and then in service,
+//! with the [`Deliver`] continuation it was offered with. Each lookup
+//! completion is a [`Simulator::call_at`] of one handler the engine
+//! registers in the simulator, so once the FIFO has grown to its working
+//! size the engine allocates nothing per packet.
 
-use csprov_net::{Direction, Packet};
+use csprov_game::Deliver;
+use csprov_net::{Direction, Packet, TraceRecord, TraceSink};
 use csprov_obs::{Counter, Gauge, MetricsRegistry};
-use csprov_sim::{SimDuration, SimTime, Simulator};
+use csprov_sim::{HandlerId, SimDuration, SimTime, Simulator};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -126,7 +133,8 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    fn idx(d: Direction) -> usize {
+    /// The `[inbound, outbound]` index of a direction.
+    pub(crate) fn idx(d: Direction) -> usize {
         match d {
             Direction::Inbound => 0,
             Direction::Outbound => 1,
@@ -163,15 +171,42 @@ impl EngineStats {
     }
 }
 
-type Deliver = Box<dyn FnOnce(&mut Simulator, Packet)>;
+/// An optional trace sink at one of the device's measurement points.
+pub(crate) type Tap = Option<Rc<RefCell<dyn TraceSink>>>;
+
+/// Records `pkt` at `now` into `tap`, if one is attached.
+pub(crate) fn tap(tap: &Tap, now: SimTime, pkt: &Packet) {
+    if let Some(sink) = tap {
+        sink.borrow_mut()
+            .on_packet(&TraceRecord::from_packet(now, pkt));
+    }
+}
+
+/// A packet in the engine: when it was offered and where it goes once
+/// forwarded.
+struct Job {
+    pkt: Packet,
+    arrived: SimTime,
+    deliver: Deliver,
+}
 
 struct EngineState {
     config: EngineConfig,
-    queue: VecDeque<(Packet, SimTime, Deliver)>,
+    queue: VecDeque<Job>,
     occupancy: [usize; 2], // per-direction occupancy in the shared FIFO
+    /// The packet under lookup, from leaving the FIFO until its completion.
+    in_service: Option<Job>,
+    /// True from the first offer to an idle CPU until the FIFO runs dry;
+    /// it stays set while a completion delivers, so a packet offered from
+    /// inside a delivery queues behind the FIFO.
     busy: bool,
-    next_housekeeping: csprov_sim::SimTime,
+    next_housekeeping: SimTime,
     stats: EngineStats,
+    /// Taps on forwarded packets, `[inbound, outbound]`.
+    post_taps: [Tap; 2],
+    /// The completion handler and the [`Simulator::id`] of the simulator
+    /// it is registered in. A simulator sees it on its first lookup.
+    handler: Option<(u64, HandlerId)>,
 }
 
 /// A shared-CPU store-and-forward engine. Clone shares state.
@@ -183,14 +218,25 @@ pub struct ForwardingEngine {
 impl ForwardingEngine {
     /// Creates an engine.
     pub fn new(config: EngineConfig) -> Self {
+        Self::with_post_taps(config, [None, None])
+    }
+
+    /// Creates an engine that records every forwarded packet into
+    /// `post_taps` (`[inbound, outbound]`) before delivering it. A tap
+    /// runs while the completion holds the engine's state borrowed, so a
+    /// sink must not call back into the engine.
+    pub(crate) fn with_post_taps(config: EngineConfig, post_taps: [Tap; 2]) -> Self {
         ForwardingEngine {
             state: Rc::new(RefCell::new(EngineState {
-                next_housekeeping: csprov_sim::SimTime::ZERO + config.housekeeping_interval,
+                next_housekeeping: SimTime::ZERO + config.housekeeping_interval,
                 config,
                 queue: VecDeque::new(),
                 occupancy: [0, 0],
+                in_service: None,
                 busy: false,
                 stats: EngineStats::default(),
+                post_taps,
+                handler: None,
             })),
         }
     }
@@ -210,12 +256,18 @@ impl ForwardingEngine {
         self.state.borrow().queue.len()
     }
 
+    /// Packets of direction `d` offered and not yet settled: those queued
+    /// plus the one under lookup. Outside a completion, offered =
+    /// forwarded + dropped + held, per direction.
+    pub(crate) fn held(&self, d: Direction) -> u64 {
+        let st = self.state.borrow();
+        let in_service = st.in_service.as_ref().map(|job| job.pkt.direction);
+        (st.occupancy[EngineStats::idx(d)] + usize::from(in_service == Some(d))) as u64
+    }
+
     /// Offers a packet; `deliver` fires when the CPU finishes its lookup,
     /// or never if the direction's queue is full.
-    pub fn submit<F>(&self, sim: &mut Simulator, pkt: Packet, deliver: F)
-    where
-        F: FnOnce(&mut Simulator, Packet) + 'static,
-    {
+    pub fn submit(&self, sim: &mut Simulator, pkt: Packet, deliver: Deliver) {
         let start_service = {
             let mut st = self.state.borrow_mut();
             let dir = EngineStats::idx(pkt.direction);
@@ -230,7 +282,11 @@ impl ForwardingEngine {
             }
             st.occupancy[dir] += 1;
             let arrived = sim.now();
-            st.queue.push_back((pkt, arrived, Box::new(deliver)));
+            st.queue.push_back(Job {
+                pkt,
+                arrived,
+                deliver,
+            });
             st.stats.queue_depth.adjust(1);
             if st.busy {
                 false
@@ -244,8 +300,10 @@ impl ForwardingEngine {
         }
     }
 
+    /// Moves the FIFO's head into service and queues its completion, or
+    /// idles the CPU when the FIFO is empty.
     fn serve_next(&self, sim: &mut Simulator) {
-        let (lookup, job) = {
+        let (lookup, cached) = {
             let mut st = self.state.borrow_mut();
             // Housekeeping: if due, the CPU stalls before the next lookup.
             let mut service = st.config.lookup_time;
@@ -253,33 +311,49 @@ impl ForwardingEngine {
                 service += st.config.housekeeping_time;
                 st.next_housekeeping = sim.now() + st.config.housekeeping_interval;
             }
-            match st.queue.pop_front() {
-                Some((pkt, arrived, deliver)) => {
-                    let dir = EngineStats::idx(pkt.direction);
-                    st.occupancy[dir] -= 1;
-                    st.stats.queue_depth.adjust(-1);
-                    st.stats.busy_ns.add(service.as_nanos());
-                    (service, Some((pkt, arrived, deliver)))
-                }
-                None => {
-                    st.busy = false;
-                    (SimDuration::ZERO, None)
-                }
-            }
+            let Some(job) = st.queue.pop_front() else {
+                st.busy = false;
+                return;
+            };
+            let dir = EngineStats::idx(job.pkt.direction);
+            st.occupancy[dir] -= 1;
+            st.stats.queue_depth.adjust(-1);
+            st.stats.busy_ns.add(service.as_nanos());
+            st.in_service = Some(job);
+            (service, st.handler)
         };
-        if let Some((pkt, arrived, deliver)) = job {
-            let this = self.clone();
-            sim.schedule_in(lookup, move |sim| {
-                {
-                    let st = this.state.borrow();
-                    let dir = EngineStats::idx(pkt.direction);
-                    st.stats.forwarded[dir].incr();
-                    st.stats.delay[dir].record(sim.now().saturating_since(arrived));
-                }
-                deliver(sim, pkt);
-                this.serve_next(sim);
-            });
-        }
+        let handler = match cached {
+            Some((sim_id, handler)) if sim_id == sim.id() => handler,
+            _ => self.register(sim),
+        };
+        // The packet waits in `in_service`, so the call carries no argument.
+        sim.call_at(sim.now() + lookup, handler, 0);
+    }
+
+    /// Registers the completion handler in `sim` and caches it.
+    fn register(&self, sim: &mut Simulator) -> HandlerId {
+        let engine = self.clone();
+        let handler = sim.add_handler(move |sim, _| engine.complete(sim));
+        self.state.borrow_mut().handler = Some((sim.id(), handler));
+        handler
+    }
+
+    /// A lookup completes: the packet in service is counted, tapped and
+    /// delivered, and the next one goes into service.
+    fn complete(&self, sim: &mut Simulator) {
+        let job = {
+            let mut st = self.state.borrow_mut();
+            let Some(job) = st.in_service.take() else {
+                return;
+            };
+            let dir = EngineStats::idx(job.pkt.direction);
+            st.stats.forwarded[dir].incr();
+            st.stats.delay[dir].record(sim.now().saturating_since(job.arrived));
+            tap(&st.post_taps[dir], sim.now(), &job.pkt);
+            job
+        };
+        (job.deliver)(sim, job.pkt);
+        self.serve_next(sim);
     }
 }
 
@@ -331,9 +405,13 @@ mod tests {
         let engine = ForwardingEngine::new(cfg(500, 8, 8));
         let delivered = Rc::new(RefCell::new(Vec::new()));
         let d = delivered.clone();
-        engine.submit(&mut sim, pkt(Direction::Inbound), move |sim, _| {
-            d.borrow_mut().push(sim.now());
-        });
+        engine.submit(
+            &mut sim,
+            pkt(Direction::Inbound),
+            Box::new(move |sim, _| {
+                d.borrow_mut().push(sim.now());
+            }),
+        );
         sim.run();
         assert_eq!(*delivered.borrow(), vec![SimTime::from_micros(500)]);
     }
@@ -345,9 +423,13 @@ mod tests {
         let times = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..4 {
             let t = times.clone();
-            engine.submit(&mut sim, pkt(Direction::Outbound), move |sim, _| {
-                t.borrow_mut().push(sim.now().as_millis());
-            });
+            engine.submit(
+                &mut sim,
+                pkt(Direction::Outbound),
+                Box::new(move |sim, _| {
+                    t.borrow_mut().push(sim.now().as_millis());
+                }),
+            );
         }
         sim.run();
         assert_eq!(*times.borrow(), vec![1, 2, 3, 4]);
@@ -361,13 +443,21 @@ mod tests {
         let out_delivered = Rc::new(RefCell::new(0u32));
         for _ in 0..6 {
             let d = in_delivered.clone();
-            engine.submit(&mut sim, pkt(Direction::Inbound), move |_, _| {
-                *d.borrow_mut() += 1;
-            });
+            engine.submit(
+                &mut sim,
+                pkt(Direction::Inbound),
+                Box::new(move |_, _| {
+                    *d.borrow_mut() += 1;
+                }),
+            );
             let d = out_delivered.clone();
-            engine.submit(&mut sim, pkt(Direction::Outbound), move |_, _| {
-                *d.borrow_mut() += 1;
-            });
+            engine.submit(
+                &mut sim,
+                pkt(Direction::Outbound),
+                Box::new(move |_, _| {
+                    *d.borrow_mut() += 1;
+                }),
+            );
         }
         sim.run();
         // Inbound: 2 queued + the 1 in service when queue filled... the
@@ -381,6 +471,61 @@ mod tests {
     }
 
     #[test]
+    fn held_counts_queued_and_in_service_packets() {
+        let mut sim = Simulator::new();
+        let engine = ForwardingEngine::new(cfg(1000, 2, 8));
+        for _ in 0..6 {
+            for dir in [Direction::Inbound, Direction::Outbound] {
+                engine.submit(&mut sim, pkt(dir), Box::new(|_, _| {}));
+            }
+        }
+        let stats = engine.stats();
+        let balanced = |engine: &ForwardingEngine| {
+            [Direction::Inbound, Direction::Outbound].map(|dir| {
+                let i = EngineStats::idx(dir);
+                let accounted = stats.forwarded[i].get() + stats.dropped[i].get();
+                assert_eq!(stats.offered[i].get(), accounted + engine.held(dir));
+                engine.held(dir)
+            })
+        };
+        // The first inbound packet is in service, two more wait.
+        assert_eq!(balanced(&engine), [3, 6]);
+        // At 4.5 ms four lookups are done, in FIFO order: in, out, in, out.
+        sim.run_until(SimTime::from_micros(4500));
+        assert_eq!(balanced(&engine), [1, 4]);
+        sim.run();
+        assert_eq!(balanced(&engine), [0, 0]);
+    }
+
+    #[test]
+    fn offer_from_inside_a_delivery_waits_its_turn() {
+        // A server answers a connect request from inside its delivery, and
+        // the reply crosses the same device: it queues behind the packets
+        // already waiting, as any offer to a busy CPU does.
+        let mut sim = Simulator::new();
+        let engine = ForwardingEngine::new(cfg(1000, 8, 8));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let (e, l) = (engine.clone(), log.clone());
+        let request: Deliver = Box::new(move |sim, _| {
+            l.borrow_mut().push(("request", sim.now().as_millis()));
+            let l = l.clone();
+            let reply: Deliver =
+                Box::new(move |sim, _| l.borrow_mut().push(("reply", sim.now().as_millis())));
+            e.submit(sim, pkt(Direction::Outbound), reply);
+        });
+        engine.submit(&mut sim, pkt(Direction::Inbound), request);
+        let l = log.clone();
+        let second: Deliver =
+            Box::new(move |sim, _| l.borrow_mut().push(("second", sim.now().as_millis())));
+        engine.submit(&mut sim, pkt(Direction::Inbound), second);
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![("request", 1), ("second", 2), ("reply", 3)]
+        );
+    }
+
+    #[test]
     fn burst_monopolizes_cpu_and_starves_other_direction() {
         // The paper's mechanism: a server tick burst (outbound) arrives just
         // before smooth inbound traffic; the inbound queue overflows while
@@ -389,13 +534,13 @@ mod tests {
         let engine = ForwardingEngine::new(cfg(750, 3, 30));
         // 20-packet outbound burst at t=0.
         for _ in 0..20 {
-            engine.submit(&mut sim, pkt(Direction::Outbound), |_, _| {});
+            engine.submit(&mut sim, pkt(Direction::Outbound), Box::new(|_, _| {}));
         }
         // Inbound packets every 2 ms during the ~15 ms drain.
         for i in 0..8u64 {
             let engine2 = engine.clone();
             sim.schedule_at(SimTime::from_millis(i * 2), move |sim| {
-                engine2.submit(sim, pkt(Direction::Inbound), |_, _| {});
+                engine2.submit(sim, pkt(Direction::Inbound), Box::new(|_, _| {}));
             });
         }
         sim.run();
@@ -414,9 +559,13 @@ mod tests {
         let delivered = Rc::new(RefCell::new(0u32));
         for _ in 0..3 {
             let d = delivered.clone();
-            engine.submit(&mut sim, pkt(Direction::Inbound), move |_, _| {
-                *d.borrow_mut() += 1;
-            });
+            engine.submit(
+                &mut sim,
+                pkt(Direction::Inbound),
+                Box::new(move |_, _| {
+                    *d.borrow_mut() += 1;
+                }),
+            );
             sim.run();
         }
         assert_eq!(*delivered.borrow(), 3);
@@ -430,7 +579,7 @@ mod tests {
         let engine = ForwardingEngine::new(cfg(1000, 8, 8));
         // 4-packet burst: sojourns 1, 2, 3, 4 ms.
         for _ in 0..4 {
-            engine.submit(&mut sim, pkt(Direction::Inbound), |_, _| {});
+            engine.submit(&mut sim, pkt(Direction::Inbound), Box::new(|_, _| {}));
         }
         sim.run();
         let d = &engine.stats().delay[0];
@@ -447,7 +596,7 @@ mod tests {
         for i in 0..4000u64 {
             let engine2 = engine.clone();
             sim.schedule_at(SimTime::from_micros(i * 500), move |sim| {
-                engine2.submit(sim, pkt(Direction::Inbound), |_, _| {});
+                engine2.submit(sim, pkt(Direction::Inbound), Box::new(|_, _| {}));
             });
         }
         sim.run();

@@ -5,11 +5,11 @@
 //! `clients → NAT`, `NAT → server` (inbound pair) and `server → NAT`,
 //! `NAT → clients` (outbound pair).
 
-use crate::engine::{EngineConfig, EngineStats, ForwardingEngine};
+use crate::engine::{tap, EngineConfig, EngineStats, ForwardingEngine, Tap};
 use csprov_game::{Deliver, Middlebox};
-use csprov_net::{Direction, Packet, TraceRecord, TraceSink};
+use csprov_net::{Direction, Packet, TraceSink};
 use csprov_obs::{Counter, Gauge, MetricsRegistry};
-use csprov_sim::{SimDuration, SimTime, Simulator};
+use csprov_sim::{FxBuildHasher, SimDuration, SimTime, Simulator};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -68,9 +68,11 @@ impl TouchOutcome {
 ///
 /// The game server sits on the LAN side; each client flow gets an external
 /// port mapping on first sight, refreshed by traffic in either direction.
+/// Flows are keyed by session id through the fixed-seed [`FxBuildHasher`]:
+/// the world numbers sessions itself, so no outside input picks the keys.
 #[derive(Debug)]
 pub struct NatTable {
-    mappings: HashMap<u32, NatEntry>,
+    mappings: HashMap<u32, NatEntry, FxBuildHasher>,
     next_port: u16,
     idle_timeout: SimDuration,
     capacity: usize,
@@ -89,7 +91,7 @@ impl NatTable {
     /// Creates a table with the given idle timeout and entry capacity.
     pub fn new(idle_timeout: SimDuration, capacity: usize) -> Self {
         NatTable {
-            mappings: HashMap::new(),
+            mappings: HashMap::default(),
             next_port: 1024,
             idle_timeout,
             capacity,
@@ -176,13 +178,6 @@ pub struct NatTaps {
     pub nat_to_clients: Option<Rc<RefCell<dyn TraceSink>>>,
 }
 
-fn tap(t: &Option<Rc<RefCell<dyn TraceSink>>>, now: SimTime, pkt: &Packet) {
-    if let Some(s) = t {
-        s.borrow_mut()
-            .on_packet(&TraceRecord::from_packet(now, pkt));
-    }
-}
-
 /// Degradation counters for the translation table: how the device coped
 /// (or failed to cope) with mapping pressure. Shared handles.
 #[derive(Debug, Clone, Default)]
@@ -222,10 +217,13 @@ impl NatStats {
 }
 
 /// The commercial-off-the-shelf NAT device (SMC Barricade stand-in).
+///
+/// The device taps offered packets itself; the engine taps forwarded ones.
 pub struct NatDevice {
     engine: ForwardingEngine,
     table: RefCell<NatTable>,
-    taps: NatTaps,
+    /// Taps on offered packets, `[clients → NAT, server → NAT]`.
+    pre_taps: [Tap; 2],
     nat_stats: NatStats,
     journal: RefCell<Option<csprov_obs::Journal>>,
 }
@@ -240,10 +238,16 @@ impl NatDevice {
     /// Creates a device with an explicit translation-table sizing — the
     /// entry point for exhaustion campaigns.
     pub fn with_table(config: EngineConfig, table: NatTableConfig, taps: NatTaps) -> Self {
+        let NatTaps {
+            clients_to_nat,
+            nat_to_server,
+            server_to_nat,
+            nat_to_clients,
+        } = taps;
         NatDevice {
-            engine: ForwardingEngine::new(config),
+            engine: ForwardingEngine::with_post_taps(config, [nat_to_server, nat_to_clients]),
             table: RefCell::new(NatTable::from_config(table)),
-            taps,
+            pre_taps: [clients_to_nat, server_to_nat],
             nat_stats: NatStats::default(),
             journal: RefCell::new(None),
         }
@@ -270,22 +274,25 @@ impl NatDevice {
     pub fn table_len(&self) -> usize {
         self.table.borrow().len()
     }
+
+    /// Packets of direction `d` offered to the engine and not yet settled:
+    /// those queued plus the one under lookup. Outside a lookup's
+    /// completion, per direction, offered = forwarded + dropped + held in
+    /// [`NatDevice::stats`], and the taps see offered + table drops before
+    /// the device and forwarded after it.
+    pub fn held(&self, d: Direction) -> u64 {
+        self.engine.held(d)
+    }
 }
 
 impl Middlebox for NatDevice {
     fn forward(&self, sim: &mut Simulator, pkt: Packet, deliver: Deliver) {
         let now = sim.now();
-        match pkt.direction {
-            Direction::Inbound => tap(&self.taps.clients_to_nat, now, &pkt),
-            Direction::Outbound => tap(&self.taps.server_to_nat, now, &pkt),
-        }
+        let dir_idx = EngineStats::idx(pkt.direction);
+        tap(&self.pre_taps[dir_idx], now, &pkt);
         // Sessionless probe traffic shares one implicit mapping (the
         // server's static port-forward); session flows get dynamic entries.
         if pkt.session != u32::MAX {
-            let dir_idx = match pkt.direction {
-                Direction::Inbound => 0,
-                Direction::Outbound => 1,
-            };
             let outcome = self.table.borrow_mut().touch_outcome(pkt.session, now);
             let session = u64::from(pkt.session);
             match outcome {
@@ -322,16 +329,7 @@ impl Middlebox for NatDevice {
                 }
             }
         }
-        let taps_post_in = self.taps.nat_to_server.clone();
-        let taps_post_out = self.taps.nat_to_clients.clone();
-        self.engine.submit(sim, pkt, move |sim, pkt| {
-            let now = sim.now();
-            match pkt.direction {
-                Direction::Inbound => tap(&taps_post_in, now, &pkt),
-                Direction::Outbound => tap(&taps_post_out, now, &pkt),
-            }
-            deliver(sim, pkt);
-        });
+        self.engine.submit(sim, pkt, deliver);
     }
 }
 
@@ -437,7 +435,7 @@ mod tests {
             dev.forward(&mut sim, pkt(i, Direction::Outbound), Box::new(|_, _| {}));
         }
         sim.run();
-        // Default LAN queue (26) absorbs a full tick burst.
+        // Default LAN queue (22) absorbs a full tick burst.
         assert_eq!(pre.borrow().total_packets(), 20);
         assert_eq!(post.borrow().total_packets(), 20);
         assert_eq!(dev.stats().dropped[1].get(), 0);
@@ -472,6 +470,72 @@ mod tests {
         }
         sim.run();
         delivered.take()
+    }
+
+    #[test]
+    fn one_device_serves_simulators_in_turn() {
+        // Each `offer_six` builds its own simulator, most likely at the
+        // address the last one had. The device registers its completion
+        // handler in each simulator it serves, so both runs forward alike.
+        let dev = small_queue_device();
+        let expected = [500, 1000, 1500].map(SimTime::from_micros).to_vec();
+        assert_eq!(offer_six(&dev, 0), expected);
+        assert_eq!(offer_six(&dev, 10), expected);
+    }
+
+    #[test]
+    fn conservation_holds_on_a_refusing_table() {
+        // A two-entry table maps sessions 0 and 1 and refuses 2 and 3.
+        let sinks: [Rc<RefCell<CountingSink>>; 4] =
+            std::array::from_fn(|_| Rc::new(RefCell::new(CountingSink::new())));
+        let [a, b, c, d] = &sinks;
+        let dev = NatDevice::with_table(
+            EngineConfig {
+                lookup_time: SimDuration::from_micros(500),
+                wan_queue: 2,
+                lan_queue: 2,
+                ..EngineConfig::default()
+            },
+            NatTableConfig {
+                capacity: 2,
+                idle_timeout: SimDuration::from_secs(10),
+            },
+            NatTaps {
+                clients_to_nat: Some(a.clone()),
+                nat_to_server: Some(b.clone()),
+                server_to_nat: Some(c.clone()),
+                nat_to_clients: Some(d.clone()),
+            },
+        );
+        let mut sim = Simulator::new();
+        for session in 0..4 {
+            for dir in [Direction::Inbound, Direction::Outbound] {
+                for _ in 0..3 {
+                    dev.forward(&mut sim, pkt(session, dir), Box::new(|_, _| {}));
+                }
+            }
+        }
+        // Cut at 1.2 ms: two inbound lookups are done and a third is under
+        // way, and two outbound packets still wait.
+        sim.run_until(SimTime::from_micros(1200));
+        let (stats, nat) = (dev.stats(), dev.nat_stats());
+        for (i, dir) in [Direction::Inbound, Direction::Outbound]
+            .into_iter()
+            .enumerate()
+        {
+            let (pre, post) = (sinks[2 * i].borrow(), sinks[2 * i + 1].borrow());
+            let offered = stats.offered[i].get();
+            let table_drops = nat.table_drops[i].get();
+            assert_eq!(table_drops, 6, "{dir:?}: sessions 2 and 3 refused");
+            assert_eq!(pre.total_packets(), offered + table_drops, "{dir:?}");
+            let settled = stats.forwarded[i].get() + stats.dropped[i].get();
+            assert_eq!(offered, settled + dev.held(dir), "{dir:?}");
+            assert_eq!(post.total_packets(), stats.forwarded[i].get(), "{dir:?}");
+        }
+        assert_eq!(
+            [Direction::Inbound, Direction::Outbound].map(|dir| dev.held(dir)),
+            [1, 2]
+        );
     }
 
     #[test]

@@ -284,7 +284,7 @@ mod tests {
             let engine2 = engine.clone();
             sim.schedule_at(at, move |sim| {
                 for _ in 0..players {
-                    engine2.submit(sim, mk(Direction::Outbound), |_, _| {});
+                    engine2.submit(sim, mk(Direction::Outbound), Box::new(|_, _| {}));
                 }
             });
         }
@@ -299,7 +299,7 @@ mod tests {
             }
             let engine2 = engine.clone();
             sim.schedule_at(SimTime::from_nanos(t_ns), move |sim| {
-                engine2.submit(sim, mk(Direction::Inbound), |_, _| {});
+                engine2.submit(sim, mk(Direction::Inbound), Box::new(|_, _| {}));
             });
         }
         sim.run();

@@ -40,6 +40,11 @@ use crate::event::{EventHandle, EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use csprov_obs::Journal;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next [`Simulator::id`] to hand out. The counter publishes no other
+/// data, so its increments are `Relaxed`: they stay unique either way.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// A scheduled action: a one-shot closure run with access to the simulator.
 pub type Action = Box<dyn FnOnce(&mut Simulator)>;
@@ -109,6 +114,8 @@ pub fn journal_observer(every: u64, journal: Journal) -> (u64, Observer) {
 
 /// The discrete-event simulator: virtual clock plus event queue.
 pub struct Simulator {
+    /// Process-unique identity; see [`Simulator::id`].
+    id: u64,
     now: SimTime,
     queue: EventQueue<Event>,
     /// Process and handler bodies by slot. A slot is `None` while it is
@@ -134,6 +141,7 @@ impl Simulator {
     /// Creates a simulator with the clock at zero and no pending events.
     pub fn new() -> Self {
         Simulator {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             slots: Vec::new(),
@@ -143,6 +151,14 @@ impl Simulator {
             queue_hwm: 0,
             observers: Vec::new(),
         }
+    }
+
+    /// This simulator's identity: no other simulator built in this
+    /// process has it, not even one built later at the same address. A
+    /// component that outlives a simulator keys what it registered there
+    /// (a [`HandlerId`]) by it.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Current virtual time.
@@ -805,6 +821,18 @@ mod tests {
             "each self-call waits for the running call and none is lost"
         );
         assert_eq!(sim.events_executed(), 3);
+    }
+
+    #[test]
+    fn simulators_built_in_one_slot_have_distinct_ids() {
+        // Each simulator is dropped before the next is built, so they may
+        // share an address; their ids still differ.
+        let mut ids = Vec::new();
+        for _ in 0..2 {
+            let sim = Simulator::new();
+            ids.push(sim.id());
+        }
+        assert_ne!(ids[0], ids[1]);
     }
 
     #[test]

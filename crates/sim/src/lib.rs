@@ -36,6 +36,7 @@ pub mod check;
 pub mod dist;
 pub mod engine;
 pub mod event;
+pub mod hash;
 pub mod pacing;
 pub mod process;
 pub mod rate;
@@ -44,6 +45,7 @@ pub mod time;
 
 pub use engine::{journal_observer, Action, HandlerId, Observer, Simulator};
 pub use event::{EventHandle, EventId, EventQueue};
+pub use hash::{FxBuildHasher, FxHasher};
 pub use pacing::{Pacer, PacerStats, Speed};
 pub use process::{spawn_periodic, spawn_poisson, StopFlag};
 pub use rate::TokenBucket;

@@ -140,9 +140,10 @@ impl TraceSink for FlowTable {
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        let rows = batch.sessions().iter().zip(batch.times_ns());
-        for (i, ((&session, &t), &app_len)) in rows.zip(batch.app_lens()).enumerate() {
-            self.add(session, SimTime::from_nanos(t), batch.direction(i), app_len);
+        let t = batch.time();
+        let rows = batch.sessions().iter().zip(batch.app_lens());
+        for (i, (&session, &app_len)) in rows.enumerate() {
+            self.add(session, t, batch.direction(i), app_len);
         }
     }
 }

@@ -203,8 +203,8 @@ impl VarianceTime {
 
     /// The estimator's one fold: adds a run of `count` packets, all in the
     /// base bin holding `time`. A zero-count run is a no-op. `on_packet`
-    /// folds runs of one and `on_columns` whole same-bin runs; bin counts
-    /// are integer sums, so the run length never shows.
+    /// folds runs of one and `on_columns` a whole one-instant burst; bin
+    /// counts are integer sums, so the run length never shows.
     ///
     /// As in [`crate::RateSeries::add_run`], a run inside the open bin's
     /// `[start, start + base)` is added without a division.
@@ -325,9 +325,7 @@ impl TraceSink for VarianceTime {
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        for (time, rows) in batch.bin_runs(self.base) {
-            self.add_run(time, rows.len() as u64);
-        }
+        self.add_run(batch.time(), batch.len() as u64);
     }
 
     fn on_end(&mut self, end: SimTime) {

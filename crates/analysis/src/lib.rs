@@ -4,8 +4,7 @@
 //! implementations) plus the statistics behind every table and figure in
 //! the paper:
 //!
-//! - [`series`] — fixed-width interval binning (Figures 1, 2, 4, 6–10) and
-//!   gauge sampling (Figure 3).
+//! - [`series`] — fixed-width interval binning (Figures 1, 2, 4, 6–10).
 //! - [`hurst`] — the aggregated variance method and variance-time plot
 //!   (Figure 5), computed in one streaming pass.
 //! - [`histogram`] — packet-size PDFs/CDFs (Figures 12, 13) and general
@@ -46,7 +45,7 @@ pub use merge::MergeError;
 pub use persist::{
     ByteReader, ByteWriter, StateError, KIND_FACILITY, KIND_HEARTBEAT, KIND_SHARD, STATE_SCHEMA,
 };
-pub use series::{GaugeSeries, RateBin, RateSeries};
+pub use series::{RateBin, RateSeries};
 pub use sessions::{summarize_sessions, SessionRecord, SessionSummary};
 pub use summary::{application_usage, gib, network_usage, ApplicationUsage, NetworkUsage};
 pub use welford::Welford;

@@ -126,7 +126,7 @@ impl RateSeries {
     /// filtering: pass the matching direction's lane totals only. A
     /// zero-packet run is a no-op (it never opens or flushes a bin, exactly
     /// like a run of filtered-out records). `on_packet` folds runs of one;
-    /// `on_columns` folds whole same-bin runs through
+    /// `on_columns` folds a whole one-instant burst through
     /// [`RateSeries::add_lanes`], and since bin contents are integer sums
     /// the run length never shows.
     ///
@@ -275,10 +275,8 @@ impl TraceSink for RateSeries {
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        for (time, rows) in batch.bin_runs(self.width) {
-            let (packets, app) = batch.lane_totals(rows);
-            self.add_lanes(time, packets, app);
-        }
+        let (packets, app) = batch.lane_totals();
+        self.add_lanes(batch.time(), packets, app);
     }
 
     fn on_end(&mut self, end: SimTime) {
@@ -292,64 +290,6 @@ impl TraceSink for RateSeries {
             self.push_bin(RateBin::default());
         }
         self.end = Some(end);
-    }
-}
-
-/// A sampled gauge series (e.g. players connected), binned by mean value.
-///
-/// Samples arrive as `(time, value)` pairs; each bin reports the mean of the
-/// samples that fell in it, carrying forward the previous value for empty
-/// bins (a step function, matching how the paper plots player counts).
-#[derive(Debug, Clone)]
-pub struct GaugeSeries {
-    width: SimDuration,
-    sums: Vec<(f64, u64)>,
-    last_value: f64,
-}
-
-impl GaugeSeries {
-    /// Creates a gauge series with the given bin width.
-    pub fn new(width: SimDuration) -> Self {
-        assert!(!width.is_zero());
-        GaugeSeries {
-            width,
-            sums: Vec::new(),
-            last_value: 0.0,
-        }
-    }
-
-    /// Records a sample.
-    pub fn sample(&mut self, time: SimTime, value: f64) {
-        let idx = time.bin_index(self.width) as usize;
-        while self.sums.len() <= idx {
-            self.sums.push((0.0, 0));
-        }
-        let (sum, n) = &mut self.sums[idx];
-        *sum += value;
-        *n += 1;
-        self.last_value = value;
-    }
-
-    /// Per-bin mean values; empty bins repeat the previous bin's value.
-    pub fn values(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.sums.len());
-        let mut prev = 0.0;
-        for &(sum, n) in &self.sums {
-            let v = if n > 0 { sum / n as f64 } else { prev };
-            out.push(v);
-            prev = v;
-        }
-        out
-    }
-
-    /// Number of bins.
-    pub fn len(&self) -> usize {
-        self.sums.len()
-    }
-
-    /// True if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sums.is_empty()
     }
 }
 
@@ -581,20 +521,5 @@ mod tests {
         let mut unfinished = RateSeries::new(SimDuration::from_secs(1));
         unfinished.on_packet(&rec(0, Direction::Inbound, 40));
         assert_eq!(a.merge_superpose(&unfinished), Err(MergeError::Unfinished));
-    }
-
-    #[test]
-    fn gauge_series_step_function() {
-        let mut g = GaugeSeries::new(SimDuration::from_secs(60));
-        g.sample(SimTime::from_secs(30), 10.0);
-        g.sample(SimTime::from_secs(45), 12.0);
-        g.sample(SimTime::from_secs(200), 8.0);
-        assert_eq!(g.len(), 4);
-        let v = g.values();
-        assert_eq!(v[0], 11.0); // mean of 10 and 12
-        assert_eq!(v[1], 11.0); // carried forward
-        assert_eq!(v[2], 11.0);
-        assert_eq!(v[3], 8.0);
-        assert!(!g.is_empty());
     }
 }

@@ -119,10 +119,18 @@ fn bench_pipeline_ingest(h: &mut Harness) {
         })
     });
 
-    // Columnar delivery, one batch per tick burst as the world fills it.
+    // Columnar delivery, one batch per tick burst as the world fills it:
+    // started at the tick's instant, then one row per snapshot.
     let batches: Vec<PacketBatch> = records
         .chunks(burst)
-        .map(PacketBatch::from_records)
+        .map(|tick| {
+            let mut batch = PacketBatch::new();
+            batch.start(tick[0].time);
+            for r in tick {
+                batch.push(r.direction, r.kind, r.session, r.app_len);
+            }
+            batch
+        })
         .collect();
     g.bench_function("full_analysis_soa_100k", |b| {
         b.iter(|| {

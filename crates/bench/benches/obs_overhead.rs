@@ -261,19 +261,6 @@ fn bench_primitives(h: &mut Harness) {
             black_box(j.len())
         })
     });
-    g.bench_function("journal_emit_batched_1m", |b| {
-        // The same workload through the buffered single-kind writer.
-        let j = Journal::with_capacity(1 << 20);
-        b.iter(|| {
-            j.clear();
-            let mut w = j.writer("bench.emit");
-            for i in 0..1_000_000u64 {
-                w.emit(i, i, i);
-            }
-            w.flush();
-            black_box(j.len())
-        })
-    });
     g.bench_function("profile_enter_exit_1m", |b| {
         // Raw price of one profiler frame: enter + drop-guard exit,
         // two `Instant::now()` reads plus the node-tree touch.

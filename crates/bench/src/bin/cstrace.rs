@@ -196,6 +196,29 @@ fn cmd_convert(input: &str, output: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Parses `gen`'s flags, `--minutes N` (default 10) and `--seed S`
+/// (default 2002). An unknown flag, a missing value or a value that is not
+/// a non-negative integer is an error naming it, so a typo never silently
+/// simulates the defaults.
+fn parse_gen_flags(flags: &[String]) -> Result<(u64, u64), String> {
+    let (mut minutes, mut seed) = (10u64, 2002u64);
+    let mut flags = flags.iter();
+    while let Some(flag) = flags.next() {
+        let (slot, placeholder) = match flag.as_str() {
+            "--minutes" => (&mut minutes, "N"),
+            "--seed" => (&mut seed, "S"),
+            other => return Err(format!("unknown option: {other}")),
+        };
+        let value = flags
+            .next()
+            .ok_or_else(|| format!("{flag} needs {placeholder}"))?;
+        *slot = value
+            .parse()
+            .map_err(|e| format!("bad {flag} '{value}': {e}"))?;
+    }
+    Ok((minutes, seed))
+}
+
 fn usage() {
     eprintln!("usage: cstrace gen <out.trace|out.pcap> [--minutes N] [--seed S]");
     eprintln!("       cstrace info <file>");
@@ -205,20 +228,14 @@ fn usage() {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("gen") if args.len() >= 2 => {
-            let mut minutes = 10u64;
-            let mut seed = 2002u64;
-            let mut i = 2;
-            while i + 1 < args.len() {
-                match args[i].as_str() {
-                    "--minutes" => minutes = args[i + 1].parse().unwrap_or(minutes),
-                    "--seed" => seed = args[i + 1].parse().unwrap_or(seed),
-                    _ => {}
-                }
-                i += 2;
+        Some("gen") if args.len() >= 2 => match parse_gen_flags(&args[2..]) {
+            Ok((minutes, seed)) => cmd_gen(&args[1], minutes, seed),
+            Err(e) => {
+                eprintln!("error: {e}");
+                usage();
+                return ExitCode::FAILURE;
             }
-            cmd_gen(&args[1], minutes, seed)
-        }
+        },
         Some("info") if args.len() == 2 => cmd_info(&args[1]),
         Some("convert") if args.len() == 3 => cmd_convert(&args[1], &args[2]),
         _ => {
@@ -231,6 +248,34 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_gen_flags;
+
+    fn parse(args: &[&str]) -> Result<(u64, u64), String> {
+        parse_gen_flags(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn gen_flags_default_and_parse() {
+        assert_eq!(parse(&[]), Ok((10, 2002)));
+        assert_eq!(parse(&["--seed", "7", "--minutes", "2"]), Ok((2, 7)));
+    }
+
+    #[test]
+    fn gen_rejects_what_it_cannot_parse() {
+        for (args, names) in [
+            (&["--minutes", "abc"][..], "'abc'"),
+            (&["--minute", "3"][..], "--minute"),
+            (&["--seed"][..], "--seed needs S"),
+            (&["--seed", "-1"][..], "'-1'"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(names), "{args:?}: {err}");
         }
     }
 }

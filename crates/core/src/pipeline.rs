@@ -150,33 +150,6 @@ impl FullAnalysis {
     }
 }
 
-impl FullAnalysis {
-    /// Columnar delivery of a batch whose rows all share timestamp `t`: one
-    /// pass computes the per-direction lane totals, and every counter and
-    /// series folds them in once. Only the flow table and size histogram
-    /// still need the per-row columns.
-    fn on_uniform_burst(&mut self, t: SimTime, batch: &PacketBatch) {
-        let (packets, app) = batch.lane_totals(0..batch.len());
-        self.counts.add_counts(packets, app);
-        for series in [
-            &mut self.per_minute,
-            &mut self.per_minute_in,
-            &mut self.per_minute_out,
-            &mut self.ms10_total,
-            &mut self.ms10_in,
-            &mut self.ms10_out,
-            &mut self.ms50_total,
-            &mut self.sec1_total,
-            &mut self.min30_total,
-        ] {
-            series.add_lanes(t, packets, app);
-        }
-        self.variance_time.add_run(t, packets[0] + packets[1]);
-        self.sizes.on_columns(batch);
-        self.flows.on_columns(batch);
-    }
-}
-
 impl TraceSink for FullAnalysis {
     fn on_packet(&mut self, rec: &TraceRecord) {
         self.counts.on_packet(rec);
@@ -194,30 +167,28 @@ impl TraceSink for FullAnalysis {
         self.flows.on_packet(rec);
     }
 
+    /// A burst shares one instant, so it is one run in every bin series:
+    /// one pass over the tag and size columns computes the per-direction
+    /// lane totals, and every counter and series folds them in once. Only
+    /// the flow table and size histogram still need the per-row columns.
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // A server tick burst shares a single timestamp. When the whole
-        // batch does, it is one run in every bin series, so one pass over
-        // the tag and size columns serves all of them — instead of each
-        // series scanning the batch for runs itself. The folds are the same
-        // either way; only the pre-aggregation is shared.
-        let times = batch.times_ns();
-        if let (Some(&first), Some(&last)) = (times.first(), times.last()) {
-            if first == last {
-                self.on_uniform_burst(SimTime::from_nanos(first), batch);
-                return;
-            }
+        let t = batch.time();
+        let (packets, app) = batch.lane_totals();
+        self.counts.add_counts(packets, app);
+        for series in [
+            &mut self.per_minute,
+            &mut self.per_minute_in,
+            &mut self.per_minute_out,
+            &mut self.ms10_total,
+            &mut self.ms10_in,
+            &mut self.ms10_out,
+            &mut self.ms50_total,
+            &mut self.sec1_total,
+            &mut self.min30_total,
+        ] {
+            series.add_lanes(t, packets, app);
         }
-        self.counts.on_columns(batch);
-        self.per_minute.on_columns(batch);
-        self.per_minute_in.on_columns(batch);
-        self.per_minute_out.on_columns(batch);
-        self.ms10_total.on_columns(batch);
-        self.ms10_in.on_columns(batch);
-        self.ms10_out.on_columns(batch);
-        self.ms50_total.on_columns(batch);
-        self.sec1_total.on_columns(batch);
-        self.min30_total.on_columns(batch);
-        self.variance_time.on_columns(batch);
+        self.variance_time.add_run(t, packets[0] + packets[1]);
         self.sizes.on_columns(batch);
         self.flows.on_columns(batch);
     }

@@ -46,27 +46,6 @@ pub struct ServerConfig {
     /// Freeze time between rounds (buy period — traffic continues but the
     /// world is quiet, shrinking snapshot noise).
     pub round_freeze: SimDuration,
-    /// Most snapshots one tick may emit; a burst beyond this is shed per
-    /// [`SendDropPolicy`] instead of queueing unboundedly. The default
-    /// comfortably exceeds `max_players`, so an unimpaired server never
-    /// sheds — the knob exists for overload/chaos campaigns.
-    pub send_queue_limit: usize,
-    /// Which snapshots to shed when a tick burst exceeds the send budget.
-    pub send_drop_policy: SendDropPolicy,
-}
-
-/// Shedding policy for a tick burst over [`ServerConfig::send_queue_limit`].
-/// All three are deterministic (no RNG): same state, same sheds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SendDropPolicy {
-    /// Shed the newest sessions (highest ids) — established players keep
-    /// their updates.
-    #[default]
-    DropNewest,
-    /// Shed the oldest sessions (lowest ids).
-    DropOldest,
-    /// Rotate the shed window each tick so starvation is spread evenly.
-    RotateFair,
 }
 
 impl Default for ServerConfig {
@@ -86,8 +65,6 @@ impl Default for ServerConfig {
             download_chunk: 330,
             round_length: (SimDuration::from_secs(105), SimDuration::from_mins(5)),
             round_freeze: SimDuration::from_secs(8),
-            send_queue_limit: 64,
-            send_drop_policy: SendDropPolicy::default(),
         }
     }
 }

@@ -27,9 +27,7 @@ pub mod server;
 pub mod session;
 pub mod world;
 
-pub use config::{
-    OutageSpec, ScenarioConfig, SendDropPolicy, ServerConfig, WorkloadConfig, PAPER_TRACE_SECS,
-};
+pub use config::{OutageSpec, ScenarioConfig, ServerConfig, WorkloadConfig, PAPER_TRACE_SECS};
 pub use metrics::GameMetrics;
 pub use server::{ConnectOutcome, PlayerSlot, ServerState};
 pub use session::Population;

@@ -67,12 +67,6 @@ pub struct GameMetrics {
     pub connects_refused: Counter,
     /// Packets recorded at the server tap (`game.packets_recorded`).
     pub packets_recorded: Counter,
-    /// Snapshots shed by the send-queue limit, filled at teardown
-    /// (`game.snapshots_shed`).
-    pub snapshots_shed: Counter,
-    /// Ticks whose burst overran the send-queue limit, filled at teardown
-    /// (`game.tick_overruns`).
-    pub tick_overruns: Counter,
     /// Kernel events executed, filled at teardown (`sim.events_executed`).
     pub sim_events: Counter,
     /// Kernel event-queue high-water mark, filled at teardown
@@ -91,8 +85,6 @@ impl GameMetrics {
             connects_accepted: registry.counter("game.connects_accepted"),
             connects_refused: registry.counter("game.connects_refused"),
             packets_recorded: registry.counter("game.packets_recorded"),
-            snapshots_shed: registry.counter("game.snapshots_shed"),
-            tick_overruns: registry.counter("game.tick_overruns"),
             sim_events: registry.counter("sim.events_executed"),
             sim_queue_hwm: registry.gauge("sim.queue_high_water"),
         }

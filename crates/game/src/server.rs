@@ -7,7 +7,7 @@
 //! search over at most `max_players` slots finds a player for the
 //! per-packet liveness update.
 
-use crate::config::{SendDropPolicy, ServerConfig};
+use crate::config::ServerConfig;
 use crate::packets;
 use csprov_sim::{RngStream, SimTime};
 
@@ -48,9 +48,6 @@ pub struct ServerState {
     pub activity: f64,
     maps_played: u32,
     rng: RngStream,
-    ticks: u64,
-    shed_snapshots: u64,
-    overrun_ticks: u64,
 }
 
 impl ServerState {
@@ -63,9 +60,6 @@ impl ServerState {
             activity: 1.0,
             maps_played: 0,
             rng,
-            ticks: 0,
-            shed_snapshots: 0,
-            overrun_ticks: 0,
         }
     }
 
@@ -145,58 +139,18 @@ impl ServerState {
     /// every standard-rate player due an update. Players the server has not
     /// heard from within `snapshot_timeout` are skipped (the game-freeze
     /// coupling), as is everyone while a map change is in progress.
-    ///
-    /// A burst larger than `send_queue_limit` is shed down to the limit per
-    /// the configured [`SendDropPolicy`] *before* any snapshot sizes are
-    /// drawn, so the unshed path consumes exactly the RNG it always did.
     pub fn tick(&mut self, now: SimTime) -> Vec<(u32, u32)> {
         if self.changing_map {
             return Vec::new();
         }
-        self.ticks += 1;
         let n = self.players.len();
         let timeout = self.cfg.snapshot_timeout;
-        let mut sessions: Vec<u32> = self
-            .players
+        let (cfg, activity, rng) = (&self.cfg, self.activity, &mut self.rng);
+        self.players
             .iter()
             .filter(|p| p.custom_rate.is_none() && now.saturating_since(p.last_heard) <= timeout)
-            .map(|p| p.session)
-            .collect();
-        let limit = self.cfg.send_queue_limit;
-        if sessions.len() > limit {
-            let shed = sessions.len() - limit;
-            self.overrun_ticks += 1;
-            self.shed_snapshots += shed as u64;
-            match self.cfg.send_drop_policy {
-                SendDropPolicy::DropNewest => sessions.truncate(limit),
-                SendDropPolicy::DropOldest => {
-                    sessions.drain(..shed);
-                }
-                SendDropPolicy::RotateFair => {
-                    let len = sessions.len();
-                    let start = (self.ticks % len as u64) as usize;
-                    sessions.rotate_left(start);
-                    sessions.truncate(limit);
-                    sessions.sort_unstable();
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(sessions.len());
-        for s in sessions {
-            let size = packets::snapshot_size(&self.cfg, n, self.activity, &mut self.rng);
-            out.push((s, size));
-        }
-        out
-    }
-
-    /// Snapshots shed by the send-queue limit since start.
-    pub fn shed_snapshots(&self) -> u64 {
-        self.shed_snapshots
-    }
-
-    /// Ticks whose burst exceeded the send-queue limit.
-    pub fn overrun_ticks(&self) -> u64 {
-        self.overrun_ticks
+            .map(|p| (p.session, packets::snapshot_size(cfg, n, activity, rng)))
+            .collect()
     }
 
     /// Produces one snapshot for a custom-rate player, if it is live.
@@ -392,75 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn overrun_tick_sheds_to_limit() {
-        let cfg = ServerConfig {
-            send_queue_limit: 3,
-            ..ServerConfig::default()
-        };
-        let mut s = ServerState::new(cfg, RngStream::new(1));
-        let t = SimTime::ZERO;
-        for i in 0..5 {
-            s.try_connect(t, i, i, None);
-        }
-        let snaps = s.tick(t);
-        assert_eq!(snaps.len(), 3);
-        // DropNewest: the three oldest sessions survive.
-        let order: Vec<u32> = snaps.iter().map(|&(s, _)| s).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-        assert_eq!(s.shed_snapshots(), 2);
-        assert_eq!(s.overrun_ticks(), 1);
-    }
-
-    #[test]
-    fn drop_oldest_sheds_low_sessions() {
-        let cfg = ServerConfig {
-            send_queue_limit: 3,
-            send_drop_policy: crate::config::SendDropPolicy::DropOldest,
-            ..ServerConfig::default()
-        };
-        let mut s = ServerState::new(cfg, RngStream::new(1));
-        let t = SimTime::ZERO;
-        for i in 0..5 {
-            s.try_connect(t, i, i, None);
-        }
-        let order: Vec<u32> = s.tick(t).iter().map(|&(s, _)| s).collect();
-        assert_eq!(order, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn rotate_fair_spreads_shedding() {
-        let cfg = ServerConfig {
-            send_queue_limit: 3,
-            send_drop_policy: crate::config::SendDropPolicy::RotateFair,
-            ..ServerConfig::default()
-        };
-        let mut s = ServerState::new(cfg, RngStream::new(1));
-        let t = SimTime::ZERO;
-        for i in 0..5 {
-            s.try_connect(t, i, i, None);
-        }
-        // Over several ticks, every session gets at least one snapshot.
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..6 {
-            for (sess, _) in s.tick(t) {
-                seen.insert(sess);
-            }
-        }
-        assert_eq!(seen.len(), 5, "rotation reaches all sessions: {seen:?}");
-        assert_eq!(s.overrun_ticks(), 6);
-        assert_eq!(s.shed_snapshots(), 12);
-    }
-
-    #[test]
-    fn default_limit_never_sheds_at_full_server() {
+    fn full_server_tick_sends_every_snapshot() {
         let mut s = server();
         let t = SimTime::ZERO;
         for i in 0..22 {
             s.try_connect(t, i, i, None);
         }
-        assert_eq!(s.tick(t).len(), 22);
-        assert_eq!(s.shed_snapshots(), 0);
-        assert_eq!(s.overrun_ticks(), 0);
+        let order: Vec<u32> = s.tick(t).iter().map(|&(s, _)| s).collect();
+        assert_eq!(order, (0..22).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -95,11 +95,6 @@ pub struct TraceOutcome {
     pub mean_players: f64,
     /// Total simulator events executed (performance accounting).
     pub events_executed: u64,
-    /// Snapshots shed by the server's send-queue limit (0 unless the tick
-    /// burst overran `send_queue_limit`).
-    pub snapshots_shed: u64,
-    /// Ticks whose burst overran the send-queue limit.
-    pub tick_overruns: u64,
 }
 
 struct ActiveClient {
@@ -349,8 +344,6 @@ impl World {
         if let Some(m) = &st.metrics {
             m.sim_events.add(sim.events_executed());
             m.sim_queue_hwm.set(sim.queue_high_water() as i64);
-            m.snapshots_shed.add(st.server.shed_snapshots());
-            m.tick_overruns.add(st.server.overrun_ticks());
         }
         let mean_players = st.player_integral / duration.as_secs_f64().max(1e-9);
         TraceOutcome {
@@ -361,8 +354,6 @@ impl World {
             players_per_minute: std::mem::take(&mut st.players_per_minute),
             mean_players,
             events_executed: sim.events_executed(),
-            snapshots_shed: st.server.shed_snapshots(),
-            tick_overruns: st.server.overrun_ticks(),
         }
     }
 }
@@ -445,13 +436,11 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator, profile: Option<csprov_obs::
     let tick = w.borrow().cfg.server.tick;
     let w = w.clone();
     // Scratch buffers reused across ticks: the burst is filled into one
-    // column batch, cleared (not reallocated) each tick, and handed to the
-    // tap in one `on_columns` call instead of a sink call per snapshot.
+    // column batch, started at the tick's instant (cleared, not
+    // reallocated) each tick, and handed to the tap in one `on_columns`
+    // call instead of a sink call per snapshot.
     let mut burst = PacketBatch::new();
     let mut forwards: Vec<Packet> = Vec::new();
-    // Cumulative shed count already journaled, so each tick emits only the
-    // delta it caused.
-    let mut journaled_shed: u64 = 0;
     spawn_periodic(
         sim,
         SimTime::ZERO + tick,
@@ -492,11 +481,6 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator, profile: Option<csprov_obs::
                     if !snaps.is_empty() {
                         j.emit(now_ns, "game.snapshot.burst", snaps.len() as u64, bytes);
                     }
-                    let shed = st.server.shed_snapshots();
-                    if shed != journaled_shed {
-                        j.emit(now_ns, "game.sendq.shed", 0, shed - journaled_shed);
-                        journaled_shed = shed;
-                    }
                     j.emit(
                         now_ns,
                         "game.players.level",
@@ -516,21 +500,20 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator, profile: Option<csprov_obs::
                 }
                 st.middlebox.clone()
             };
-            burst.clear();
+            burst.start(now);
             for &(session, size) in &snaps {
-                let pkt = Packet {
-                    src: server_endpoint(),
-                    dst: client_endpoint(session),
-                    app_len: size,
-                    kind: PacketKind::StateUpdate,
-                    session,
-                    direction: Direction::Outbound,
-                    sent_at: now,
-                };
                 if mb.is_some() {
-                    forwards.push(pkt);
+                    forwards.push(Packet {
+                        src: server_endpoint(),
+                        dst: client_endpoint(session),
+                        app_len: size,
+                        kind: PacketKind::StateUpdate,
+                        session,
+                        direction: Direction::Outbound,
+                        sent_at: now,
+                    });
                 }
-                burst.push(&TraceRecord::from_packet(now, &pkt));
+                burst.push(Direction::Outbound, PacketKind::StateUpdate, session, size);
             }
             w.borrow().record_batch(&burst);
             if let Some(mb) = mb {

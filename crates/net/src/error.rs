@@ -1,11 +1,11 @@
 //! The typed error taxonomy for trace/pcap ingest.
 //!
 //! Everything that can go wrong while reading a capture back is a variant
-//! here, split along the axis that matters operationally: **decode** errors
-//! are confined to one record or frame (the stream position is still known,
-//! so a lossy replay can skip-and-count them), while **I/O** errors and
-//! mid-record truncation mean the byte stream itself is gone. A corrupted
-//! capture should degrade the analysis, never unwind the process.
+//! here. A reader's `read` returns the first problem as a typed value, so a
+//! corrupted capture ends the replay with a message naming the damage and
+//! never unwinds the process. Decode errors (wire validation, bad tags)
+//! are confined to one record or frame; I/O errors and truncation mean the
+//! byte stream itself is gone.
 
 use crate::wire::WireError;
 use std::fmt;
@@ -35,24 +35,6 @@ pub enum Error {
     /// A pcap frame header declares a length beyond the snap length —
     /// either corruption or an attempt to make the reader buffer it.
     OversizedFrame(u32),
-}
-
-impl Error {
-    /// True when the error is confined to one record/frame: the reader's
-    /// position in the stream is still valid and a lossy replay may skip
-    /// the damaged unit and continue.
-    pub fn is_decode(&self) -> bool {
-        match self {
-            Error::Wire(_) | Error::BadDirectionTag(_) | Error::BadKindTag(_) => true,
-            Error::Io(_)
-            | Error::BadMagic(_)
-            | Error::UnsupportedVersion(_)
-            | Error::UnsupportedLinkType(_)
-            | Error::TruncatedRecord
-            | Error::TruncatedFrame
-            | Error::OversizedFrame(_) => false,
-        }
-    }
 }
 
 impl fmt::Display for Error {
@@ -94,30 +76,9 @@ impl From<WireError> for Error {
     }
 }
 
-/// Outcome of a lossy replay: how much of the stream made it through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Records delivered to the sink.
-    pub delivered: u64,
-    /// Malformed records/frames skipped (decode errors).
-    pub skipped: u64,
-    /// True when the stream ended mid-record instead of on a boundary.
-    pub truncated: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decode_classification() {
-        assert!(Error::Wire(WireError::Checksum).is_decode());
-        assert!(Error::BadDirectionTag(9).is_decode());
-        assert!(Error::BadKindTag(200).is_decode());
-        assert!(!Error::TruncatedRecord.is_decode());
-        assert!(!Error::OversizedFrame(1 << 30).is_decode());
-        assert!(!Error::Io(io::Error::other("x")).is_decode());
-    }
 
     #[test]
     fn display_and_source() {

@@ -325,13 +325,6 @@ impl FaultInjector {
         self.stats.passed.incr();
         Fate::Deliver
     }
-
-    /// Compatibility wrapper over [`FaultInjector::decide`] for callers
-    /// that only deliver-or-drop: delayed and duplicated fates collapse to
-    /// an immediate single delivery.
-    pub fn admit(&mut self, now: SimTime, packet: &Packet) -> bool {
-        !matches!(self.decide(now, packet), Fate::Drop(_))
-    }
 }
 
 #[cfg(test)]
@@ -356,7 +349,7 @@ mod tests {
     fn default_config_passes_everything() {
         let mut inj = FaultInjector::new(FaultConfig::default(), RngStream::new(1));
         for _ in 0..1000 {
-            assert!(inj.admit(SimTime::ZERO, &pkt()));
+            assert_eq!(inj.decide(SimTime::ZERO, &pkt()), Fate::Deliver);
         }
         assert_eq!(inj.stats().passed.get(), 1000);
         assert!(inj.stats().conservation_holds());
@@ -385,7 +378,9 @@ mod tests {
             RngStream::new(2),
         );
         let n = 20_000;
-        let passed = (0..n).filter(|_| inj.admit(SimTime::ZERO, &pkt())).count();
+        let passed = (0..n)
+            .filter(|_| inj.decide(SimTime::ZERO, &pkt()) == Fate::Deliver)
+            .count();
         let frac = passed as f64 / n as f64;
         assert!((frac - 0.85).abs() < 0.01, "pass fraction {frac}");
         assert_eq!(inj.stats().dropped.get() as usize + passed, n);
@@ -402,7 +397,7 @@ mod tests {
             RngStream::new(3),
         );
         for _ in 0..1000 {
-            inj.admit(SimTime::ZERO, &pkt());
+            inj.decide(SimTime::ZERO, &pkt());
         }
         let s = inj.stats();
         assert_eq!(s.dropped.get(), 0);
@@ -423,12 +418,16 @@ mod tests {
         );
         // Burst of 10 at t=0: only the 4-token bucket passes.
         let t0 = SimTime::ZERO;
-        let passed = (0..10).filter(|_| inj.admit(t0, &pkt())).count();
+        let passed = (0..10)
+            .filter(|_| inj.decide(t0, &pkt()) == Fate::Deliver)
+            .count();
         assert_eq!(passed, 4);
         assert_eq!(inj.stats().shaped.get(), 6);
         // A second later, 4 more tokens have accrued.
         let t1 = t0 + SimDuration::from_secs(1);
-        let passed = (0..10).filter(|_| inj.admit(t1, &pkt())).count();
+        let passed = (0..10)
+            .filter(|_| inj.decide(t1, &pkt()) == Fate::Deliver)
+            .count();
         assert_eq!(passed, 4);
         assert!(inj.stats().conservation_holds());
     }
@@ -575,8 +574,8 @@ mod tests {
             stats.clone(),
         );
         let mut b = FaultInjector::with_stats(FaultConfig::default(), RngStream::new(8), stats);
-        a.admit(SimTime::ZERO, &pkt());
-        b.admit(SimTime::ZERO, &pkt());
+        a.decide(SimTime::ZERO, &pkt());
+        b.decide(SimTime::ZERO, &pkt());
         let s = a.stats();
         assert_eq!(s.offered.get(), 2);
         assert_eq!(s.dropped.get(), 1);

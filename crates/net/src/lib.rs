@@ -13,15 +13,16 @@
 //!   the *narrowest last-mile link saturation* phenomenon reproducible.
 //! - [`trace`] — streaming [`trace::TraceSink`] capture plus a compact
 //!   binary trace format.
-//! - [`batch`] — columnar (struct-of-arrays) packet batches, the fast-path
-//!   ingest representation the hot analyzers consume.
+//! - [`batch`] — columnar (struct-of-arrays) packet batches: one burst at
+//!   one instant, the fast-path ingest representation the hot analyzers
+//!   consume.
 //! - [`pcap`] — classic libpcap export of fully checksummed synthetic
 //!   frames (and the reverse parse).
 //! - [`fault`] — a composable impairment stack (uniform and Gilbert–Elliott
 //!   bursty loss, corruption, shaping, reordering, duplication), mirroring
 //!   the knobs of smoltcp's example harnesses.
-//! - [`error`] — the typed error taxonomy for the ingest path; malformed
-//!   captures degrade the analysis instead of unwinding the process.
+//! - [`error`] — the typed error taxonomy for the ingest path; a malformed
+//!   capture is a typed error from `read`, never an unwinding process.
 
 pub mod addr;
 pub mod batch;
@@ -35,11 +36,11 @@ pub mod wire;
 
 pub use addr::{client_endpoint, server_endpoint, Endpoint, MacAddr};
 pub use batch::PacketBatch;
-pub use error::{Error, ReplayReport};
+pub use error::Error;
 pub use fault::{
     BurstLoss, DropCause, DuplicateConfig, Fate, FaultConfig, FaultInjector, FaultStats, RateLimit,
     ReorderConfig,
 };
 pub use link::{Link, LinkClass, LinkConfig, LinkStats};
 pub use packet::{Direction, Packet, PacketKind, CAPTURE_OVERHEAD_BYTES, WIRE_OVERHEAD_BYTES};
-pub use trace::{CountingSink, NullSink, Tee, TraceReader, TraceRecord, TraceSink, TraceWriter};
+pub use trace::{CountingSink, NullSink, TraceReader, TraceRecord, TraceSink, TraceWriter};

@@ -6,7 +6,7 @@
 //! which exercises the wire-format parsers end to end.
 
 use crate::addr::MacAddr;
-use crate::error::{Error, ReplayReport};
+use crate::error::Error;
 use crate::packet::{Direction, PacketKind, CAPTURE_OVERHEAD_BYTES};
 use crate::trace::{read_full, TraceRecord, TraceSink};
 use crate::wire::{
@@ -241,9 +241,12 @@ impl<R: Read> PcapReader<R> {
         Ok(PcapReader { inner })
     }
 
-    /// Reads the raw bytes of the next frame: `Ok(None)` at a clean end of
-    /// file, the frame body and its timestamp otherwise.
-    fn read_frame_bytes(&mut self) -> Result<Option<(Vec<u8>, SimTime)>, Error> {
+    /// Reads the next frame; `Ok(None)` at a clean end of file. A frame
+    /// that fails wire-level validation is [`Error::Wire`], and since frame
+    /// boundaries come from the pcap packet headers the next `read` starts
+    /// cleanly at the frame after it. A capture that ends mid-frame is
+    /// [`Error::TruncatedFrame`].
+    pub fn read(&mut self) -> Result<Option<TraceRecord>, Error> {
         let mut hdr = [0u8; 16];
         if !read_full(&mut self.inner, &mut hdr, Error::TruncatedFrame)? {
             return Ok(None);
@@ -263,46 +266,7 @@ impl<R: Read> PcapReader<R> {
             return Err(Error::TruncatedFrame);
         }
         let time = SimTime::from_nanos(u64::from(secs) * 1_000_000_000 + u64::from(micros) * 1_000);
-        Ok(Some((frame, time)))
-    }
-
-    /// Reads the next frame; `Ok(None)` at a clean end of file.
-    pub fn read(&mut self) -> Result<Option<TraceRecord>, Error> {
-        match self.read_frame_bytes()? {
-            Some((frame, time)) => parse_frame(&frame, time).map(Some).map_err(Error::Wire),
-            None => Ok(None),
-        }
-    }
-
-    /// Drains the capture into a sink, skipping-and-counting frames that
-    /// fail wire-level validation (frame boundaries come from the pcap
-    /// packet headers, so one bad frame never desynchronizes the next). A
-    /// capture that ends mid-frame sets [`ReplayReport::truncated`]; only
-    /// I/O errors and oversized-frame headers abort.
-    pub fn replay_lossy(&mut self, sink: &mut dyn TraceSink) -> Result<ReplayReport, Error> {
-        let mut report = ReplayReport::default();
-        let mut last = SimTime::ZERO;
-        loop {
-            let (frame, time) = match self.read_frame_bytes() {
-                Ok(Some(pair)) => pair,
-                Ok(None) => break,
-                Err(Error::TruncatedFrame) => {
-                    report.truncated = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            match parse_frame(&frame, time) {
-                Ok(rec) => {
-                    last = rec.time;
-                    report.delivered += 1;
-                    sink.on_packet(&rec);
-                }
-                Err(_) => report.skipped += 1,
-            }
-        }
-        sink.on_end(last);
-        Ok(report)
+        parse_frame(&frame, time).map(Some).map_err(Error::Wire)
     }
 }
 
@@ -414,11 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn lossy_replay_skips_damaged_frames() {
+    fn damaged_frames_are_typed_and_keep_the_reader_in_step() {
         let records = vec![
             rec(0, Direction::Inbound, PacketKind::ConnectRequest, 1, 25),
             rec(50, Direction::Outbound, PacketKind::ConnectReply, 1, 12),
             rec(100, Direction::Inbound, PacketKind::ClientCommand, 1, 41),
+            rec(150, Direction::Inbound, PacketKind::ClientCommand, 1, 41),
         ];
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         for r in &records {
@@ -433,20 +398,15 @@ mod tests {
         bytes[f1_end - 1] ^= 0xff;
         bytes.truncate(bytes.len() - 7);
 
-        let mut sink = crate::trace::CountingSink::new();
-        let report = PcapReader::new(&bytes[..])
-            .unwrap()
-            .replay_lossy(&mut sink)
-            .unwrap();
-        assert_eq!(
-            report,
-            ReplayReport {
-                delivered: 1,
-                skipped: 1,
-                truncated: true,
-            }
-        );
-        assert_eq!(sink.total_packets(), 1);
+        let mut reader = PcapReader::new(&bytes[..]).unwrap();
+        assert_eq!(reader.read().unwrap(), Some(records[0]));
+        assert!(matches!(
+            reader.read(),
+            Err(Error::Wire(WireError::Checksum))
+        ));
+        // The damaged frame's header framed it, so frame 2 reads intact.
+        assert_eq!(reader.read().unwrap(), Some(records[2]));
+        assert!(matches!(reader.read(), Err(Error::TruncatedFrame)));
     }
 
     #[test]

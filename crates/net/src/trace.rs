@@ -7,7 +7,7 @@
 //! ([`TraceWriter`]/[`TraceReader`]) and a pcap exporter in [`crate::pcap`].
 
 use crate::batch::PacketBatch;
-use crate::error::{Error, ReplayReport};
+use crate::error::Error;
 use crate::packet::{Direction, Packet, PacketKind, WIRE_OVERHEAD_BYTES};
 use csprov_sim::SimTime;
 use std::io::{self, Read, Write};
@@ -92,12 +92,12 @@ impl TraceRecord {
 ///
 /// Implementations must be cheap per record; they are on the hot path of the
 /// simulation. The world delivers one `on_packet` per single packet and one
-/// same-timestamp `on_columns` per non-empty server tick, and
-/// [`TraceReader`]'s replays deliver 256-row `on_columns` chunks. Every
+/// `on_columns` per non-empty server tick; an `on_columns` call is always
+/// one instant's burst, every row observed at [`PacketBatch::time`]. Every
 /// delivery method means "these records, in this order", so a sink
 /// implements `on_packet` and the defaults cover the rest. A hot analyzer
 /// keeps one fold and makes both `on_packet` and `on_columns` thin adapters
-/// over it; a fan-out forwards `on_columns` as it came.
+/// over it. A trace file is replayed by a [`TraceReader::read`] loop.
 pub trait TraceSink {
     /// Called once per observed packet, in non-decreasing time order.
     fn on_packet(&mut self, rec: &TraceRecord);
@@ -112,10 +112,11 @@ pub trait TraceSink {
         }
     }
 
-    /// Called with a burst in columnar (struct-of-arrays) form. The default
-    /// shim reconstructs each row and calls [`TraceSink::on_packet`]; hot
-    /// analyzers pre-aggregate the columns (per-bin runs, per-direction
-    /// lanes) and hand the totals to the same fold `on_packet` uses.
+    /// Called with one instant's burst in columnar (struct-of-arrays) form.
+    /// The default shim reconstructs each row and calls
+    /// [`TraceSink::on_packet`]; hot analyzers pre-aggregate the columns
+    /// (per-direction lanes) and hand the totals, stamped with the burst's
+    /// instant, to the same fold `on_packet` uses.
     fn on_columns(&mut self, batch: &PacketBatch) {
         for i in 0..batch.len() {
             self.on_packet(&batch.record(i));
@@ -226,7 +227,7 @@ impl TraceSink for CountingSink {
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        let (packets, app) = batch.lane_totals(0..batch.len());
+        let (packets, app) = batch.lane_totals();
         self.add_counts(packets, app);
     }
 
@@ -235,60 +236,9 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// Fans one record stream out to several sinks.
-#[derive(Default)]
-pub struct Tee {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl Tee {
-    /// Creates an empty tee.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sink; records are delivered in insertion order.
-    pub fn add(&mut self, sink: Box<dyn TraceSink>) -> &mut Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// True if no sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl TraceSink for Tee {
-    fn on_packet(&mut self, rec: &TraceRecord) {
-        for s in &mut self.sinks {
-            s.on_packet(rec);
-        }
-    }
-
-    fn on_columns(&mut self, batch: &PacketBatch) {
-        for s in &mut self.sinks {
-            s.on_columns(batch);
-        }
-    }
-
-    fn on_end(&mut self, end: SimTime) {
-        for s in &mut self.sinks {
-            s.on_end(end);
-        }
-    }
-}
-
 const TRACE_MAGIC: &[u8; 4] = b"CSPT";
 const TRACE_VERSION: u16 = 1;
 const RECORD_LEN: usize = 18;
-/// Rows per [`TraceSink::on_columns`] call of a replay.
-const REPLAY_CHUNK: usize = 256;
 
 /// Writes trace records in the compact binary format.
 ///
@@ -400,138 +350,29 @@ impl<R: Read> TraceReader<R> {
         Ok(TraceReader { inner })
     }
 
-    /// Reads the raw bytes of the next record; `Ok(None)` at a clean end of
-    /// stream, [`Error::TruncatedRecord`] when the stream dies mid-record.
-    fn read_record_bytes(&mut self) -> Result<Option<[u8; RECORD_LEN]>, Error> {
+    /// Reads the next record; `Ok(None)` at a clean end of stream. A
+    /// stream that ends mid-record is [`Error::TruncatedRecord`]; a record
+    /// with an out-of-range tag is [`Error::BadDirectionTag`] or
+    /// [`Error::BadKindTag`], and since records are fixed-width the next
+    /// `read` starts cleanly at the record after it.
+    pub fn read(&mut self) -> Result<Option<TraceRecord>, Error> {
         let mut buf = [0u8; RECORD_LEN];
-        if read_full(&mut self.inner, &mut buf, Error::TruncatedRecord)? {
-            Ok(Some(buf))
-        } else {
-            Ok(None)
+        if !read_full(&mut self.inner, &mut buf, Error::TruncatedRecord)? {
+            return Ok(None);
         }
-    }
-
-    /// Decodes one record from its fixed-width bytes.
-    fn decode_record(buf: &[u8; RECORD_LEN]) -> Result<TraceRecord, Error> {
         let direction = match buf[16] {
             0 => Direction::Inbound,
             1 => Direction::Outbound,
             other => return Err(Error::BadDirectionTag(other)),
         };
         let kind = PacketKind::from_u8(buf[17]).ok_or(Error::BadKindTag(buf[17]))?;
-        Ok(TraceRecord {
+        Ok(Some(TraceRecord {
             time: SimTime::from_nanos(le_u64(&buf[0..8])),
             direction,
             kind,
             session: le_u32(&buf[8..12]),
             app_len: le_u32(&buf[12..16]),
-        })
-    }
-
-    /// Reads the next record; `Ok(None)` at a clean end of stream.
-    pub fn read(&mut self) -> Result<Option<TraceRecord>, Error> {
-        match self.read_record_bytes()? {
-            Some(buf) => Self::decode_record(&buf).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Drains the stream into a sink; returns the record count.
-    ///
-    /// Records are delivered through [`TraceSink::on_columns`] in 256-row
-    /// batches, so a sink pays its dispatch once per chunk; order and
-    /// `on_end` semantics match a record-at-a-time replay exactly. Strict:
-    /// the first error of any kind aborts the replay.
-    pub fn replay(&mut self, sink: &mut dyn TraceSink) -> Result<u64, Error> {
-        let mut buf = PacketBatch::with_capacity(REPLAY_CHUNK);
-        let mut n = 0;
-        let mut last = SimTime::ZERO;
-        while let Some(rec) = self.read()? {
-            last = rec.time;
-            buf.push(&rec);
-            n += 1;
-            if buf.len() == REPLAY_CHUNK {
-                sink.on_columns(&buf);
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            sink.on_columns(&buf);
-        }
-        sink.on_end(last);
-        Ok(n)
-    }
-
-    /// Drains the stream into a sink, skipping-and-counting records that
-    /// fail to decode (bad tags). Record boundaries are fixed-width, so a
-    /// damaged record never desynchronizes the ones after it. A stream that
-    /// ends mid-record sets [`ReplayReport::truncated`] instead of failing;
-    /// only I/O errors abort.
-    pub fn replay_lossy(&mut self, sink: &mut dyn TraceSink) -> Result<ReplayReport, Error> {
-        self.replay_lossy_journaled(sink, None)
-    }
-
-    /// [`TraceReader::replay_lossy`] with an optional trace journal: each
-    /// skipped record emits a `net.replay.skip` event (stamped with the last
-    /// good record time, keyed by stream ordinal) and a truncated tail emits
-    /// `net.replay.truncated`. Journaling never changes what is delivered.
-    pub fn replay_lossy_journaled(
-        &mut self,
-        sink: &mut dyn TraceSink,
-        journal: Option<&csprov_obs::Journal>,
-    ) -> Result<ReplayReport, Error> {
-        let mut buf = PacketBatch::with_capacity(REPLAY_CHUNK);
-        let mut report = ReplayReport::default();
-        let mut last = SimTime::ZERO;
-        let mut scanned: u64 = 0;
-        // The replay loop owns the journal for its whole window, so skips go
-        // through a buffered writer — the journal's fast lane. The single
-        // `net.replay.truncated` event comes after every skip in the
-        // unbuffered order, so flushing the writer before emitting it keeps
-        // the stored journal byte-identical to per-event emits.
-        let mut skip_writer = journal.map(|j| j.writer("net.replay.skip"));
-        loop {
-            let raw = match self.read_record_bytes() {
-                Ok(Some(raw)) => raw,
-                Ok(None) => break,
-                Err(Error::TruncatedRecord) => {
-                    report.truncated = true;
-                    if let Some(j) = journal {
-                        if let Some(w) = skip_writer.as_mut() {
-                            w.flush();
-                        }
-                        j.emit(last.as_nanos(), "net.replay.truncated", scanned, 0);
-                    }
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            scanned += 1;
-            match Self::decode_record(&raw) {
-                Ok(rec) => {
-                    last = rec.time;
-                    buf.push(&rec);
-                    report.delivered += 1;
-                    if buf.len() == REPLAY_CHUNK {
-                        sink.on_columns(&buf);
-                        buf.clear();
-                    }
-                }
-                Err(e) if e.is_decode() => {
-                    report.skipped += 1;
-                    if let Some(w) = skip_writer.as_mut() {
-                        w.emit(last.as_nanos(), scanned, 1);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        drop(skip_writer); // flushes any buffered skips
-        if !buf.is_empty() {
-            sink.on_columns(&buf);
-        }
-        sink.on_end(last);
-        Ok(report)
+        }))
     }
 }
 
@@ -627,24 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_fans_out() {
-        let mut tee = Tee::new();
-        tee.add(Box::new(CountingSink::new()));
-        tee.add(Box::new(NullSink));
-        assert_eq!(tee.len(), 2);
-        tee.on_packet(&rec(
-            0,
-            Direction::Inbound,
-            PacketKind::ClientCommand,
-            1,
-            10,
-        ));
-        tee.on_end(SimTime::from_secs(1));
-        // Tee owns its sinks; correctness is observable via no panic and len.
-        assert!(!tee.is_empty());
-    }
-
-    #[test]
     fn binary_roundtrip() {
         let records = vec![
             rec(0, Direction::Inbound, PacketKind::ConnectRequest, 7, 25),
@@ -701,10 +524,10 @@ mod tests {
         assert!(r.read().is_err());
     }
 
-    #[test]
-    fn replay_into_sink() {
+    /// Writes records at 0, 1, ... ms, all inbound commands of 40 bytes.
+    fn trace_of(n: u64) -> Vec<u8> {
         let mut w = TraceWriter::new(Vec::new()).unwrap();
-        for i in 0..10 {
+        for i in 0..n {
             w.write(&rec(
                 i,
                 Direction::Inbound,
@@ -714,58 +537,30 @@ mod tests {
             ))
             .unwrap();
         }
-        let bytes = w.finish().unwrap();
-        let mut sink = CountingSink::new();
-        let n = TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay(&mut sink)
-            .unwrap();
-        assert_eq!(n, 10);
-        assert_eq!(sink.total_packets(), 10);
-        assert_eq!(sink.end, Some(SimTime::from_millis(9)));
+        w.finish().unwrap()
+    }
+
+    /// Replays a trace the way `cstrace` does: a `read` loop into `sink`,
+    /// ended at the last record's time. Stops at the first error.
+    fn replay(bytes: &[u8], sink: &mut dyn TraceSink) -> Result<u64, Error> {
+        let mut r = TraceReader::new(bytes)?;
+        let (mut n, mut last) = (0, SimTime::ZERO);
+        while let Some(rec) = r.read()? {
+            last = rec.time;
+            sink.on_packet(&rec);
+            n += 1;
+        }
+        sink.on_end(last);
+        Ok(n)
     }
 
     #[test]
-    fn replays_deliver_256_row_column_batches() {
-        /// Row count of every `on_columns` call, and `on_batch` calls.
-        #[derive(Default)]
-        struct Calls(Vec<usize>, usize);
-        impl TraceSink for Calls {
-            fn on_packet(&mut self, _rec: &TraceRecord) {}
-            fn on_batch(&mut self, _recs: &[TraceRecord]) {
-                self.1 += 1;
-            }
-            fn on_columns(&mut self, batch: &PacketBatch) {
-                self.0.push(batch.len());
-            }
-        }
-        let mut w = TraceWriter::new(Vec::new()).unwrap();
-        for i in 0..600 {
-            w.write(&rec(
-                i,
-                Direction::Inbound,
-                PacketKind::ClientCommand,
-                1,
-                40,
-            ))
-            .unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let mut strict = Calls::default();
-        let n = TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay(&mut strict)
-            .unwrap();
-        let mut lossy = Calls::default();
-        let report = TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay_lossy(&mut lossy)
-            .unwrap();
-        assert_eq!((n, report.delivered), (600, 600));
-        for calls in [strict, lossy] {
-            assert_eq!(calls.0, [256, 256, 88]);
-            assert_eq!(calls.1, 0);
-        }
+    fn replay_into_sink() {
+        let bytes = trace_of(10);
+        let mut sink = CountingSink::new();
+        assert_eq!(replay(&bytes, &mut sink).unwrap(), 10);
+        assert_eq!(sink.total_packets(), 10);
+        assert_eq!(sink.end, Some(SimTime::from_millis(9)));
     }
 
     #[test]
@@ -781,115 +576,43 @@ mod tests {
     }
 
     #[test]
-    fn lossy_replay_skips_and_counts() {
-        let mut w = TraceWriter::new(Vec::new()).unwrap();
-        for i in 0..6 {
-            w.write(&rec(
-                i,
-                Direction::Inbound,
-                PacketKind::ClientCommand,
-                1,
-                40,
-            ))
-            .unwrap();
-        }
-        let mut bytes = w.finish().unwrap();
+    fn damaged_records_are_typed_and_keep_the_reader_in_step() {
+        let mut bytes = trace_of(6);
         bytes[8 + 16] = 9; // record 0: direction tag out of range
         bytes[8 + 3 * RECORD_LEN + 17] = 200; // record 3: kind tag out of range
         bytes.truncate(bytes.len() - 5); // record 5 cut mid-record
 
-        let mut sink = CountingSink::new();
-        let report = TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay_lossy(&mut sink)
-            .unwrap();
+        let mut r = TraceReader::new(&bytes[..]).unwrap();
+        assert!(matches!(r.read(), Err(Error::BadDirectionTag(9))));
+        // A damaged record never desynchronizes its neighbours: the reads
+        // after it land on the next record boundary with its own time.
         assert_eq!(
-            report,
-            ReplayReport {
-                delivered: 3,
-                skipped: 2,
-                truncated: true,
-            }
+            r.read().unwrap().map(|r| r.time),
+            Some(SimTime::from_millis(1))
         );
-        assert_eq!(sink.total_packets(), 3);
-        // A damaged record never desynchronizes its neighbours: the last
-        // intact record (index 4) still lands with its own timestamp.
-        assert_eq!(sink.end, Some(SimTime::from_millis(4)));
-    }
-
-    #[test]
-    fn lossy_replay_journals_skips_without_changing_delivery() {
-        let mut w = TraceWriter::new(Vec::new()).unwrap();
-        for i in 0..6 {
-            w.write(&rec(
-                i,
-                Direction::Inbound,
-                PacketKind::ClientCommand,
-                1,
-                40,
-            ))
-            .unwrap();
-        }
-        let mut bytes = w.finish().unwrap();
-        bytes[8 + 16] = 9; // record 0: direction tag out of range
-        bytes[8 + 3 * RECORD_LEN + 17] = 200; // record 3: kind tag out of range
-        bytes.truncate(bytes.len() - 5); // record 5 cut mid-record
-
-        let mut plain_sink = CountingSink::new();
-        let plain = TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay_lossy(&mut plain_sink)
-            .unwrap();
-        let journal = csprov_obs::Journal::new();
-        let mut sink = CountingSink::new();
-        let report = TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay_lossy_journaled(&mut sink, Some(&journal))
-            .unwrap();
-        assert_eq!(report, plain, "journaling must not change the replay");
-        assert_eq!(sink.total_packets(), plain_sink.total_packets());
-
-        let events = journal.events();
-        let skips: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == "net.replay.skip")
-            .collect();
-        assert_eq!(skips.len(), 2);
-        // Damaged records 0 and 3 (1-based stream ordinals 1 and 4).
-        assert_eq!(skips[0].key, 1);
-        assert_eq!(skips[1].key, 4);
-        // Record 3's skip is stamped with the last good time (record 2).
-        assert_eq!(skips[1].sim_ns, SimTime::from_millis(2).as_nanos());
         assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.kind == "net.replay.truncated")
-                .count(),
-            1
+            r.read().unwrap().map(|r| r.time),
+            Some(SimTime::from_millis(2))
         );
+        assert!(matches!(r.read(), Err(Error::BadKindTag(200))));
+        assert_eq!(
+            r.read().unwrap().map(|r| r.time),
+            Some(SimTime::from_millis(4))
+        );
+        assert!(matches!(r.read(), Err(Error::TruncatedRecord)));
     }
 
     #[test]
     fn strict_replay_aborts_on_first_decode_error() {
-        let mut w = TraceWriter::new(Vec::new()).unwrap();
-        for i in 0..3 {
-            w.write(&rec(
-                i,
-                Direction::Inbound,
-                PacketKind::ClientCommand,
-                1,
-                40,
-            ))
-            .unwrap();
-        }
-        let mut bytes = w.finish().unwrap();
+        let mut bytes = trace_of(3);
         bytes[8 + RECORD_LEN + 16] = 7;
         let mut sink = CountingSink::new();
-        let err = TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay(&mut sink)
-            .unwrap_err();
+        let err = replay(&bytes, &mut sink).unwrap_err();
         assert!(matches!(err, Error::BadDirectionTag(7)));
+        // Record 0 was delivered before the damaged record 1 stopped the
+        // loop; the trace never ended.
+        assert_eq!(sink.total_packets(), 1);
+        assert_eq!(sink.end, None);
     }
 
     #[test]

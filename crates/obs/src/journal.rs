@@ -20,12 +20,6 @@
 //! dispatch loop) additionally sample — emitting every Nth occurrence —
 //! which is a policy of the *producer*, not of this type.
 //!
-//! Hot single-kind producers can go one step further with
-//! [`Journal::writer`]: a [`JournalWriter`] buffers encoded events locally
-//! and flushes them into the journal in blocks, so the per-event cost is an
-//! index bump plus a copy, with no `RefCell` borrow. See the writer's
-//! ordering contract.
-//!
 //! ## Exports
 //!
 //! [`Journal::export_jsonl`] writes one JSON object per line behind a
@@ -98,7 +92,8 @@ struct JournalInner {
     spare: Vec<Vec<PackedEvent>>,
     capacity: usize,
     /// Interned kinds, in first-intern order; a `PackedEvent.kind` indexes
-    /// this table. Survives `clear` so outstanding writer ids stay valid.
+    /// this table. Survives `clear`, so a cleared journal re-interns
+    /// nothing.
     kinds: Vec<&'static str>,
     kind_ids: BTreeMap<&'static str, u32>,
     /// One-entry intern cache: the last kind looked up. Static literals
@@ -197,36 +192,6 @@ impl JournalInner {
         }
     }
 
-    /// Appends a block of same-kind events with exactly the per-event
-    /// admission and drop accounting of individual emits, but copying
-    /// buffered events into the tail chunk slab-at-a-time.
-    fn append_block(&mut self, kind: &'static str, kind_id: u32, events: &[(u64, u64, u64)]) {
-        let mut rest = events;
-        while !rest.is_empty() {
-            let space = self.tail_limit.saturating_sub(self.tail.len());
-            if space == 0 {
-                if self.len() < self.capacity {
-                    self.rotate();
-                    continue;
-                }
-                // Nothing more fits: everything left is dropped, in bulk.
-                self.dropped += rest.len() as u64;
-                *self.dropped_by_kind.entry(kind).or_insert(0) += rest.len() as u64;
-                return;
-            }
-            let take = space.min(rest.len());
-            let (now, later) = rest.split_at(take);
-            self.tail
-                .extend(now.iter().map(|&(sim_ns, key, value)| PackedEvent {
-                    sim_ns,
-                    key,
-                    value,
-                    kind: kind_id,
-                }));
-            rest = later;
-        }
-    }
-
     fn drop_event(&mut self, kind: &'static str) {
         self.dropped += 1;
         *self.dropped_by_kind.entry(kind).or_insert(0) += 1;
@@ -300,22 +265,9 @@ impl Journal {
         }
     }
 
-    /// A buffered single-kind append handle — the hot-path fast lane. See
-    /// [`JournalWriter`] for the ordering contract.
-    pub fn writer(&self, kind: &'static str) -> JournalWriter {
-        let kind_id = self.0.borrow_mut().intern(kind);
-        JournalWriter {
-            journal: self.clone(),
-            kind,
-            kind_id,
-            buf: Vec::with_capacity(JournalWriter::BUFFER),
-        }
-    }
-
     /// Empties the stored events and drop accounting, retaining chunk
-    /// allocations (parked on the spare list for reuse) and the kind table
-    /// (so ids held by outstanding [`JournalWriter`]s stay valid). The tap,
-    /// if any, stays attached.
+    /// allocations (parked on the spare list for reuse) and the kind
+    /// table. The tap, if any, stays attached.
     pub fn clear(&self) {
         let mut inner = self.0.borrow_mut();
         let inner = &mut *inner;
@@ -499,92 +451,6 @@ impl Journal {
     }
 }
 
-/// A buffered append handle for one `(journal, kind)` pair.
-///
-/// `emit` pushes a 24-byte encoded event into a local buffer — no `RefCell`
-/// borrow, no intern lookup — and a full buffer (or an explicit
-/// [`JournalWriter::flush`], or drop) appends the block into the journal
-/// under a single borrow with exactly the capacity and drop accounting the
-/// unbuffered [`Journal::emit`] would have applied, tap forwarding included.
-///
-/// ## Ordering contract
-///
-/// Buffered events reach the stored journal (and the tap) at flush time, so
-/// a writer is only order-preserving while no other producer emits to the
-/// same journal between the writer's first buffered event and its flush.
-/// Use one where a single producer owns the journal for a window — e.g. a
-/// replay loop — and flush before handing the journal back. Stored bytes,
-/// drop counts and exports are then identical to per-event emits.
-#[derive(Debug)]
-pub struct JournalWriter {
-    journal: Journal,
-    kind: &'static str,
-    kind_id: u32,
-    buf: Vec<(u64, u64, u64)>, // (sim_ns, key, value)
-}
-
-impl JournalWriter {
-    /// Events buffered before an automatic flush.
-    const BUFFER: usize = 1024;
-
-    /// Buffers one event, flushing the block if the buffer is full.
-    #[inline]
-    pub fn emit(&mut self, sim_ns: u64, key: u64, value: u64) {
-        self.buf.push((sim_ns, key, value));
-        if self.buf.len() >= Self::BUFFER {
-            self.flush();
-        }
-    }
-
-    /// Number of events currently buffered (not yet in the journal).
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Appends every buffered event into the journal, in emit order. With no
-    /// tap attached the block is copied into storage chunk-slab at a time —
-    /// a bulk `extend` per chunk rather than a per-event admission check;
-    /// with a tap, events go one at a time so each is forwarded in order.
-    pub fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let mut inner = self.journal.0.borrow_mut();
-        let inner = &mut *inner;
-        if inner.tap.is_none() {
-            inner.append_block(self.kind, self.kind_id, &self.buf);
-        } else {
-            for &(sim_ns, key, value) in &self.buf {
-                if inner.tail.len() < inner.tail_limit {
-                    inner.tail.push(PackedEvent {
-                        sim_ns,
-                        key,
-                        value,
-                        kind: self.kind_id,
-                    });
-                } else {
-                    inner.store_slow(self.kind, sim_ns, key, value, self.kind_id);
-                }
-                if let Some(tap) = inner.tap.as_ref() {
-                    tap.publish(BusEvent::Trace(TraceEvent {
-                        sim_ns,
-                        kind: self.kind,
-                        key,
-                        value,
-                    }));
-                }
-            }
-        }
-        self.buf.clear();
-    }
-}
-
-impl Drop for JournalWriter {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 /// The dotted prefix naming the emitting subsystem (`"router.nat.evict"` →
 /// `"router"`).
 fn subsystem(kind: &str) -> &str {
@@ -744,46 +610,5 @@ mod tests {
                 value: 2
             }]
         );
-    }
-
-    #[test]
-    fn writer_matches_unbuffered_emits_exactly() {
-        let direct = Journal::with_capacity(5);
-        let buffered = Journal::with_capacity(5);
-        let bus = BroadcastBus::new();
-        let sub = bus.subscribe(16);
-        buffered.set_tap(bus);
-        {
-            let mut w = buffered.writer("a.x");
-            for i in 0..8u64 {
-                direct.emit(i, "a.x", i, i * 2);
-                w.emit(i, i, i * 2);
-            }
-            // Writer flushes on drop.
-        }
-        assert_eq!(buffered.export_jsonl(), direct.export_jsonl());
-        assert_eq!(buffered.export_chrome_trace(), direct.export_chrome_trace());
-        assert_eq!(buffered.dropped(), direct.dropped());
-        // The tap saw all eight, storage-dropped ones included, in order.
-        let mut seen = Vec::new();
-        while let Some(BusEvent::Trace(ev)) = sub.try_recv() {
-            seen.push(ev.sim_ns);
-        }
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn writer_autoflushes_at_buffer_boundary() {
-        let j = Journal::new();
-        let mut w = j.writer("a.x");
-        for i in 0..(JournalWriter::BUFFER as u64) {
-            w.emit(i, 0, 0);
-        }
-        assert_eq!(j.len(), JournalWriter::BUFFER, "full buffer must flush");
-        assert_eq!(w.pending(), 0);
-        w.emit(99, 0, 0);
-        assert_eq!(w.pending(), 1);
-        w.flush();
-        assert_eq!(j.len(), JournalWriter::BUFFER + 1);
     }
 }

@@ -50,7 +50,7 @@ pub use health::{
     SHARD_RUNNING,
 };
 pub use histogram::LogHistogram;
-pub use journal::{Journal, JournalWriter, TraceEvent, JOURNAL_SCHEMA};
+pub use journal::{Journal, TraceEvent, JOURNAL_SCHEMA};
 pub use json::Json;
 pub use profile::{Profile, ProfileEntry, ProfileScope, ProfileSnapshot};
 pub use progress::ProgressReporter;

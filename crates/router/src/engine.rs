@@ -209,6 +209,28 @@ struct EngineState {
     handler: Option<(u64, HandlerId)>,
 }
 
+impl EngineState {
+    /// Drops what a cut run left behind. A run stopped mid-lookup (at a
+    /// `run_until` horizon) leaves the CPU busy, waiting for a completion
+    /// its simulator will never run; another simulator would then queue
+    /// behind it forever. The packet in service and the FIFO are dropped,
+    /// each counted in its direction, so offered = forwarded + dropped +
+    /// held still holds, and the CPU is idle for the next offer.
+    fn abandon_cut_run(&mut self) {
+        self.stats.queue_depth.adjust(-(self.queue.len() as i64));
+        for job in self
+            .in_service
+            .take()
+            .into_iter()
+            .chain(self.queue.drain(..))
+        {
+            self.stats.dropped[EngineStats::idx(job.pkt.direction)].incr();
+        }
+        self.occupancy = [0, 0];
+        self.busy = false;
+    }
+}
+
 /// A shared-CPU store-and-forward engine. Clone shares state.
 #[derive(Clone)]
 pub struct ForwardingEngine {
@@ -270,6 +292,9 @@ impl ForwardingEngine {
     pub fn submit(&self, sim: &mut Simulator, pkt: Packet, deliver: Deliver) {
         let start_service = {
             let mut st = self.state.borrow_mut();
+            if st.busy && st.handler.is_some_and(|(id, _)| id != sim.id()) {
+                st.abandon_cut_run();
+            }
             let dir = EngineStats::idx(pkt.direction);
             st.stats.offered[dir].incr();
             let limit = match pkt.direction {

@@ -484,6 +484,34 @@ mod tests {
     }
 
     #[test]
+    fn a_device_cut_mid_lookup_serves_the_next_simulator() {
+        let dev = small_queue_device();
+        // Two inbound packets: the first is delivered at 500 µs, and the
+        // second is under lookup when the run is cut at 700 µs.
+        let mut sim = Simulator::new();
+        for session in 0..2 {
+            dev.forward(
+                &mut sim,
+                pkt(session, Direction::Inbound),
+                Box::new(|_, _| {}),
+            );
+        }
+        sim.run_until(SimTime::from_micros(700));
+        assert_eq!(dev.held(Direction::Inbound), 1);
+        drop(sim);
+        // A fresh simulator finds the device as a fresh one would: the cut
+        // lookup is dropped and six offers forward three.
+        let expected = [500, 1000, 1500].map(SimTime::from_micros).to_vec();
+        assert_eq!(offer_six(&dev, 10), expected);
+        let stats = dev.stats();
+        assert_eq!(stats.offered[0].get(), 8);
+        assert_eq!(stats.forwarded[0].get(), 4);
+        assert_eq!(stats.dropped[0].get(), 4);
+        assert_eq!(dev.held(Direction::Inbound), 0);
+        assert_eq!(stats.queue_depth.get(), 0);
+    }
+
+    #[test]
     fn conservation_holds_on_a_refusing_table() {
         // A two-entry table maps sessions 0 and 1 and refuses 2 and 3.
         let sinks: [Rc<RefCell<CountingSink>>; 4] =

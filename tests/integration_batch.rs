@@ -1,16 +1,12 @@
 //! Columnar-ingest determinism boundary: the struct-of-arrays delivery
 //! must be unobservable. Every analyzer reaches byte-identical state
-//! whether a burst arrives as `on_packet` calls or as one `on_columns`
-//! batch — through `FullAnalysis`'s general column path and its
-//! uniform-timestamp burst shortcut — even for foreign sizes near
-//! `u32::MAX`; and the journal's buffered writer lane stores exactly the
-//! events plain `emit` would.
+//! whether a burst arrives as `on_packet` calls or as `on_columns` batches,
+//! one per instant, even for foreign sizes near `u32::MAX`.
 
 use csprov::pipeline::FullAnalysis;
 use csprov_net::{
     Direction, PacketBatch, PacketKind, TraceReader, TraceRecord, TraceSink, TraceWriter,
 };
-use csprov_obs::{BroadcastBus, BusEvent, Journal};
 use csprov_sim::{SimDuration, SimTime};
 
 /// splitmix64: tiny, seedable, and good enough to randomize burst shapes.
@@ -23,10 +19,10 @@ fn next(state: &mut u64) -> u64 {
 }
 
 /// A randomized stream of delivery bursts. Roughly half the bursts share
-/// one timestamp (a server tick, the uniform-burst fast path); the rest
-/// spread over a few milliseconds (the general columnar path). Rows mix
-/// directions, every packet kind, sessionless probes (`u32::MAX`), and
-/// sizes straddling the histogram's overflow bound.
+/// one timestamp (a server tick); the rest spread over a few milliseconds,
+/// often across a bin edge, and reach the sink as one batch per instant.
+/// Rows mix directions, every packet kind, sessionless probes
+/// (`u32::MAX`), and sizes straddling the histogram's overflow bound.
 fn random_bursts(seed: u64, bursts: usize) -> Vec<Vec<TraceRecord>> {
     let mut rng = seed;
     let mut t_ns: u64 = 0;
@@ -63,14 +59,27 @@ fn random_bursts(seed: u64, bursts: usize) -> Vec<Vec<TraceRecord>> {
     out
 }
 
-/// Delivers every burst in one `on_columns` call, filled into one reused
-/// batch as the world fills its tick burst: the columnar path.
+/// Delivers every instant of every burst in one `on_columns` call, filled
+/// into one reused batch as the world fills its tick burst: the columnar
+/// path. An empty burst is an empty batch at the latest instant.
 fn run_through(mut sink: FullAnalysis, bursts: &[Vec<TraceRecord>], end: SimTime) -> FullAnalysis {
     let mut batch = PacketBatch::new();
+    let mut now = SimTime::ZERO;
     for burst in bursts {
-        batch.clear();
-        batch.extend_from_records(burst);
-        sink.on_columns(&batch);
+        if burst.is_empty() {
+            batch.start(now);
+            sink.on_columns(&batch);
+        }
+        let mut rows = burst.iter().peekable();
+        while let Some(first) = rows.next() {
+            now = first.time;
+            batch.start(now);
+            batch.push(first.direction, first.kind, first.session, first.app_len);
+            while let Some(r) = rows.next_if(|r| r.time == now) {
+                batch.push(r.direction, r.kind, r.session, r.app_len);
+            }
+            sink.on_columns(&batch);
+        }
     }
     sink.on_end(end);
     sink
@@ -183,8 +192,6 @@ fn columnar_matches_per_record_on_randomized_streams() {
     let end = SimTime::from_nanos(duration.as_nanos());
     for seed in [1, 42, 0xdead_beef, 7_777_777] {
         let bursts = random_bursts(seed, 400);
-        // The spread bursts take the general column path, which world runs
-        // never reach: their tick bursts always share one timestamp.
         let columnar = run_through(FullAnalysis::new(duration), &bursts, end);
         let packet = run_per_packet(FullAnalysis::new(duration), &bursts, end);
         assert_identical(
@@ -197,8 +204,8 @@ fn columnar_matches_per_record_on_randomized_streams() {
 
 #[test]
 fn uniform_tick_bursts_match_per_record() {
-    // Every burst shares one timestamp, so the columnar path takes the
-    // run-folded uniform-burst shortcut for the whole stream.
+    // Every burst shares one timestamp, as a world run's ticks do, so each
+    // reaches the sink as exactly one column call.
     let duration = SimDuration::from_mins(5);
     let end = SimTime::from_nanos(duration.as_nanos());
     let mut rng = 99u64;
@@ -255,7 +262,15 @@ fn foreign_near_max_size_folds_to_the_same_wire_bytes_either_way() {
     by_packet.on_packet(&replayed);
     by_packet.on_end(end);
     let mut by_columns = FullAnalysis::new(duration);
-    by_columns.on_columns(&PacketBatch::from_records(&[replayed]));
+    let mut batch = PacketBatch::new();
+    batch.start(replayed.time);
+    batch.push(
+        replayed.direction,
+        replayed.kind,
+        replayed.session,
+        replayed.app_len,
+    );
+    by_columns.on_columns(&batch);
     by_columns.on_end(end);
 
     const WIRE: u64 = 4_294_967_343;
@@ -272,63 +287,4 @@ fn foreign_near_max_size_folds_to_the_same_wire_bytes_either_way() {
         assert_eq!(flow.wire_bytes, [WIRE, 0], "{how}: flow wire_bytes");
     }
     assert_identical(&by_packet, &by_columns, "near-u32::MAX size");
-}
-
-#[test]
-fn journal_writer_lane_stores_exactly_what_emit_would() {
-    // Plain emit vs the buffered writer lane, across chunk rotations and
-    // past the capacity bound: stored events and drop accounting agree.
-    let capacity = 5_000;
-    let plain = Journal::with_capacity(capacity);
-    let buffered = Journal::with_capacity(capacity);
-    let mut writer = buffered.writer("batch.ev");
-    for i in 0..8_192u64 {
-        plain.emit(i, "batch.ev", i, i * 3);
-        writer.emit(i, i, i * 3);
-        if i % 1_900 == 0 {
-            writer.flush();
-        }
-    }
-    writer.flush();
-    assert_eq!(plain.len(), buffered.len());
-    assert_eq!(plain.dropped(), buffered.dropped());
-    let (a, b) = (plain.events(), buffered.events());
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(
-            (x.sim_ns, x.kind, x.key, x.value),
-            (y.sim_ns, y.kind, y.key, y.value)
-        );
-    }
-}
-
-#[test]
-fn journal_writer_lane_preserves_tap_delivery() {
-    // With a live tap attached the writer lane degrades to per-event
-    // forwarding; subscribers must see the same events either way.
-    let collect = |use_writer: bool| {
-        let journal = Journal::with_capacity(64);
-        let bus = BroadcastBus::new();
-        let sub = bus.subscribe(256);
-        journal.set_tap(bus);
-        if use_writer {
-            let mut w = journal.writer("tap.ev");
-            for i in 0..100u64 {
-                w.emit(i, i, i + 1);
-            }
-            w.flush();
-        } else {
-            for i in 0..100u64 {
-                journal.emit(i, "tap.ev", i, i + 1);
-            }
-        }
-        let mut seen = Vec::new();
-        while let Some(ev) = sub.try_recv() {
-            if let BusEvent::Trace(t) = ev {
-                seen.push((t.sim_ns, t.kind, t.key, t.value));
-            }
-        }
-        (journal.events().len(), journal.dropped(), seen)
-    };
-    assert_eq!(collect(false), collect(true));
 }

@@ -101,8 +101,8 @@ impl TraceSink for Debatch {
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        for rec in batch.iter_records() {
-            self.0.on_packet(&rec);
+        for i in 0..batch.len() {
+            self.0.on_packet(&batch.record(i));
         }
     }
 
@@ -173,19 +173,11 @@ impl TraceSink for DeliveryLog {
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {
-        let Some(first) = batch.iter_records().next() else {
-            self.columns.push((SimTime::ZERO, 0));
-            return;
-        };
-        self.foreign_rows += batch
-            .iter_records()
-            .filter(|r| {
-                r.time != first.time
-                    || r.direction != Direction::Outbound
-                    || r.kind != PacketKind::StateUpdate
-            })
+        self.foreign_rows += (0..batch.len())
+            .map(|i| batch.record(i))
+            .filter(|r| r.direction != Direction::Outbound || r.kind != PacketKind::StateUpdate)
             .count() as u64;
-        self.columns.push((first.time, batch.len() as u64));
+        self.columns.push((batch.time(), batch.len() as u64));
     }
 }
 

@@ -163,11 +163,16 @@ fn replay_reproduces_live_analysis() {
         w.write(r).unwrap();
     }
     let bytes = w.finish().unwrap();
+    // A replay is a read loop, as in `cstrace`.
     let mut replayed = FullAnalysis::new(SimDuration::from_mins(5));
-    TraceReader::new(&bytes[..])
-        .unwrap()
-        .replay(&mut replayed)
-        .unwrap();
+    let mut reader = TraceReader::new(&bytes[..]).unwrap();
+    let mut last = SimTime::ZERO;
+    while let Some(rec) = reader.read().unwrap() {
+        last = rec.time;
+        replayed.on_packet(&rec);
+    }
+    replayed.on_end(last);
+    assert_eq!(last, end);
 
     assert_eq!(live.counts.total_packets(), replayed.counts.total_packets());
     assert_eq!(

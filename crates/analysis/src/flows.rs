@@ -96,6 +96,7 @@ impl FlowTable {
     /// The table's one fold: adds one packet to its session's flow, opening
     /// the flow at `time` on first sight. Sessionless traffic (server-browser
     /// probes, session `u32::MAX`) belongs to no flow and is skipped.
+    #[inline]
     fn add(&mut self, session: u32, time: SimTime, direction: Direction, app_len: u32) {
         if session == u32::MAX {
             return;
@@ -135,6 +136,7 @@ impl FlowTable {
 }
 
 impl TraceSink for FlowTable {
+    #[inline]
     fn on_packet(&mut self, rec: &TraceRecord) {
         self.add(rec.session, rec.time, rec.direction, rec.app_len);
     }

@@ -35,6 +35,7 @@ impl SizeHistogram {
 
     /// Records one packet size: the histogram's one fold, which both
     /// `on_packet` and `on_columns` call per row.
+    #[inline]
     pub fn record(&mut self, direction: Direction, size: u32) {
         let i = Self::dir_idx(direction);
         let s = size as usize;
@@ -145,6 +146,7 @@ fn cumsum(pdf: &[f64]) -> Vec<f64> {
 }
 
 impl TraceSink for SizeHistogram {
+    #[inline]
     fn on_packet(&mut self, rec: &TraceRecord) {
         self.record(rec.direction, rec.app_len);
     }

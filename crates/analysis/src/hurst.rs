@@ -42,12 +42,46 @@ impl VtPoint {
     }
 }
 
+/// One rung of the block ladder: blocks of `block` base bins.
+///
+/// A block's packet count is the difference of the estimator's integer
+/// running total at the block's two edges, so a rung keeps no partial sum,
+/// and it records the bin count at which its open block completes, so a
+/// bin reads only that count in every rung and updates only the rungs
+/// whose block it completes.
 #[derive(Clone)]
-struct BlockAcc {
+struct Rung {
     block: u64,
-    sum: f64,
-    filled: u64,
+    /// The running total when the open block started.
+    start_total: u64,
+    /// The bin count at which the open block completes.
+    due: u64,
     stats: Welford,
+}
+
+impl Rung {
+    /// Closes every block that completes within the first `bins` base
+    /// bins, the running total being `total` at each of those edges: the
+    /// first block closed carries the packets since `start_total`, and
+    /// any later one lies wholly in a gap of empty bins and pushes `0.0`.
+    ///
+    /// This reproduces bit for bit a rung that summed its block's counts
+    /// in an `f64` and pushed `sum / block`: a partial sum of whole counts
+    /// below 2^53 is exact in `f64`, so it equals the converted integer
+    /// difference.
+    fn complete_through(&mut self, bins: u64, total: u64) {
+        while self.due <= bins {
+            let sum = total - self.start_total;
+            self.stats.push(sum as f64 / self.block as f64);
+            self.start_total = total;
+            self.due += self.block;
+        }
+    }
+
+    /// Base bins folded into the open block after `bins` bins.
+    fn filled(&self, bins: u64) -> u64 {
+        bins + self.block - self.due
+    }
 }
 
 /// Streaming aggregated-variance estimator.
@@ -83,7 +117,9 @@ struct BlockAcc {
 #[derive(Clone)]
 pub struct VarianceTime {
     base: SimDuration,
-    accs: Vec<BlockAcc>,
+    rungs: Vec<Rung>,
+    /// Packets in every base bin emitted so far.
+    total: u64,
     current_bin: Option<(u64, u64)>, // (bin index, packet count)
     bins_emitted: u64,
 }
@@ -112,18 +148,19 @@ impl VarianceTime {
         if blocks.is_empty() {
             blocks.push(1);
         }
-        let accs = blocks
+        let rungs = blocks
             .into_iter()
-            .map(|block| BlockAcc {
+            .map(|block| Rung {
                 block,
-                sum: 0.0,
-                filled: 0,
+                start_total: 0,
+                due: block,
                 stats: Welford::new(),
             })
             .collect();
         VarianceTime {
             base,
-            accs,
+            rungs,
+            total: 0,
             current_bin: None,
             bins_emitted: 0,
         }
@@ -134,70 +171,23 @@ impl VarianceTime {
         self.base
     }
 
-    /// Advances `n` empty base bins in closed form per accumulator, instead
-    /// of walking the whole ladder once per bin. The Welford push sequence of
-    /// each accumulator is exactly what `n` zero-bin ladder walks would have
-    /// produced: a zero bin adds `+0.0` to a non-negative partial sum (a
-    /// bitwise no-op), so the first block completed inside the gap pushes the
-    /// pending `sum / block` and every later one pushes `0.0`. Accumulators
-    /// are independent, so reordering the work across them changes nothing.
-    fn emit_zero_bins(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.bins_emitted += n;
-        for acc in &mut self.accs {
-            let completions = (acc.filled + n) / acc.block;
-            if completions > 0 {
-                acc.stats.push(acc.sum / acc.block as f64);
-                for _ in 1..completions {
-                    acc.stats.push(0.0);
-                }
-                acc.sum = 0.0;
-            }
-            acc.filled = (acc.filled + n) % acc.block;
-        }
-    }
-
-    /// Flushes the open bin: the zero-bin gap before it and the bin itself
-    /// advance each accumulator in one fused ladder walk (half the memory
-    /// traffic of `emit_zero_bins` + `emit_bin`), and the gap uses
-    /// compare-and-subtract instead of the closed-form division — gaps are
-    /// almost always shorter than the block, so the division never pays for
-    /// itself on this path. Per accumulator the Welford push sequence is
-    /// exactly the gap's pushes followed by the bin's, as in the unfused
-    /// walks; accumulators are independent, so fusing changes nothing.
+    /// Flushes the open bin: the empty bins between the last emitted bin
+    /// and it, then the bin itself. A rung that completes no block in that
+    /// span costs one comparison. A bin behind the last emitted one (an
+    /// out-of-order record) is emitted as the next bin.
     fn flush_current(&mut self) {
         if let Some((idx, count)) = self.current_bin.take() {
-            let gap = idx.saturating_sub(self.bins_emitted);
-            self.bins_emitted += gap + 1;
-            let x = count as f64;
-            for acc in &mut self.accs {
-                if gap > 0 {
-                    let total = acc.filled + gap;
-                    if total < acc.block {
-                        acc.filled = total;
-                    } else {
-                        // See emit_zero_bins: the first completed block
-                        // carries the pending sum, the rest are all-zero.
-                        acc.stats.push(acc.sum / acc.block as f64);
-                        let mut rem = total - acc.block;
-                        while rem >= acc.block {
-                            acc.stats.push(0.0);
-                            rem -= acc.block;
-                        }
-                        acc.sum = 0.0;
-                        acc.filled = rem;
-                    }
-                }
-                acc.sum += x;
-                acc.filled += 1;
-                if acc.filled == acc.block {
-                    acc.stats.push(acc.sum / acc.block as f64);
-                    acc.sum = 0.0;
-                    acc.filled = 0;
+            let gap_end = idx.max(self.bins_emitted);
+            let bins = gap_end + 1;
+            let total = self.total + count;
+            for rung in &mut self.rungs {
+                if rung.due <= bins {
+                    rung.complete_through(gap_end, self.total);
+                    rung.complete_through(bins, total);
                 }
             }
+            self.total = total;
+            self.bins_emitted = bins;
         }
     }
 
@@ -208,6 +198,7 @@ impl VarianceTime {
     ///
     /// As in [`crate::RateSeries::add_run`], a run inside the open bin's
     /// `[start, start + base)` is added without a division.
+    #[inline]
     pub fn add_run(&mut self, time: SimTime, count: u64) {
         if count == 0 {
             return;
@@ -232,11 +223,15 @@ impl VarianceTime {
     /// The variance-time plot: one point per block size that accumulated at
     /// least two complete blocks. Call after the trace ends.
     pub fn points(&self) -> Vec<VtPoint> {
-        let base_var = self.accs.first().map(|a| a.stats.variance()).unwrap_or(0.0);
+        let base_var = self
+            .rungs
+            .first()
+            .map(|r| r.stats.variance())
+            .unwrap_or(0.0);
         if base_var <= 0.0 {
             return Vec::new();
         }
-        self.accs
+        self.rungs
             .iter()
             // A block size whose variance is exactly zero (possible only for
             // pathologically periodic synthetic input) has no representable
@@ -287,11 +282,11 @@ impl VarianceTime {
                 theirs: other.base.as_nanos(),
             });
         }
-        if self.accs.len() != other.accs.len()
+        if self.rungs.len() != other.rungs.len()
             || self
-                .accs
+                .rungs
                 .iter()
-                .zip(&other.accs)
+                .zip(&other.rungs)
                 .any(|(a, b)| a.block != b.block)
         {
             return Err(MergeError::LadderMismatch);
@@ -303,23 +298,28 @@ impl VarianceTime {
             *self = other.clone();
             return Ok(());
         }
-        if let Some(acc) = self.accs.iter().find(|a| a.filled != 0) {
+        let bins = self.bins_emitted;
+        if let Some(rung) = self.rungs.iter().find(|r| r.filled(bins) != 0) {
             return Err(MergeError::UnalignedSegment {
-                block: acc.block,
-                filled: acc.filled,
+                block: rung.block,
+                filled: rung.filled(bins),
             });
         }
-        for (acc, seg) in self.accs.iter_mut().zip(&other.accs) {
-            acc.stats.merge(&seg.stats);
-            acc.sum = seg.sum;
-            acc.filled = seg.filled;
+        // `other` counts its bins and packets from zero: shift its block
+        // edges and running total past this segment's.
+        for (rung, seg) in self.rungs.iter_mut().zip(&other.rungs) {
+            rung.stats.merge(&seg.stats);
+            rung.start_total = self.total + seg.start_total;
+            rung.due = bins + seg.due;
         }
+        self.total += other.total;
         self.bins_emitted += other.bins_emitted;
         Ok(())
     }
 }
 
 impl TraceSink for VarianceTime {
+    #[inline]
     fn on_packet(&mut self, rec: &TraceRecord) {
         self.add_run(rec.time, 1);
     }
@@ -331,8 +331,14 @@ impl TraceSink for VarianceTime {
     fn on_end(&mut self, end: SimTime) {
         self.flush_current();
         // See RateSeries::on_end: a boundary-aligned end opens no new bin.
-        let total = end.as_nanos().div_ceil(self.base.as_nanos());
-        self.emit_zero_bins(total.saturating_sub(self.bins_emitted));
+        // Trailing empty bins close blocks without adding packets.
+        let bins = end.as_nanos().div_ceil(self.base.as_nanos());
+        if bins > self.bins_emitted {
+            self.bins_emitted = bins;
+            for rung in &mut self.rungs {
+                rung.complete_through(bins, self.total);
+            }
+        }
     }
 }
 
@@ -417,10 +423,191 @@ mod tests {
         vt.on_end(SimTime::from_nanos(counts.len() as u64 * base - 1));
     }
 
+    /// The rung walk the ladder replaced, kept as a reference: every
+    /// flushed bin adds its count to an `f64` partial sum in every rung,
+    /// and a gap of empty bins advances each rung by compare and subtract.
+    struct WalkRung {
+        block: u64,
+        sum: f64,
+        filled: u64,
+        stats: Welford,
+    }
+
+    struct WalkLadder {
+        base: u64,
+        rungs: Vec<WalkRung>,
+        current: Option<(u64, u64)>,
+        bins: u64,
+    }
+
+    impl WalkLadder {
+        fn like(vt: &VarianceTime) -> Self {
+            WalkLadder {
+                base: vt.base.as_nanos(),
+                rungs: vt
+                    .rungs
+                    .iter()
+                    .map(|r| WalkRung {
+                        block: r.block,
+                        sum: 0.0,
+                        filled: 0,
+                        stats: Welford::new(),
+                    })
+                    .collect(),
+                current: None,
+                bins: 0,
+            }
+        }
+
+        fn advance(&mut self, gap: u64, x: Option<f64>) {
+            self.bins += gap + u64::from(x.is_some());
+            for r in &mut self.rungs {
+                let total = r.filled + gap;
+                if total < r.block {
+                    r.filled = total;
+                } else {
+                    r.stats.push(r.sum / r.block as f64);
+                    let mut rem = total - r.block;
+                    while rem >= r.block {
+                        r.stats.push(0.0);
+                        rem -= r.block;
+                    }
+                    r.sum = 0.0;
+                    r.filled = rem;
+                }
+                if let Some(x) = x {
+                    r.sum += x;
+                    r.filled += 1;
+                    if r.filled == r.block {
+                        r.stats.push(r.sum / r.block as f64);
+                        r.sum = 0.0;
+                        r.filled = 0;
+                    }
+                }
+            }
+        }
+
+        fn flush(&mut self) {
+            if let Some((idx, count)) = self.current.take() {
+                self.advance(idx.saturating_sub(self.bins), Some(count as f64));
+            }
+        }
+
+        fn add_run(&mut self, ns: u64, count: u64) {
+            let idx = ns / self.base;
+            match &mut self.current {
+                Some((cur, c)) if *cur == idx => *c += count,
+                _ => {
+                    self.flush();
+                    self.current = Some((idx, count));
+                }
+            }
+        }
+
+        fn end(&mut self, ns: u64) {
+            self.flush();
+            let total = ns.div_ceil(self.base);
+            self.advance(total.saturating_sub(self.bins), None);
+        }
+    }
+
+    fn welford_bits(w: &Welford) -> [u64; 5] {
+        [
+            w.n,
+            w.mean.to_bits(),
+            w.m2.to_bits(),
+            w.min.to_bits(),
+            w.max.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn ladder_matches_the_rung_walk_bit_for_bit() {
+        let mut rng = RngStream::new(77);
+        for case in 0..60u64 {
+            let max_block = [1, 7, 10, 100, 1_000][(case % 5) as usize];
+            let mut vt = VarianceTime::new(SimDuration::from_millis(10), max_block, 4);
+            let mut walk = WalkLadder::like(&vt);
+            let base = walk.base;
+            let mut bin = 0u64;
+            for _ in 0..rng.next_below(3_000) {
+                // Mostly the next bin or two; now and then a gap longer
+                // than the largest rung.
+                bin += match rng.next_below(20) {
+                    0 => max_block + rng.next_below(3 * max_block + 2),
+                    1..=4 => 0,
+                    _ => 1 + rng.next_below(2),
+                };
+                let count = rng.next_below(60);
+                let ns = bin * base + rng.next_below(base);
+                vt.add_run(SimTime::from_nanos(ns), count);
+                if count > 0 {
+                    walk.add_run(ns, count);
+                }
+            }
+            // Ends before, on and one past a boundary beyond the last bin.
+            let end = (bin + rng.next_below(2 * max_block + 2)) * base + rng.next_below(2);
+            vt.on_end(SimTime::from_nanos(end));
+            walk.end(end);
+            assert_eq!(vt.bins_seen(), walk.bins, "case {case}");
+            assert_eq!(vt.rungs.len(), walk.rungs.len());
+            for (r, w) in vt.rungs.iter().zip(&walk.rungs) {
+                assert_eq!(r.block, w.block, "case {case}");
+                assert_eq!(r.filled(vt.bins_emitted), w.filled, "case {case}");
+                assert_eq!(
+                    welford_bits(&r.stats),
+                    welford_bits(&w.stats),
+                    "case {case}, block {}",
+                    r.block
+                );
+            }
+            // `points` reads only the rungs' statistics.
+            let base_var = walk.rungs[0].stats.variance();
+            let want: Vec<(u64, u64, u64)> = if base_var > 0.0 {
+                walk.rungs
+                    .iter()
+                    .filter(|w| w.stats.count() >= 2 && w.stats.variance() > 0.0)
+                    .map(|w| {
+                        let nv = w.stats.variance() / base_var;
+                        (w.block, nv.to_bits(), w.stats.count())
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let got: Vec<(u64, u64, u64)> = vt
+                .points()
+                .iter()
+                .map(|p| (p.block, p.normalized_variance.to_bits(), p.blocks_seen))
+                .collect();
+            assert_eq!(got, want, "case {case}");
+        }
+    }
+
+    #[test]
+    fn merging_a_fresh_segment_leaves_the_estimator_unchanged() {
+        let mut rng = RngStream::new(33);
+        let counts: Vec<u64> = (0..1_000).map(|_| rng.next_below(9)).collect();
+        let mut aligned = VarianceTime::new(SimDuration::from_millis(10), 100, 1);
+        feed_counts(&mut aligned, &counts);
+        let before = aligned.clone();
+        let mut fresh = VarianceTime::new(SimDuration::from_millis(10), 100, 1);
+        fresh.on_end(SimTime::ZERO);
+        aligned.merge_concat(&fresh).unwrap();
+        assert_eq!(aligned.bins_seen(), before.bins_seen());
+        assert_eq!(aligned.total, before.total);
+        for (a, b) in aligned.rungs.iter().zip(&before.rungs) {
+            assert_eq!(
+                (a.start_total, a.due, welford_bits(&a.stats)),
+                (b.start_total, b.due, welford_bits(&b.stats))
+            );
+        }
+    }
+
     #[test]
     fn ladder_is_log_spaced_and_deduplicated() {
         let vt = VarianceTime::new(SimDuration::from_millis(10), 1000, 4);
-        let blocks: Vec<u64> = vt.accs.iter().map(|a| a.block).collect();
+        let blocks: Vec<u64> = vt.rungs.iter().map(|r| r.block).collect();
         assert_eq!(blocks.first(), Some(&1));
         assert_eq!(blocks.last(), Some(&1000));
         for w in blocks.windows(2) {

@@ -132,6 +132,7 @@ impl RateSeries {
     ///
     /// A run inside the open bin's `[start, start + width)` is added
     /// without a division; only a run that opens a new bin divides.
+    #[inline]
     pub fn add_run(&mut self, time: SimTime, packets: u64, wire_bytes: u64) {
         if packets == 0 {
             return;
@@ -163,6 +164,7 @@ impl RateSeries {
     /// [`PacketBatch::lane_totals`] returns them) of a run in the bin
     /// holding `time`: the series picks the lane its filter selects, or
     /// both lanes when unfiltered, so callers need not know the filter.
+    #[inline]
     pub fn add_lanes(&mut self, time: SimTime, packets: [u64; 2], app_bytes: [u64; 2]) {
         let (packets, app_bytes) = match self.filter {
             None => (packets[0] + packets[1], app_bytes[0] + app_bytes[1]),
@@ -268,6 +270,7 @@ impl RateSeries {
 }
 
 impl TraceSink for RateSeries {
+    #[inline]
     fn on_packet(&mut self, rec: &TraceRecord) {
         if self.filter.map_or(true, |f| rec.direction == f) {
             self.add_run(rec.time, 1, rec.wire_len());

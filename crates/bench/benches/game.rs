@@ -31,20 +31,22 @@ fn bench_size_models(h: &mut Harness) {
     let workload = WorkloadConfig::default();
     g.bench_function("snapshot_size_100k", |b| {
         let mut rng = RngStream::new(6);
+        let noise = packets::snapshot_noise(&server, 1.0);
         b.iter(|| {
             let mut acc = 0u64;
             for _ in 0..100_000 {
-                acc += u64::from(packets::snapshot_size(&server, 18, 1.0, &mut rng));
+                acc += u64::from(packets::snapshot_size(&server, 18, &noise, &mut rng));
             }
             black_box(acc)
         })
     });
     g.bench_function("cmd_size_100k", |b| {
         let mut rng = RngStream::new(7);
+        let sizes = packets::cmd_size_dist(&workload);
         b.iter(|| {
             let mut acc = 0u64;
             for _ in 0..100_000 {
-                acc += u64::from(packets::cmd_size(&workload, &mut rng));
+                acc += u64::from(packets::cmd_size(&sizes, &mut rng));
             }
             black_box(acc)
         })

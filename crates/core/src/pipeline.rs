@@ -22,6 +22,10 @@ pub const SHORT_SERIES_SKIP_SECS: u64 = 60;
 pub const FIG9_BINS: usize = 18_000;
 
 /// Every streaming analyzer the paper's artifacts need, in one sink.
+///
+/// The counter, the bin series and the variance-time estimator receive
+/// one run per 10 ms base bin, so until `on_end` they lack the open bin's
+/// records; read them after the trace ends.
 pub struct FullAnalysis {
     /// Packet/byte totals (Tables II, III).
     pub counts: CountingSink,
@@ -49,6 +53,19 @@ pub struct FullAnalysis {
     pub sizes: SizeHistogram,
     /// Per-flow accounting (Figure 11).
     pub flows: FlowTable,
+    /// The open base bin's per-direction totals, not yet handed to the
+    /// counters and bin series.
+    open: OpenBin,
+}
+
+/// Per-direction totals (`[inbound, outbound]`) of the records seen in
+/// one variance-time base bin.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpenBin {
+    /// Start of the bin.
+    start: SimTime,
+    packets: [u64; 2],
+    app_bytes: [u64; 2],
 }
 
 impl FullAnalysis {
@@ -97,7 +114,60 @@ impl FullAnalysis {
             variance_time: VarianceTime::new(ms10, max_block, 8),
             sizes: SizeHistogram::new(500),
             flows: FlowTable::new(),
+            open: OpenBin::default(),
         }
+    }
+
+    /// The nine bin series.
+    fn series_mut(&mut self) -> [&mut RateSeries; 9] {
+        [
+            &mut self.per_minute,
+            &mut self.per_minute_in,
+            &mut self.per_minute_out,
+            &mut self.ms10_total,
+            &mut self.ms10_in,
+            &mut self.ms10_out,
+            &mut self.ms50_total,
+            &mut self.sec1_total,
+            &mut self.min30_total,
+        ]
+    }
+
+    /// Adds records totalling `packets` and `app_bytes` per direction, all
+    /// at `time`, to the open base bin. A time outside it first hands the
+    /// open bin to the folds and opens the bin holding `time`.
+    ///
+    /// Every series width is a whole number of base bins, so a base bin
+    /// lies inside one bin of every series, and the counters and series
+    /// fold integer sums: one run per base bin leaves them exactly as a
+    /// run per record would. A bin behind the open one (an out-of-order
+    /// record) opens a bin of its own, as it would in each fold.
+    #[inline]
+    fn add_to_open_bin(&mut self, time: SimTime, packets: [u64; 2], app_bytes: [u64; 2]) {
+        let base = self.variance_time.base();
+        if time.as_nanos().wrapping_sub(self.open.start.as_nanos()) >= base.as_nanos() {
+            self.flush_open_bin();
+            self.open.start = SimTime::ZERO + base.mul_u64(time.bin_index(base));
+        }
+        for d in 0..2 {
+            self.open.packets[d] += packets[d];
+            self.open.app_bytes[d] += app_bytes[d];
+        }
+    }
+
+    /// Hands the open base bin's totals to the counters, the bin series and
+    /// the variance-time estimator, one run each, and empties it.
+    fn flush_open_bin(&mut self) {
+        let OpenBin {
+            start,
+            packets,
+            app_bytes,
+        } = std::mem::take(&mut self.open);
+        self.counts.add_counts(packets, app_bytes);
+        for series in self.series_mut() {
+            series.add_lanes(start, packets, app_bytes);
+        }
+        self.variance_time.add_run(start, packets[0] + packets[1]);
     }
 
     /// Exports per-analyzer ingestion totals as `pipeline.records.*`
@@ -151,59 +221,39 @@ impl FullAnalysis {
 }
 
 impl TraceSink for FullAnalysis {
+    /// The counters, bin series and variance-time estimator see the record
+    /// through the open base bin; the flow table and size histogram fold it
+    /// at once.
     fn on_packet(&mut self, rec: &TraceRecord) {
-        self.counts.on_packet(rec);
-        self.per_minute.on_packet(rec);
-        self.per_minute_in.on_packet(rec);
-        self.per_minute_out.on_packet(rec);
-        self.ms10_total.on_packet(rec);
-        self.ms10_in.on_packet(rec);
-        self.ms10_out.on_packet(rec);
-        self.ms50_total.on_packet(rec);
-        self.sec1_total.on_packet(rec);
-        self.min30_total.on_packet(rec);
-        self.variance_time.on_packet(rec);
+        let mut packets = [0; 2];
+        let mut app_bytes = [0; 2];
+        let d = match rec.direction {
+            Direction::Inbound => 0,
+            Direction::Outbound => 1,
+        };
+        packets[d] = 1;
+        app_bytes[d] = u64::from(rec.app_len);
+        self.add_to_open_bin(rec.time, packets, app_bytes);
         self.sizes.on_packet(rec);
         self.flows.on_packet(rec);
     }
 
-    /// A burst shares one instant, so it is one run in every bin series:
-    /// one pass over the tag and size columns computes the per-direction
-    /// lane totals, and every counter and series folds them in once. Only
-    /// the flow table and size histogram still need the per-row columns.
+    /// A burst shares one instant, so one pass over the tag and size
+    /// columns computes its per-direction lane totals for the open base
+    /// bin. Only the flow table and size histogram read the rows.
     fn on_columns(&mut self, batch: &PacketBatch) {
-        let t = batch.time();
-        let (packets, app) = batch.lane_totals();
-        self.counts.add_counts(packets, app);
-        for series in [
-            &mut self.per_minute,
-            &mut self.per_minute_in,
-            &mut self.per_minute_out,
-            &mut self.ms10_total,
-            &mut self.ms10_in,
-            &mut self.ms10_out,
-            &mut self.ms50_total,
-            &mut self.sec1_total,
-            &mut self.min30_total,
-        ] {
-            series.add_lanes(t, packets, app);
-        }
-        self.variance_time.add_run(t, packets[0] + packets[1]);
+        let (packets, app_bytes) = batch.lane_totals();
+        self.add_to_open_bin(batch.time(), packets, app_bytes);
         self.sizes.on_columns(batch);
         self.flows.on_columns(batch);
     }
 
     fn on_end(&mut self, end: SimTime) {
+        self.flush_open_bin();
         self.counts.on_end(end);
-        self.per_minute.on_end(end);
-        self.per_minute_in.on_end(end);
-        self.per_minute_out.on_end(end);
-        self.ms10_total.on_end(end);
-        self.ms10_in.on_end(end);
-        self.ms10_out.on_end(end);
-        self.ms50_total.on_end(end);
-        self.sec1_total.on_end(end);
-        self.min30_total.on_end(end);
+        for series in self.series_mut() {
+            series.on_end(end);
+        }
         self.variance_time.on_end(end);
         self.sizes.on_end(end);
         self.flows.on_end(end);
@@ -314,6 +364,18 @@ impl MainRun {
 mod tests {
     use super::*;
     use csprov_game::ScenarioConfig;
+
+    #[test]
+    fn every_series_width_is_a_whole_number_of_base_bins() {
+        // The per-bin fold is exact only if no series bin edge falls
+        // inside a base bin.
+        let mut a = FullAnalysis::new(SimDuration::from_mins(10));
+        let base = a.variance_time.base().as_nanos();
+        for series in a.series_mut() {
+            let width = series.width().as_nanos();
+            assert_eq!(width % base, 0, "a {width} ns series");
+        }
+    }
 
     #[test]
     fn short_run_populates_every_analyzer() {

@@ -10,21 +10,36 @@ use crate::config::{ServerConfig, WorkloadConfig};
 use csprov_sim::dist::{clamp, Exp, Normal, Sample};
 use csprov_sim::{round_to_u64, RngStream};
 
-/// Draws a client command payload size in bytes.
-pub fn cmd_size(w: &WorkloadConfig, rng: &mut RngStream) -> u32 {
-    let d = Normal::new(w.cmd_size_mean, w.cmd_size_std);
+/// The client command payload-size distribution. A command stream builds
+/// it once and draws every size from it with [`cmd_size`].
+pub fn cmd_size_dist(w: &WorkloadConfig) -> Normal {
+    Normal::new(w.cmd_size_mean, w.cmd_size_std)
+}
+
+/// Draws a client command payload size in bytes from `sizes`, the
+/// workload's [`cmd_size_dist`].
+pub fn cmd_size(sizes: &Normal, rng: &mut RngStream) -> u32 {
     // Rounding then clamping to whole bounds; a negative draw rounds to
     // 0 and clamps up, as it would in floating point.
-    round_to_u64(d.sample(rng)).clamp(28, 64) as u32
+    round_to_u64(sizes.sample(rng)).clamp(28, 64) as u32
+}
+
+/// The event-noise component of snapshot sizes at world activity
+/// `activity`, which scales it (quiet during round freezes, high
+/// mid-firefight). Activity is constant within a server tick, so a tick
+/// builds it once for all its snapshots.
+pub fn snapshot_noise(s: &ServerConfig, activity: f64) -> Exp {
+    Exp::new(1.0 / (s.snapshot_noise_mean * activity).max(1.0))
 }
 
 /// Draws a server snapshot payload size for a world with `players` active
-/// players. `activity` scales the event-noise component (quiet during round
-/// freezes, high mid-firefight).
-pub fn snapshot_size(s: &ServerConfig, players: usize, activity: f64, rng: &mut RngStream) -> u32 {
-    let noise = Exp::new(1.0 / (s.snapshot_noise_mean * activity).max(1.0)).sample(rng);
-    let raw = s.snapshot_base + s.snapshot_per_player * players as f64 + noise;
-    clamp(raw.round(), 8.0, s.max_snapshot) as u32
+/// players, its event noise drawn from `noise` ([`snapshot_noise`]).
+pub fn snapshot_size(s: &ServerConfig, players: usize, noise: &Exp, rng: &mut RngStream) -> u32 {
+    let raw = s.snapshot_base + s.snapshot_per_player * players as f64 + noise.sample(rng);
+    // `round_to_u64` is `raw.round()` for every `raw >= 0`, and `raw` is at
+    // least `snapshot_base`, which is positive. (A negative or NaN `raw`
+    // would round to 0 here and to at most 0 there; both clamp up to 8.)
+    clamp(round_to_u64(raw) as f64, 8.0, s.max_snapshot) as u32
 }
 
 /// Connection request payload (client → server "connect" + auth ticket).
@@ -60,19 +75,52 @@ pub fn disconnect_size(rng: &mut RngStream) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn rng() -> RngStream {
         RngStream::new(99)
     }
 
+    /// A snapshot size as drawn before the tick built its noise once: an
+    /// `Exp` per draw, and `f64::round`.
+    pub(crate) fn per_draw_snapshot_size(
+        s: &ServerConfig,
+        players: usize,
+        activity: f64,
+        rng: &mut RngStream,
+    ) -> u32 {
+        let noise = Exp::new(1.0 / (s.snapshot_noise_mean * activity).max(1.0)).sample(rng);
+        let raw = s.snapshot_base + s.snapshot_per_player * players as f64 + noise;
+        clamp(raw.round(), 8.0, s.max_snapshot) as u32
+    }
+
+    #[test]
+    fn hoisted_noise_and_whole_rounding_match_the_per_draw_model() {
+        // 23 player counts x 23 activities x 1,900 draws: over 10^6.
+        let s = ServerConfig::default();
+        let (mut a, mut b) = (rng(), rng());
+        for players in 0..=22 {
+            for step in 0..=22u32 {
+                let activity = 0.35 + 0.05 * f64::from(step);
+                let noise = snapshot_noise(&s, activity);
+                for _ in 0..1_900 {
+                    assert_eq!(
+                        snapshot_size(&s, players, &noise, &mut a),
+                        per_draw_snapshot_size(&s, players, activity, &mut b),
+                        "{players} players at activity {activity}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn cmd_sizes_match_table3_target() {
-        let w = WorkloadConfig::default();
+        let d = cmd_size_dist(&WorkloadConfig::default());
         let mut r = rng();
         let n = 100_000;
-        let sizes: Vec<u32> = (0..n).map(|_| cmd_size(&w, &mut r)).collect();
+        let sizes: Vec<u32> = (0..n).map(|_| cmd_size(&d, &mut r)).collect();
         let mean = sizes.iter().map(|&s| f64::from(s)).sum::<f64>() / n as f64;
         // Paper Table III: 39.72 B mean inbound.
         assert!((mean - 39.3).abs() < 1.0, "mean = {mean}");
@@ -87,9 +135,10 @@ mod tests {
         let s = ServerConfig::default();
         let mut r = rng();
         let n = 100_000;
+        let noise = snapshot_noise(&s, 1.0);
         let mean_at = |players: usize, r: &mut RngStream| {
             (0..n)
-                .map(|_| f64::from(snapshot_size(&s, players, 1.0, r)))
+                .map(|_| f64::from(snapshot_size(&s, players, &noise, r)))
                 .sum::<f64>()
                 / n as f64
         };
@@ -106,8 +155,9 @@ mod tests {
     fn snapshot_sizes_clamped() {
         let s = ServerConfig::default();
         let mut r = rng();
+        let noise = snapshot_noise(&s, 3.0);
         for _ in 0..100_000 {
-            let size = snapshot_size(&s, 22, 3.0, &mut r);
+            let size = snapshot_size(&s, 22, &noise, &mut r);
             assert!(size >= 8 && size <= s.max_snapshot as u32);
         }
     }
@@ -118,8 +168,9 @@ mod tests {
         let mut r = rng();
         let n = 50_000;
         let mean = |act: f64, r: &mut RngStream| {
+            let noise = snapshot_noise(&s, act);
             (0..n)
-                .map(|_| f64::from(snapshot_size(&s, 18, act, r)))
+                .map(|_| f64::from(snapshot_size(&s, 18, &noise, r)))
                 .sum::<f64>()
                 / n as f64
         };

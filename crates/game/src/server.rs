@@ -125,6 +125,7 @@ impl ServerState {
 
     /// Notes traffic from a client (refreshes its liveness timer).
     /// Returns false if the session is unknown (e.g. already timed out).
+    #[inline]
     pub fn heard_from(&mut self, now: SimTime, session: u32) -> bool {
         match self.position(session).and_then(|i| self.players.get_mut(i)) {
             Some(p) => {
@@ -135,22 +136,30 @@ impl ServerState {
         }
     }
 
-    /// Runs one server tick: returns `(session, snapshot_payload_bytes)` for
-    /// every standard-rate player due an update. Players the server has not
-    /// heard from within `snapshot_timeout` are skipped (the game-freeze
-    /// coupling), as is everyone while a map change is in progress.
-    pub fn tick(&mut self, now: SimTime) -> Vec<(u32, u32)> {
+    /// Runs one server tick: fills `snaps` with `(session,
+    /// snapshot_payload_bytes)` for every standard-rate player due an
+    /// update, in session order. The caller reuses `snaps` from tick to
+    /// tick, so a tick allocates nothing once it has held a full server.
+    /// Players the server has not heard from within `snapshot_timeout` are
+    /// skipped (the game-freeze coupling), as is everyone while a map
+    /// change is in progress.
+    pub fn tick(&mut self, now: SimTime, snaps: &mut Vec<(u32, u32)>) {
+        snaps.clear();
         if self.changing_map {
-            return Vec::new();
+            return;
         }
         let n = self.players.len();
         let timeout = self.cfg.snapshot_timeout;
-        let (cfg, activity, rng) = (&self.cfg, self.activity, &mut self.rng);
-        self.players
-            .iter()
-            .filter(|p| p.custom_rate.is_none() && now.saturating_since(p.last_heard) <= timeout)
-            .map(|p| (p.session, packets::snapshot_size(cfg, n, activity, rng)))
-            .collect()
+        let noise = packets::snapshot_noise(&self.cfg, self.activity);
+        let (cfg, rng) = (&self.cfg, &mut self.rng);
+        snaps.extend(
+            self.players
+                .iter()
+                .filter(|p| {
+                    p.custom_rate.is_none() && now.saturating_since(p.last_heard) <= timeout
+                })
+                .map(|p| (p.session, packets::snapshot_size(cfg, n, &noise, rng))),
+        );
     }
 
     /// Produces one snapshot for a custom-rate player, if it is live.
@@ -163,12 +172,8 @@ impl ServerState {
         if now.saturating_since(p.last_heard) > self.cfg.snapshot_timeout {
             return None;
         }
-        Some(packets::snapshot_size(
-            &self.cfg,
-            n,
-            self.activity,
-            &mut self.rng,
-        ))
+        let noise = packets::snapshot_noise(&self.cfg, self.activity);
+        Some(packets::snapshot_size(&self.cfg, n, &noise, &mut self.rng))
     }
 
     /// Removes players not heard from within `disconnect_timeout`; returns
@@ -205,9 +210,96 @@ impl ServerState {
 mod tests {
     use super::*;
     use crate::config::ServerConfig;
+    use crate::packets::tests::per_draw_snapshot_size;
 
     fn server() -> ServerState {
         ServerState::new(ServerConfig::default(), RngStream::new(1))
+    }
+
+    /// A tick as it was before the buffer and the once-per-tick noise: a
+    /// fresh collect, drawing each size with its own `Exp`.
+    fn collect_tick(s: &mut ServerState, now: SimTime) -> Vec<(u32, u32)> {
+        if s.changing_map {
+            return Vec::new();
+        }
+        let n = s.players.len();
+        let timeout = s.cfg.snapshot_timeout;
+        let (cfg, activity, rng) = (&s.cfg, s.activity, &mut s.rng);
+        s.players
+            .iter()
+            .filter(|p| p.custom_rate.is_none() && now.saturating_since(p.last_heard) <= timeout)
+            .map(|p| (p.session, per_draw_snapshot_size(cfg, n, activity, rng)))
+            .collect()
+    }
+
+    /// `snapshot_for` as it was before the once-per-call noise.
+    fn collect_snapshot_for(s: &mut ServerState, now: SimTime, session: u32) -> Option<u32> {
+        if s.changing_map {
+            return None;
+        }
+        let n = s.players.len();
+        let p = s.player(session)?;
+        if now.saturating_since(p.last_heard) > s.cfg.snapshot_timeout {
+            return None;
+        }
+        Some(per_draw_snapshot_size(&s.cfg, n, s.activity, &mut s.rng))
+    }
+
+    #[test]
+    fn reused_buffer_keeps_its_capacity_and_matches_a_fresh_collect() {
+        let (mut s, mut reference) = (server(), server());
+        let custom = |session: u32| (session % 7 == 3).then_some(60.0);
+        let mut t = SimTime::ZERO;
+        for session in 0..22 {
+            s.try_connect(t, session, session, custom(session));
+            reference.try_connect(t, session, session, custom(session));
+        }
+        let mut snaps = Vec::new();
+        s.tick(t, &mut snaps);
+        assert_eq!(snaps, collect_tick(&mut reference, t));
+        assert_eq!(snaps.len(), 19, "three custom-rate players");
+        let (capacity, ptr) = (snaps.capacity(), snaps.as_ptr());
+        let mut silent_ticks = 0;
+        for step in 1..3_000u32 {
+            t += csprov_sim::SimDuration::from_millis(50);
+            let activity = 0.35 + 1.1 * f64::from(step % 23) / 22.0;
+            let session = step % 22;
+            for st in [&mut s, &mut reference] {
+                st.activity = activity;
+                // Sessions 20 and 21 fall silent after step 500.
+                if step % 5 != 0 && (session < 20 || step < 500) {
+                    st.heard_from(t, session);
+                }
+                match step % 97 {
+                    0 => st.begin_map_change(),
+                    3 => st.end_map_change(),
+                    _ => {}
+                }
+                if step % 13 == 0 {
+                    st.disconnect(session);
+                    st.try_connect(t, session, session, custom(session));
+                }
+            }
+            s.tick(t, &mut snaps);
+            assert_eq!(snaps, collect_tick(&mut reference, t), "step {step}");
+            assert_eq!((snaps.capacity(), snaps.as_ptr()), (capacity, ptr));
+            silent_ticks += usize::from(snaps.is_empty());
+            for session in [3, 10, 17, 20] {
+                assert_eq!(
+                    s.snapshot_for(t, session),
+                    collect_snapshot_for(&mut reference, t, session),
+                    "step {step}, session {session}"
+                );
+            }
+        }
+        assert!(silent_ticks > 0, "map changes silence some ticks");
+    }
+
+    /// One tick's snapshots in a fresh buffer.
+    fn tick(s: &mut ServerState, now: SimTime) -> Vec<(u32, u32)> {
+        let mut snaps = Vec::new();
+        s.tick(now, &mut snaps);
+        snaps
     }
 
     #[test]
@@ -229,7 +321,7 @@ mod tests {
         for i in 0..5 {
             s.try_connect(t, i, i, None);
         }
-        let snaps = s.tick(t);
+        let snaps = tick(&mut s, t);
         assert_eq!(snaps.len(), 5);
         // Deterministic session order.
         let order: Vec<u32> = snaps.iter().map(|&(s, _)| s).collect();
@@ -248,7 +340,7 @@ mod tests {
         let t1 = t0 + csprov_sim::SimDuration::from_secs(5);
         s.heard_from(t1, 2);
         // Session 1 silent for 5 s (> 2 s snapshot timeout, < 15 s disconnect).
-        let snaps = s.tick(t1);
+        let snaps = tick(&mut s, t1);
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].0, 2);
         assert_eq!(s.player_count(), 2);
@@ -276,11 +368,11 @@ mod tests {
         s.try_connect(t, 1, 1, None);
         assert_eq!(s.maps_played(), 0);
         s.begin_map_change();
-        assert!(s.tick(t).is_empty());
+        assert!(tick(&mut s, t).is_empty());
         assert_eq!(s.snapshot_for(t, 1), None);
         assert_eq!(s.maps_played(), 1);
         s.end_map_change();
-        assert_eq!(s.tick(t).len(), 1);
+        assert_eq!(tick(&mut s, t).len(), 1);
     }
 
     #[test]
@@ -289,7 +381,7 @@ mod tests {
         let t = SimTime::ZERO;
         s.try_connect(t, 1, 1, Some(60.0));
         s.try_connect(t, 2, 2, None);
-        let snaps = s.tick(t);
+        let snaps = tick(&mut s, t);
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].0, 2);
         assert!(s.snapshot_for(t, 1).is_some());
@@ -332,7 +424,7 @@ mod tests {
         for session in [5, 2, 9, 0, 7] {
             s.try_connect(t, session, session, None);
         }
-        let order: Vec<u32> = s.tick(t).iter().map(|&(s, _)| s).collect();
+        let order: Vec<u32> = tick(&mut s, t).iter().map(|&(s, _)| s).collect();
         assert_eq!(order, vec![0, 2, 5, 7, 9]);
         assert!(s.disconnect(2).is_some());
         let t1 = t + csprov_sim::SimDuration::from_secs(1);
@@ -352,7 +444,7 @@ mod tests {
         for i in 0..22 {
             s.try_connect(t, i, i, None);
         }
-        let order: Vec<u32> = s.tick(t).iter().map(|&(s, _)| s).collect();
+        let order: Vec<u32> = tick(&mut s, t).iter().map(|&(s, _)| s).collect();
         assert_eq!(order, (0..22).collect::<Vec<u32>>());
     }
 
@@ -362,11 +454,17 @@ mod tests {
         let mut s = server();
         let t = SimTime::ZERO;
         s.try_connect(t, 0, 0, None);
-        let small: f64 = (0..2000).map(|_| f64::from(s.tick(t)[0].1)).sum::<f64>() / 2000.0;
+        let small: f64 = (0..2000)
+            .map(|_| f64::from(tick(&mut s, t)[0].1))
+            .sum::<f64>()
+            / 2000.0;
         for i in 1..20 {
             s.try_connect(t, i, i, None);
         }
-        let big: f64 = (0..2000).map(|_| f64::from(s.tick(t)[0].1)).sum::<f64>() / 2000.0;
+        let big: f64 = (0..2000)
+            .map(|_| f64::from(tick(&mut s, t)[0].1))
+            .sum::<f64>()
+            / 2000.0;
         assert!(big > small + 60.0, "big {big} vs small {small}");
     }
 }

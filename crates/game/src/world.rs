@@ -435,10 +435,11 @@ fn emit_outbound(w: &W, sim: &mut Simulator, session: u32, kind: PacketKind, app
 fn schedule_server_tick(w: &W, sim: &mut Simulator, profile: Option<csprov_obs::Profile>) {
     let tick = w.borrow().cfg.server.tick;
     let w = w.clone();
-    // Scratch buffers reused across ticks: the burst is filled into one
-    // column batch, started at the tick's instant (cleared, not
-    // reallocated) each tick, and handed to the tap in one `on_columns`
-    // call instead of a sink call per snapshot.
+    // Scratch buffers reused across ticks: the server fills `snaps`, the
+    // burst is filled into one column batch, started at the tick's instant
+    // (cleared, not reallocated) each tick, and handed to the tap in one
+    // `on_columns` call instead of a sink call per snapshot.
+    let mut snaps: Vec<(u32, u32)> = Vec::new();
     let mut burst = PacketBatch::new();
     let mut forwards: Vec<Packet> = Vec::new();
     spawn_periodic(
@@ -450,7 +451,7 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator, profile: Option<csprov_obs::
             let metrics = w.borrow().metrics.clone();
             // Held until the tick returns, so the tap's frames nest in it.
             let mut frame = profile.as_ref().map(|p| p.enter("game.tick"));
-            let snaps = {
+            {
                 let mut st = w.borrow_mut();
                 let now = sim.now();
                 if let Some(j) = &st.journal {
@@ -461,8 +462,8 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator, profile: Option<csprov_obs::
                         st.server.player_count() as u64,
                     );
                 }
-                st.server.tick(now)
-            };
+                st.server.tick(now, &mut snaps);
+            }
             if let Some(frame) = &mut frame {
                 frame.add_items(snaps.len() as u64);
             }
@@ -1029,13 +1030,14 @@ fn spawn_cmd_stream(
         let mut st = w.borrow_mut();
         SimDuration::from_nanos(st.rng_misc.next_below(period.as_nanos().max(1)))
     };
+    let sizes = packets::cmd_size_dist(&w.borrow().cfg.workload);
     let w = w.clone();
     spawn_periodic(sim, sim.now() + phase, period, stop, move |sim, _| {
         let mut st = w.borrow_mut();
         let st = &mut *st;
         // Drawn before the pause check: skipping the draw while paused
         // would shift every later size on the shared stream.
-        let size = packets::cmd_size(&st.cfg.workload, &mut st.rng_clients);
+        let size = packets::cmd_size(&sizes, &mut st.rng_clients);
         if st.server.changing_map {
             return; // clients are loading the map too
         }

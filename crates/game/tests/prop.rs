@@ -40,6 +40,7 @@ fn server_state_machine_invariants() {
         let mut s = ServerState::new(cfg, RngStream::new(1));
         let mut now = SimTime::ZERO;
         let mut connected = std::collections::BTreeSet::new();
+        let mut snaps = Vec::new();
         for op in ops {
             match op {
                 Op::Connect(id) => {
@@ -63,7 +64,8 @@ fn server_state_machine_invariants() {
                     assert_eq!(known, connected.contains(&id));
                 }
                 Op::Tick => {
-                    for (session, size) in s.tick(now) {
+                    s.tick(now, &mut snaps);
+                    for &(session, size) in &snaps {
                         assert!(connected.contains(&session));
                         assert!(size >= 8);
                     }
@@ -78,7 +80,8 @@ fn server_state_machine_invariants() {
                 Op::MapChange(begin) => {
                     if begin {
                         s.begin_map_change();
-                        assert!(s.tick(now).is_empty());
+                        s.tick(now, &mut snaps);
+                        assert!(snaps.is_empty());
                     } else {
                         s.end_map_change();
                     }
@@ -101,10 +104,12 @@ fn size_models_bounded() {
         let server = ServerConfig::default();
         let workload = WorkloadConfig::default();
         let mut rng = RngStream::new(seed);
+        let noise = packets::snapshot_noise(&server, activity);
+        let cmd_sizes = packets::cmd_size_dist(&workload);
         for _ in 0..50 {
-            let snap = packets::snapshot_size(&server, players, activity, &mut rng);
+            let snap = packets::snapshot_size(&server, players, &noise, &mut rng);
             assert!(snap >= 8 && snap <= server.max_snapshot as u32);
-            let cmd = packets::cmd_size(&workload, &mut rng);
+            let cmd = packets::cmd_size(&cmd_sizes, &mut rng);
             assert!((28..=64).contains(&cmd));
         }
     });

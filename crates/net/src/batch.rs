@@ -66,6 +66,7 @@ impl PacketBatch {
     }
 
     /// Appends one packet to the burst; it shares the burst's instant.
+    #[inline]
     pub fn push(&mut self, direction: Direction, kind: PacketKind, session: u32, app_len: u32) {
         self.app_lens.push(app_len);
         self.sessions.push(session);
@@ -73,11 +74,13 @@ impl PacketBatch {
     }
 
     /// The instant every row of the burst was observed at.
+    #[inline]
     pub fn time(&self) -> SimTime {
         self.time
     }
 
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         self.tags.len()
     }
@@ -130,6 +133,7 @@ impl PacketBatch {
     /// Per-direction totals of the burst: packets and application bytes,
     /// each indexed `[inbound, outbound]`. The direction bit of the tag is
     /// the lane index, so the loop has no data-dependent branches.
+    #[inline]
     pub fn lane_totals(&self) -> ([u64; 2], [u64; 2]) {
         let mut packets = [0u64; 2];
         let mut app = [0u64; 2];

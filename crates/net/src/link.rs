@@ -37,6 +37,7 @@ pub struct LinkConfig {
 
 impl LinkConfig {
     /// Serialization time for `bytes` on this link.
+    #[inline]
     pub fn tx_time(&self, bytes: u32) -> SimDuration {
         SimDuration::from_secs_f64(f64::from(bytes) * 8.0 / self.bandwidth_bps)
     }
@@ -125,6 +126,7 @@ pub struct LinkStats {
 impl LinkStats {
     /// Counts one admitted packet's arrival at the far end: it leaves
     /// `in_flight` and joins `delivered`.
+    #[inline]
     pub fn arrived(&self) {
         self.in_flight.adjust(-1);
         self.delivered.incr();
@@ -203,6 +205,7 @@ impl Link {
     /// Drop-tail admission counts the admitted packets whose serialization
     /// ends at or after now; the packet is dropped when `queue_limit` of
     /// them remain.
+    #[inline]
     pub fn admit(&self, now: SimTime, wire_len: u32) -> Option<SimTime> {
         let mut st = self.state.borrow_mut();
         let st = &mut *st;

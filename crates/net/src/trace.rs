@@ -71,6 +71,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Builds a record from a packet observed at `time`.
+    #[inline]
     pub fn from_packet(time: SimTime, p: &Packet) -> Self {
         TraceRecord {
             time,
@@ -83,6 +84,7 @@ impl TraceRecord {
 
     /// On-the-wire bytes for this packet under the paper's accounting.
     /// Widened to `u64` so a foreign near-`u32::MAX` size cannot wrap.
+    #[inline]
     pub fn wire_len(&self) -> u64 {
         u64::from(self.app_len) + u64::from(WIRE_OVERHEAD_BYTES)
     }
@@ -192,6 +194,7 @@ impl CountingSink {
     /// `app_bytes[d]` application bytes for each direction lane `d`
     /// (`[inbound, outbound]`). `on_packet` passes one record's lane,
     /// `on_columns` a whole batch's [`PacketBatch::lane_totals`].
+    #[inline]
     pub fn add_counts(&mut self, packets: [u64; 2], app_bytes: [u64; 2]) {
         for i in 0..2 {
             self.packets[i] += packets[i];
@@ -217,6 +220,7 @@ impl CountingSink {
 }
 
 impl TraceSink for CountingSink {
+    #[inline]
     fn on_packet(&mut self, rec: &TraceRecord) {
         let mut packets = [0; 2];
         let mut app = [0; 2];

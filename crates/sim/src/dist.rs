@@ -21,6 +21,7 @@ pub struct Exp {
 
 impl Exp {
     /// Creates an exponential distribution with rate `lambda` (> 0).
+    #[inline]
     pub fn new(rate: f64) -> Self {
         assert!(rate > 0.0 && rate.is_finite(), "Exp rate must be positive");
         Exp { rate }
@@ -38,6 +39,7 @@ impl Exp {
 }
 
 impl Sample for Exp {
+    #[inline]
     fn sample(&self, rng: &mut RngStream) -> f64 {
         -rng.next_f64_open().ln() / self.rate
     }
@@ -73,12 +75,14 @@ pub struct Normal {
 
 impl Normal {
     /// Creates a normal distribution with the given mean and standard deviation.
+    #[inline]
     pub fn new(mean: f64, std_dev: f64) -> Self {
         assert!(std_dev >= 0.0 && std_dev.is_finite());
         Normal { mean, std_dev }
     }
 
     /// Draws a standard normal variate.
+    #[inline]
     fn standard(rng: &mut RngStream) -> f64 {
         // Marsaglia polar method. We discard the second variate rather than
         // caching it, keeping the sampler stateless (stateless samplers keep
@@ -95,6 +99,7 @@ impl Normal {
 }
 
 impl Sample for Normal {
+    #[inline]
     fn sample(&self, rng: &mut RngStream) -> f64 {
         self.mean + self.std_dev * Normal::standard(rng)
     }

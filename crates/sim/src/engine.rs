@@ -39,7 +39,7 @@
 use crate::event::{EventHandle, EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use csprov_obs::Journal;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The next [`Simulator::id`] to hand out. The counter publishes no other
@@ -112,6 +112,16 @@ pub fn journal_observer(every: u64, journal: Journal) -> (u64, Observer) {
     (1, Box::new(tap))
 }
 
+/// An observer with its stride and the executed-event count at which it
+/// next fires, so a step compares counts instead of dividing. The count is
+/// a cell and the observer, an `FnMut` called with the `&Simulator` that
+/// holds it, sits in a `RefCell`.
+struct Installed {
+    next: Cell<u64>,
+    every: u64,
+    observer: RefCell<Observer>,
+}
+
 /// The discrete-event simulator: virtual clock plus event queue.
 pub struct Simulator {
     /// Process-unique identity; see [`Simulator::id`].
@@ -126,9 +136,8 @@ pub struct Simulator {
     executed: u64,
     stopped: bool,
     queue_hwm: usize,
-    /// `(stride, observer)` pairs, run in install order. Each observer is
-    /// an `FnMut` called with `&self`, hence the cell around it.
-    observers: Vec<(u64, RefCell<Observer>)>,
+    /// Installed observers, run in install order.
+    observers: Vec<Installed>,
 }
 
 impl Default for Simulator {
@@ -191,7 +200,13 @@ impl Simulator {
     /// executed event. Observers run in install order and stay installed
     /// for the simulator's life.
     pub fn add_observer(&mut self, every: u64, observer: Observer) {
-        self.observers.push((every.max(1), RefCell::new(observer)));
+        let every = every.max(1);
+        self.observers.push(Installed {
+            // The first multiple of `every` after the events already run.
+            next: Cell::new((self.executed / every + 1).saturating_mul(every)),
+            every,
+            observer: RefCell::new(observer),
+        });
     }
 
     /// Queues `event` at `at` and updates the high-water mark.
@@ -348,9 +363,10 @@ impl Simulator {
                     Event::Call(slot, arg) => self.run_slot(slot, arg, false),
                 }
                 let this = &*self;
-                for (every, observer) in &this.observers {
-                    if this.executed % every == 0 {
-                        (observer.borrow_mut())(this);
+                for o in &this.observers {
+                    if this.executed == o.next.get() {
+                        o.next.set(o.next.get().saturating_add(o.every));
+                        (o.observer.borrow_mut())(this);
                     }
                 }
                 true
@@ -597,6 +613,24 @@ mod tests {
             expected.push(("every1", n, n));
         }
         assert_eq!(*seen.borrow(), expected);
+    }
+
+    #[test]
+    fn observer_installed_mid_run_fires_on_multiples_of_its_stride() {
+        let mut sim = Simulator::new();
+        for i in 1..=10u64 {
+            sim.schedule_at(SimTime::from_secs(i), |_| {});
+        }
+        sim.run_until(SimTime::from_secs(6));
+        assert_eq!(sim.events_executed(), 5);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let s = seen.clone();
+        sim.add_observer(
+            3,
+            Box::new(move |sim: &Simulator| s.borrow_mut().push(sim.events_executed())),
+        );
+        sim.run();
+        assert_eq!(*seen.borrow(), vec![6, 9]);
     }
 
     /// The fire log, event count and clock of a fixed schedule, run with

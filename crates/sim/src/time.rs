@@ -67,6 +67,7 @@ impl SimTime {
     }
 
     /// Builds an instant from fractional seconds, rounding to nanoseconds.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite());
         SimTime(round_to_u64(s * NANOS_PER_SEC as f64))
@@ -106,6 +107,7 @@ impl SimTime {
     ///
     /// This is the binning primitive used throughout the analysis crate:
     /// `t.bin_index(SimDuration::from_millis(10))` is the 10 ms frame number.
+    #[inline]
     pub fn bin_index(self, bin: SimDuration) -> u64 {
         assert!(bin.0 > 0, "bin width must be positive");
         self.0 / bin.0
@@ -149,6 +151,7 @@ impl SimDuration {
     }
 
     /// Builds a span from fractional seconds, rounding to nanoseconds.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(
             s >= 0.0 && s.is_finite(),

@@ -288,3 +288,133 @@ fn foreign_near_max_size_folds_to_the_same_wire_bytes_either_way() {
     }
     assert_identical(&by_packet, &by_columns, "near-u32::MAX size");
 }
+
+/// One delivery to a sink: a single record, or a one-instant burst.
+enum Delivery {
+    Record(TraceRecord),
+    Burst(SimTime, Vec<TraceRecord>),
+}
+
+/// A random record at `ns`: any direction and kind, a sessionless probe
+/// (`u32::MAX`) one time in six, and sizes past the histogram's bound.
+fn edge_record(rng: &mut u64, ns: u64) -> TraceRecord {
+    TraceRecord {
+        time: SimTime::from_nanos(ns),
+        direction: if next(rng) % 2 == 0 {
+            Direction::Inbound
+        } else {
+            Direction::Outbound
+        },
+        kind: PacketKind::ALL[(next(rng) % 12) as usize],
+        session: match next(rng) % 6 {
+            0 => u32::MAX,
+            _ => (next(rng) % 30) as u32,
+        },
+        app_len: (next(rng) % 700) as u32,
+    }
+}
+
+/// A delivery stream that leans on the 10 ms base bins' edges: records at
+/// k·10 ms and at k·10 ms − 1 ns, runs of empty bins, and several
+/// one-instant bursts (some empty) landing in the same bin as earlier
+/// records. Returns the stream and its last instant.
+fn edge_stream(seed: u64, steps: usize) -> (Vec<Delivery>, u64) {
+    const BIN: u64 = 10_000_000;
+    let mut rng = seed;
+    let mut t: u64 = 0;
+    let mut out = Vec::new();
+    for _ in 0..steps {
+        t = match next(&mut rng) % 6 {
+            // Later in the same bin, when it fits.
+            0 => (t + next(&mut rng) % 3_000_000).min(t / BIN * BIN + BIN - 1),
+            // The first nanosecond of the next bin.
+            1 => (t / BIN + 1) * BIN,
+            // The last nanosecond of the next bin.
+            2 => (t / BIN + 2) * BIN - 1,
+            // A run of empty bins, then anywhere in a bin.
+            3 => (t / BIN + 2 + next(&mut rng) % 40) * BIN + next(&mut rng) % BIN,
+            // The same instant again.
+            4 => t,
+            _ => t + 1 + next(&mut rng) % 25_000_000,
+        };
+        if next(&mut rng) % 2 == 0 {
+            out.push(Delivery::Record(edge_record(&mut rng, t)));
+            continue;
+        }
+        // Several bursts in the open bin, each one instant.
+        for _ in 0..1 + next(&mut rng) % 3 {
+            let rows = (next(&mut rng) % 8) as usize;
+            let burst = (0..rows).map(|_| edge_record(&mut rng, t)).collect();
+            out.push(Delivery::Burst(SimTime::from_nanos(t), burst));
+            if t % BIN < BIN - 1_000 {
+                t += next(&mut rng) % 1_000;
+            }
+        }
+    }
+    (out, t)
+}
+
+/// Delivers `stream` and `end` to a sink: records by `on_packet`, bursts
+/// by `on_columns`.
+fn deliver(sink: &mut dyn TraceSink, stream: &[Delivery], end: SimTime) {
+    let mut batch = PacketBatch::new();
+    for d in stream {
+        match d {
+            Delivery::Record(rec) => sink.on_packet(rec),
+            Delivery::Burst(at, rows) => {
+                batch.start(*at);
+                for r in rows {
+                    batch.push(r.direction, r.kind, r.session, r.app_len);
+                }
+                sink.on_columns(&batch);
+            }
+        }
+    }
+    sink.on_end(end);
+}
+
+#[test]
+fn per_bin_fold_matches_each_analyzer_fed_alone() {
+    // `FullAnalysis` hands its counters, bin series and variance-time
+    // estimator one run per 10 ms base bin. The reference is the same
+    // thirteen analyzers, built by `FullAnalysis::new`, each fed every
+    // record and burst itself, so no base bin is held back anywhere.
+    const BIN: u64 = 10_000_000;
+    let duration = SimDuration::from_mins(10);
+    for seed in [3, 17, 0x5eed, 987_654_321] {
+        let (stream, last) = edge_stream(seed, 3_000);
+        let boundary = (last / BIN + 1) * BIN;
+        for end in [boundary, boundary + 1] {
+            let end = SimTime::from_nanos(end);
+            let mut folded = FullAnalysis::new(duration);
+            deliver(&mut folded, &stream, end);
+            let mut alone = FullAnalysis::new(duration);
+            let a = &mut alone;
+            let parts: [&mut dyn TraceSink; 13] = [
+                &mut a.counts,
+                &mut a.per_minute,
+                &mut a.per_minute_in,
+                &mut a.per_minute_out,
+                &mut a.ms10_total,
+                &mut a.ms10_in,
+                &mut a.ms10_out,
+                &mut a.ms50_total,
+                &mut a.sec1_total,
+                &mut a.min30_total,
+                &mut a.variance_time,
+                &mut a.sizes,
+                &mut a.flows,
+            ];
+            for part in parts {
+                deliver(part, &stream, end);
+            }
+            assert!(folded.counts.total_packets() > 1_000, "seed {seed}");
+            assert_eq!(folded.counts.end, Some(end), "seed {seed}");
+            assert_identical(
+                &folded,
+                &alone,
+                &format!("seed {seed}, end {} ns", end.as_nanos()),
+            );
+        }
+    }
+}
